@@ -9,6 +9,7 @@ clock data is included.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -37,6 +38,16 @@ class Job:
 def _require(cond, field, message):
     if not cond:
         raise JobError(field, message)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x):
+    """A finite JSON number (bools are not numbers here)."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 def _parse_complex_matrix(data, field):
@@ -97,8 +108,7 @@ def parse_job(document):
         _require(kind in ("reeb", "piecewise_hermitian", "random"), "path",
                  f"unknown path kind {kind!r}")
         if kind == "reeb":
-            _require(isinstance(path_spec["reeb"], (int, float))
-                     and np.isfinite(path_spec["reeb"]),
+            _require(_is_number(path_spec["reeb"]),
                      "path.reeb", "expected a finite number")
         elif kind == "piecewise_hermitian":
             spec = path_spec["piecewise_hermitian"]
@@ -123,14 +133,20 @@ def parse_job(document):
                          f"does not commute with the deck action "
                          f"(residual {comm:.3e})")
                 d = seg.get("duration", 1.0)
-                _require(isinstance(d, (int, float)) and d > 0,
+                _require(_is_number(d) and d > 0,
                          fld + ".duration", "duration must be positive")
         else:
             spec = path_spec["random"]
             _require(isinstance(spec, dict), "path.random", "expected an object")
             seed = spec.get("seed", 0)
-            _require(isinstance(seed, int) and 0 <= seed < 2**64,
+            _require(_is_int(seed) and 0 <= seed < 2**64,
                      "path.random.seed", "seed must be a 64-bit integer")
+            segments = spec.get("segments", 2)
+            _require(_is_int(segments) and segments >= 1,
+                     "path.random.segments", "segments must be an integer >= 1")
+            bound = spec.get("norm_bound", 2.0)
+            _require(_is_number(bound) and bound > 0,
+                     "path.random.norm_bound", "norm_bound must be a finite number > 0")
 
     task_spec = document.get("task")
     task, params = None, {}
@@ -169,9 +185,22 @@ def build_path(job):
     return random_path(
         job.lens,
         rng,
-        segments=int(spec.get("segments", 2)),
+        segments=spec.get("segments", 2),
         norm_bound=float(spec.get("norm_bound", 2.0)),
     )
+
+
+def _selector_params(params, lens):
+    """(j_lo, j_hi, window_base) of a selectors task, after the CLI merge."""
+    j_lo = params.get("j_lo", -2 * lens.n + 1)
+    j_hi = params.get("j_hi", 0)
+    base = params.get("window_base", 0.0)
+    _require(_is_int(j_lo), "task.selectors.j_lo", "j_lo must be an integer")
+    _require(_is_int(j_hi), "task.selectors.j_hi", "j_hi must be an integer")
+    _require(_is_number(base), "task.selectors.window_base",
+             "window_base must be a finite number")
+    _require(j_lo <= j_hi, "task.selectors", f"need j_lo <= j_hi, got {j_lo} > {j_hi}")
+    return j_lo, j_hi, float(base)
 
 
 def _echo(job):
@@ -223,10 +252,8 @@ def run_job(job, overrides=None):
             "ind(F_0) = 2nN asserted as a self-check"
         )
     elif task == "selectors":
+        j_lo, j_hi, base = _selector_params(params, lens)
         p = build_path(job)
-        j_lo = int(params.get("j_lo", -2 * lens.n + 1))
-        j_hi = int(params.get("j_hi", 0))
-        base = float(params.get("window_base", 0.0))
         rep = selectors.selector_range(p, j_lo, j_hi, window_base=base)
         res["selectors"] = {str(j): rep.values[j] for j in range(j_lo, j_hi + 1)}
         res["c_plus"] = rep.c_plus

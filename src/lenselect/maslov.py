@@ -1,14 +1,32 @@
 """Non-linear Maslov index of a unitary path via based families of forms.
 
-The path is subdivided so every transition stays in the Cayley domain; each
-interval contributes a clamped factor V_i(t) = U(clamp(t, s_i, s_{i+1})) *
-U(s_i)^{-1}, and F_t is the left-associated #-composition of the factors'
-Cayley generating functions.  The total dimension of F_t is constant in t, so
+Reference construction (the paper's).  The path is subdivided so every
+transition stays in the Cayley domain; each interval contributes a clamped
+factor V_i(t) = U(clamp(t, s_i, s_{i+1})) * U(s_i)^{-1}, and F_t is the
+left-associated #-composition of the factors' Cayley generating functions.
+The total dimension of F_t is constant in t, so
 
     mu = ind(F_0) - ind(F_1)
 
 is a difference of indices on one fixed space, with ind(F_0) = 2nN asserted
-as a per-run self-check.
+as a per-run self-check.  `BasedFamily.form_at` writes every Cayley block and
+every +-2J coupling of the # chain straight into one preallocated matrix, at
+the slots the chain gives them.
+
+Closed form (the step function).  On the universal cover of U(n) a path class
+is fixed by its endpoint together with the lift of arg det, and for a
+piecewise path that lift is exactly L = sum_i tr(A_i) d_i.  Reeb-shifting by
+T maps it to L - nT and the endpoint eigenphases theta_j to theta_j - T, so
+away from the spectrum
+
+    mu(r_{-T} . path) = 2 (n + W(T)),
+    W(T) = (L - nT - sum_j phi_j(T)) / 2 pi,  phi_j(T) = (theta_j - T) mod 2 pi
+                                              taken in (0, 2 pi],
+
+with W an integer because e^{iL} = det U_1.  `evaluate_step` uses this for
+every gap; `maslov_index` on the generating-function family stays the
+reference, and the verify suite `maslov_props` (check `step-shape`) compares
+the two on seeded random paths at runtime.
 """
 
 import math
@@ -18,7 +36,7 @@ import numpy as np
 
 from . import quadratic
 from .paths import reeb_shift, cluster_phases, _eigenphases
-from .quadratic import cayley_gf, index, sharp, zero_form
+from .quadratic import InvariantQuadraticForm, cayley_gf, complex_structure, index
 
 TWO_PI = 2.0 * math.pi
 
@@ -26,6 +44,10 @@ TWO_PI = 2.0 * math.pi
 # transition eigenvalues in the closed right half-circle, so tan(theta/2) <= 1
 # and the Cayley factors have norm <= 1.
 MAX_TRAVEL = math.pi / 2
+
+# The det-lift winding W is an integer up to roundoff in the lift and the
+# endpoint eigenphases; a larger miss means the path data are inconsistent.
+DET_LIFT_TOL = 1e-6
 
 _F0_INDEX_CACHE = {}
 
@@ -57,15 +79,51 @@ class BasedFamily:
                     f"interval [{a}, {b}] exceeds the pi/2 phase-travel bound"
                 )
 
-    def form_at(self, t):
+    def factors(self, t):
+        """Cayley generating functions C_1..C_N of the clamped factors at t."""
         s = self.breakpoints
-        F = None
-        for i in range(self.N):
-            tc = min(max(t, s[i]), s[i + 1])
-            V = self.path.value(tc) @ self._inv_at_start[i]
-            C = cayley_gf(V, self.lens)
-            F = C if F is None else sharp(F, C)
-        return F
+        return [
+            cayley_gf(
+                self.path.value(min(max(t, s[i]), s[i + 1])) @ self._inv_at_start[i],
+                self.lens,
+            )
+            for i in range(self.N)
+        ]
+
+    def form_at(self, t):
+        """F_t = (..((C_1 # C_2) # C_3) ..) # C_N, assembled in one block.
+
+        The left-associated chain lays out its 2N-1 blocks of size 2n as
+        [q_N, q_{N-1}, C_N, q_{N-2}, C_{N-1}, ..., q_2, C_3, C_1, C_2], where
+        q_m is the base added by the m-th # and C_1 doubles as the base of
+        the first factor.  Level m couples (q_m, base of level m-1, C_m) as
+        `sharp` does; every entry is written once, so the matrix equals the
+        chain's entry for entry.
+        """
+        C = self.factors(t)
+        N = self.N
+        if N == 1:
+            return C[0]
+        n2 = 2 * self.lens.n
+        H = np.zeros((self.total_dim, self.total_dim))
+
+        def blk(p):
+            return slice(p * n2, (p + 1) * n2)
+
+        def base(m):  # slot of the base of the level-m composite
+            return 0 if m == N else 2 * (N - m) - 1
+
+        H[blk(base(1)), blk(base(1))] += C[0].matrix
+        J = complex_structure(n2 // 2)
+        for m in range(2, N + 1):
+            q, z1, z2 = blk(base(m)), blk(base(m - 1)), blk(2 * (N - m) + 2)
+            H[z2, z2] += C[m - 1].matrix
+            # -2<z2 - q, i(z1 - q)>, as in `sharp`
+            for a, b, M in ((z2, z1, -2.0 * J), (z2, q, 2.0 * J), (q, z1, 2.0 * J)):
+                H[a, b] += M
+                H[b, a] += M.T
+        phases = np.tile(C[0].action_phases, 2 * N - 1)
+        return InvariantQuadraticForm(H, n2, phases, self.lens.k_prime)
 
     @property
     def total_dim(self):
@@ -167,11 +225,12 @@ class MaslovEvaluation:
         return (-np.diff(vals)).astype(int)
 
 
-def evaluate_step(path, window_base=0.0, tol=quadratic.DEFAULT_NULL_TOL):
+def evaluate_step(path, window_base=0.0):
     """Evaluate the Maslov step function on one window of the sphere spectrum.
 
     The drift is exactly -2n per +2 pi, so gap values in a single window
-    determine the function (and every selector) on all of R.
+    determine the function (and every selector) on all of R.  Each gap value
+    is the det-lift closed form of the module docstring at the gap midpoint.
     """
     lens = path.lens
     raw = _eigenphases(path.endpoint, lens.weight_classes())
@@ -182,13 +241,18 @@ def evaluate_step(path, window_base=0.0, tol=quadratic.DEFAULT_NULL_TOL):
     order = np.argsort(pts)
     pts, mults = pts[order], mults[order]
     gaps_end = np.concatenate([pts[1:], [pts[0] + TWO_PI]])
-    values = np.array(
-        [
-            maslov_shifted(path, (a + b) / 2.0, tol=tol)
-            for a, b in zip(pts, gaps_end)
-        ],
-        dtype=int,
-    )
+    mids = (pts + gaps_end) / 2.0
+    lift = sum(float(np.trace(A).real) * d for A, d in path.segments)
+    # phi_j(T) = (theta_j - T) mod 2 pi in (0, 2 pi]; midpoints miss the spectrum
+    phi = TWO_PI - np.mod(mids[:, None] - raw[None, :], TWO_PI)
+    W = (lift - lens.n * mids - phi.sum(axis=1)) / TWO_PI
+    Wr = np.rint(W)
+    if np.any(np.abs(W - Wr) > DET_LIFT_TOL):
+        raise AssertionError(
+            "det-lift self-check failed: W is off an integer by "
+            f"{float(np.abs(W - Wr).max()):.3e}"
+        )
+    values = (2 * (lens.n + Wr)).astype(int)
     ev = MaslovEvaluation(lens, float(window_base), pts, mults, values)
     if np.any(ev.drops() < 0):
         raise AssertionError("Maslov step function failed to be non-increasing")

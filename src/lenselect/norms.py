@@ -136,8 +136,9 @@ def greedy_embedded_decomposition(path, grid=DEFAULT_EMBED_GRID):
 
     Each segment is extended to the largest prefix certified embedded by
     bisection; constant stretches form their own (identity-factor) segments.
-    The count also bounds the oscillation length when every segment is
-    sign-definite.
+    When no prefix from t can be certified, the rest [t, 1] becomes one
+    uncertified segment and a note says where.  The count also bounds the
+    oscillation length when every segment is sign-definite.
     """
     t = 0.0
     cuts = [0.0]
@@ -171,9 +172,11 @@ def greedy_embedded_decomposition(path, grid=DEFAULT_EMBED_GRID):
                         hi = mid
                 q = lo
             if q <= t + 1e-9 and q < 1.0 - 1e-12:
-                raise RuntimeError(
-                    f"cannot certify an embedded prefix at t = {t}; refine the grid"
-                )
+                # e.g. a stationary eigenline: every U_t U_s^{-1} from t on
+                # fixes it, so no prefix is embedded; [t, 1] stays uncertified
+                certified = False
+                notes.append(f"cannot certify an embedded prefix at t = {t}")
+                q = 1.0
         sign_definite = sign_definite and _segment_sign_definite(path, t, min(q, 1.0))
         t = min(q, 1.0)
         cuts.append(t)

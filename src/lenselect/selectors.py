@@ -5,6 +5,14 @@ function determines every selector through the exact periodicity
 mu(r_{-(T + 2 pi)} . path) = mu(r_{-T} . path) - 2n, and the returned value is
 bit-identical to the eigenphase representative it selects (spectrality is a
 theorem, so snapping to the spectrum is the correct rounding).
+
+The step function comes from `maslov.evaluate_step`, which needs only the
+endpoint eigenphases and the lift of arg det: a path class in the universal
+cover of U(n) is fixed by its endpoint plus that lift, so each gap value has
+the exact closed form mu = 2(n + W) given in the `maslov` docstring.  No
+generating function is built here; the generating-function index
+`maslov.maslov_shifted` is the reference it is checked against (verify suite
+`maslov_props`, check `step-shape`, and tests/test_maslov.py).
 """
 
 import math

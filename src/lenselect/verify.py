@@ -335,6 +335,8 @@ def suite_maslov_props(trials, seed):
     ck = Check("step-shape",
                "step function: non-increasing, right-continuous, constant on "
                "gaps, periodic with drift -2n")
+    # evaluate_step uses the det-lift closed form; maslov_shifted is the
+    # generating-function reference, so this is the runtime cross-check
     rng = _rng(seed, "step-shape")
     for _ in range(max(trials // 4, 6)):
         lens = _lens_set()[int(rng.integers(0, 3))]

@@ -155,6 +155,51 @@ class TestMain:
         out = json.loads(capsys.readouterr().out)
         assert set(out["results"]["selectors"]) == {"-1", "0", "1", "2"}
 
+    @pytest.mark.parametrize("params, flags, field", [
+        ({"j_lo": "abc"}, [], "task.selectors.j_lo"),
+        ({"j_lo": True}, [], "task.selectors.j_lo"),
+        ({"j_hi": 1.5}, [], "task.selectors.j_hi"),
+        ({"window_base": "x"}, [], "task.selectors.window_base"),
+        ({"window_base": float("nan")}, [], "task.selectors.window_base"),
+        ({}, ["--window-base", "inf"], "task.selectors.window_base"),
+        ({"j_lo": 2, "j_hi": 1}, [], "task.selectors:"),
+        ({}, ["--j-lo", "3", "--j-hi", "0"], "task.selectors:"),
+        ({"j_lo": -1, "j_hi": 5}, ["--j-lo", "6"], "task.selectors:"),
+    ])
+    def test_bad_selector_params_exit_two(self, tmp_path, capsys, params, flags, field):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0, {"selectors": params})))
+        assert main(["selectors", str(f), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    @pytest.mark.parametrize("spec, field", [
+        ({"segments": 0}, "path.random.segments"),
+        ({"segments": "2"}, "path.random.segments"),
+        ({"segments": True}, "path.random.segments"),
+        ({"segments": 2.0}, "path.random.segments"),
+        ({"norm_bound": 0}, "path.random.norm_bound"),
+        ({"norm_bound": -1.5}, "path.random.norm_bound"),
+        ({"norm_bound": float("inf")}, "path.random.norm_bound"),
+        ({"norm_bound": "big"}, "path.random.norm_bound"),
+    ])
+    def test_bad_random_path_exit_two(self, tmp_path, capsys, spec, field):
+        f = tmp_path / "job.json"
+        doc = {"lens": {"k": 3, "weights": [1, 1]}, "path": {"random": {"seed": 1, **spec}}}
+        f.write_text(json.dumps(doc))
+        assert main(["maslov", str(f)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    def test_decompose_stationary_eigenline(self, tmp_path, capsys):
+        gen = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]
+        doc = {"lens": {"k": 4, "weights": [1, 3]},
+               "path": {"piecewise_hermitian": {"segments": [{"generator": gen}]}},
+               "task": {"norms": {"decompose": True}}}
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        assert main(["norms", str(f)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["dis_upper"] is None and res["osc_upper"] is None
+
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--suite", "quadratic_core", "--trials", "3"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -19,11 +20,20 @@ from lenselect.paths import (
     reeb_path,
     reeb_shift,
 )
+from lenselect.quadratic import sharp
 
 TWO_PI = 2 * math.pi
 
 L2 = new_lens(2, [1, 1])
 L3 = new_lens(3, [1, 1])
+
+DET_LIFT_LENSES = [(2, [1, 1]), (3, [1, 1]), (4, [1, 3]), (5, [1, 2, 3]), (3, [1, 1, 2])]
+RANDOM_BASE = float(np.random.default_rng(2024).uniform(-TWO_PI, TWO_PI))
+
+
+def gap_midpoints(ev):
+    ends = np.concatenate([ev.points[1:], [ev.points[0] + TWO_PI]])
+    return (ev.points + ends) / 2.0
 
 
 class TestSubdivide:
@@ -46,6 +56,19 @@ class TestSubdivide:
     def test_segment_boundaries_kept(self):
         p = UnitaryPath(L2, [(np.zeros((2, 2)), 0.3), (np.eye(2), 0.7)])
         assert 0.3 in subdivide(p).tolist()
+
+
+class TestBasedFamily:
+    @pytest.mark.parametrize("N", [1, 2, 3, 7])
+    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
+    def test_form_at_is_the_sharp_chain(self, N, t):
+        p = random_path(new_lens(5, [1, 2, 3]), np.random.default_rng(N), norm_bound=1.0)
+        fam = BasedFamily(p, np.linspace(0.0, 1.0, N + 1))
+        F = fam.form_at(t)
+        chain = functools.reduce(sharp, fam.factors(t))
+        assert np.array_equal(F.matrix, chain.matrix)
+        assert np.array_equal(F.action_phases, chain.action_phases)
+        assert F.total_dim == fam.total_dim
 
 
 class TestMaslovIndex:
@@ -116,3 +139,30 @@ class TestEvaluateStep:
         ev = evaluate_step(p, window_base=-math.pi)
         for T in (-1.0, 0.0, 0.9, 2.2):
             assert ev.value_at(T) == evaluate_step(p).value_at(T)
+
+    @pytest.mark.parametrize("window_base", [0.0, -math.pi, RANDOM_BASE])
+    @pytest.mark.parametrize("k, weights", DET_LIFT_LENSES)
+    def test_closed_form_matches_gf_random(self, k, weights, window_base):
+        lens = new_lens(k, weights)
+        rng = np.random.default_rng([k, *weights])
+        for segments in (1, 2, 3):
+            p = random_path(lens, rng, segments=segments, norm_bound=7.0)
+            ev = evaluate_step(p, window_base)
+            for T, v in zip(gap_midpoints(ev), ev.values):
+                assert maslov_shifted(p, T) == v, (T, window_base)
+
+    @pytest.mark.parametrize("T", [0.0, TWO_PI, -TWO_PI, 2 * TWO_PI])
+    @pytest.mark.parametrize("k, weights", DET_LIFT_LENSES)
+    def test_closed_form_matches_gf_reeb(self, k, weights, T):
+        lens = new_lens(k, weights)
+        p = reeb_path(lens, T)
+        ev = evaluate_step(p)
+        (mid,) = gap_midpoints(ev)
+        assert ev.values.tolist() == [maslov_shifted(p, mid)]
+        assert ev.values[0] == 2 * lens.n * math.ceil((T - mid) / TWO_PI)
+
+    def test_det_lift_self_check(self):
+        p = reeb_path(L2, 1.0)
+        p.endpoint = p.endpoint * np.exp(0.5j)  # endpoint no longer matches the lift
+        with pytest.raises(AssertionError, match="det-lift"):
+            evaluate_step(p)

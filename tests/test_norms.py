@@ -14,6 +14,7 @@ from lenselect.norms import (
     selector_lower_bounds,
 )
 from lenselect.paths import (
+    UnitaryPath,
     identity_path,
     inverse_path,
     product_path,
@@ -117,6 +118,20 @@ class TestGreedy:
         cuts = dec.breakpoints
         assert cuts[0] == 0.0 and cuts[-1] == 1.0
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
+
+
+    def test_stationary_eigenline_uncertified(self):
+        # one eigenline pinned at 0: U_t U_s^{-1} fixes it for every s < t,
+        # so no prefix is embedded and the decomposition is not certified
+        lens = new_lens(5, [1, 2, 3])
+        p = UnitaryPath(lens, [(np.diag([0.0, 2.0, 5.0]), 0.4),
+                               (np.diag([0.0, 4.0, 1.0]), 0.6)])
+        dec = greedy_embedded_decomposition(p)
+        assert not dec.certified
+        assert dec.breakpoints[0] == 0.0 and dec.breakpoints[-1] == 1.0
+        assert any("cannot certify" in note for note in dec.notes)
+        rep = norm_report(p, decompose=True)
+        assert rep.dis_upper is None and rep.osc_upper is None
 
 
 class TestSelectorBounds:
