@@ -15,7 +15,7 @@ import numpy as np
 
 from . import maslov, norms, quadratic, selectors, verify
 from .lens import LensSpaceError, new_lens
-from .paths import PathError, UnitaryPath, random_path, reeb_path
+from .paths import DEFAULT_EMBED_GRID, PathError, UnitaryPath, random_path, reeb_path
 
 TASKS = ("maslov", "selectors", "spectrum", "norms", "geodesic", "verify")
 
@@ -203,6 +203,31 @@ def _selector_params(params, lens):
     return j_lo, j_hi, float(base)
 
 
+def _geodesic_params(params, lens):
+    """(T, grid) of a geodesic task, after the CLI merge; T's cost is capped."""
+    T = params.get("T")
+    grid = params.get("grid", DEFAULT_EMBED_GRID)
+    _require(_is_number(T) and T >= 0, "task.geodesic.T",
+             "T must be a finite number >= 0")
+    cap = norms.MAX_GEODESIC_ORBITS
+    # k T overflows to inf for T near the largest float
+    _require(math.isfinite(lens.k * T) and norms.orbit_count(lens, T) <= cap,
+             "task.geodesic.T",
+             f"T = {T!r} needs more than {cap} embedded pieces "
+             f"(floor(kT/2pi) + 1 with k = {lens.k})")
+    _require(_is_int(grid) and grid >= 1, "task.geodesic.grid",
+             "grid must be an integer >= 1")
+    return float(T), grid
+
+
+def _null_tol(tolerances):
+    """The index null cut, from the job file or --tol-null."""
+    tol = tolerances.get("null", quadratic.DEFAULT_NULL_TOL)
+    _require(_is_number(tol) and tol >= 0, "tolerances.null",
+             "null must be a finite number >= 0")
+    return float(tol)
+
+
 def _echo(job):
     out = {
         "lens": {"k": job.lens.k, "weights": list(job.lens.weights)},
@@ -225,7 +250,7 @@ def run_job(job, overrides=None):
     if task is None:
         raise JobError("task", "no task given (on the CLI the subcommand sets it)")
     lens = job.lens
-    tol = float(job.tolerances.get("null", quadratic.DEFAULT_NULL_TOL))
+    tol = _null_tol(job.tolerances)
     report = {"job": _echo(job), "results": {}, "provenance": []}
     res = report["results"]
     report["tolerances"] = {
@@ -245,7 +270,13 @@ def run_job(job, overrides=None):
 
     if task == "maslov":
         p = build_path(job)
-        res["mu"] = maslov.maslov_index(p, tol=tol)
+        try:
+            res["mu"] = maslov.maslov_index(p, tol=tol)
+        except maslov.BasedFamilyCheckError as e:
+            if "null" not in job.tolerances:
+                raise  # the default cut is part of the construction
+            raise JobError("tolerances.null",
+                           f"null = {tol!r} breaks the self-check ({e})") from None
         res["subdivision_intervals"] = len(maslov.subdivide(p)) - 1
         report["provenance"].append(
             "mu = ind(F_0) - ind(F_1) over a based family of generating functions; "
@@ -294,11 +325,8 @@ def run_job(job, overrides=None):
             "nu* minimized over Reeb-period shifts of the lift"
         )
     elif task == "geodesic":
-        T = params.get("T")
-        _require(isinstance(T, (int, float)) and T >= 0, "task.geodesic.T",
-                 "T must be a number >= 0")
-        grid = int(params.get("grid", 512))
-        rep = norms.geodesic_report(lens, float(T), grid=grid)
+        T, grid = _geodesic_params(params, lens)
+        rep = norms.geodesic_report(lens, T, grid=grid)
         res.update(rep.as_dict())
         report["provenance"].append(
             "equal weights: greedy embedded count = selector lower bound = "

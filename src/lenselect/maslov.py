@@ -52,6 +52,10 @@ DET_LIFT_TOL = 1e-6
 _F0_INDEX_CACHE = {}
 
 
+class BasedFamilyCheckError(AssertionError):
+    """ind(F_0) != 2nN: the null cut misjudged the family's zero blocks."""
+
+
 class BasedFamily:
     """Clamped-factor family F_t over a fixed subdivision of the path."""
 
@@ -166,7 +170,7 @@ def maslov_index(path, breakpoints=None, tol=quadratic.DEFAULT_NULL_TOL):
         _F0_INDEX_CACHE[key] = index(fam.form_at(0.0), tol)
     i0 = _F0_INDEX_CACHE[key]
     if i0 != n2 * fam.N:
-        raise AssertionError(
+        raise BasedFamilyCheckError(
             f"based-family self-check failed: ind(F_0) = {i0} != {n2 * fam.N}"
         )
     return i0 - index(fam.form_at(1.0), tol)

@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,7 +164,16 @@ def _blockwise_log_phases(W, classes):
     hence exactly commuting with g even when eigenvalues collide across
     blocks.  Uses the complex Schur form, which is diagonal for normal
     matrices and numerically robust under eigenvalue clustering.
+
+    This is the package's only use of scipy, so scipy.linalg is imported
+    here rather than at module level: jobs that build no product path (all
+    but conjugation, the time function and the verify suites using them)
+    skip its import cost.  The Schur vectors Q are what the log needs; an
+    eigh-based log of the Cayley transform agrees only to about 1e-15, which
+    is enough to move reported verify margins in their last digits.
     """
+    import scipy.linalg
+
     n = W.shape[0]
     B = np.zeros((n, n), dtype=complex)
     for idx in classes:
@@ -248,13 +256,23 @@ class SpectrumWindow:
     mult_lens: np.ndarray
 
 
+def _block_phases(M):
+    """Eigenphases of one unitary block, in LAPACK's order."""
+    return np.angle(np.linalg.eigvals(M))
+
+
 def _eigenphases(U, classes):
-    """Eigenphases of a unitary commuting with the deck action, per block."""
-    out = []
-    for idx in classes:
-        T, _ = scipy.linalg.schur(U[np.ix_(idx, idx)], output="complex")
-        out.extend(np.angle(np.diag(T)).tolist())
-    return np.array(out)
+    """Eigenphases of a unitary commuting with the deck action, per block.
+
+    np.linalg.eigvals (LAPACK zgeev) and the diagonal of the complex Schur
+    form (zgees, via scipy.linalg.schur) run the same Hessenberg QR
+    iteration; on unitary blocks, where balancing changes nothing, they give
+    the same eigenvalues bit for bit and in the same order, and
+    tests/test_paths.py checks this against the Schur diagonal.  eigvals
+    needs only numpy, which keeps scipy off the import path of every job
+    that does not build a product path.
+    """
+    return np.concatenate([_block_phases(U[np.ix_(idx, idx)]) for idx in classes])
 
 
 def action_spectrum(p):
@@ -267,12 +285,10 @@ def action_spectrum(p):
     """
     lens = p.lens
     classes = lens.weight_classes()
-    sphere_raw = _eigenphases(p.endpoint, classes)
-    phases_sphere, mult_sphere = cluster_phases(sphere_raw)
+    blocks = [_block_phases(p.endpoint[np.ix_(idx, idx)]) for idx in classes]
+    phases_sphere, mult_sphere = cluster_phases(np.concatenate(blocks))
     lens_raw = []
-    for idx in classes:
-        T, _ = scipy.linalg.schur(p.endpoint[np.ix_(idx, idx)], output="complex")
-        block = np.angle(np.diag(T))
+    for idx, block in zip(classes, blocks):
         w = lens.weights[idx[0]]
         for m in range(lens.k):
             lens_raw.extend((block - TWO_PI * m * w / lens.k).tolist())
@@ -503,8 +519,7 @@ def _sweep_embedded(p, pieces, t0, t1, grid):
                 continue  # covered by the sign-definiteness argument
             W = Us[j] @ Us[i].conj().T
             for idx in classes:
-                T, _ = scipy.linalg.schur(W[np.ix_(idx, idx)], output="complex")
-                block = np.angle(np.diag(T))
+                block = _block_phases(W[np.ix_(idx, idx)])
                 w = lens.weights[idx[0]]
                 for m in range(lens.k):
                     ph = block - TWO_PI * m * w / lens.k

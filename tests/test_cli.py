@@ -1,12 +1,34 @@
+import contextlib
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import lenselect
 from lenselect.cli import main
 from lenselect.jobs import JobError, parse_job, render_table, run_job, serialize
 
 TWO_PI = 2 * math.pi
+
+
+# Arbitrary JSON values for a field that wants a number; valid geodesic T
+# stays small (the cost grows with kT) and the rest is out of range.
+GEODESIC_T = st.one_of(
+    st.floats(min_value=0.0, max_value=8.0), st.integers(0, 8),
+    st.floats(max_value=0.0, exclude_max=True), st.integers(max_value=-1),
+    st.floats(min_value=1e4), st.integers(min_value=10**4), st.just(float("nan")),
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+)
+ANY_NUMBER_FIELD = st.one_of(
+    st.floats(), st.integers(), st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.floats(), max_size=2),
+)
 
 
 def reeb_job(k, weights, T, task=None):
@@ -188,6 +210,89 @@ class TestMain:
         f.write_text(json.dumps(doc))
         assert main(["maslov", str(f)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    @pytest.mark.parametrize("command, doc, flags, field", [
+        ("geodesic", {}, ["-T", "1e308"], "task.geodesic.T"),
+        ("geodesic", {"task": {"geodesic": {"T": 1e308}}}, [], "task.geodesic.T"),
+        ("geodesic", {"task": {"geodesic": {"T": 1e5}}}, [], "task.geodesic.T"),
+        ("geodesic", {}, ["-T", "inf"], "task.geodesic.T"),
+        ("geodesic", {}, ["-T", "-1"], "task.geodesic.T"),
+        ("geodesic", {"task": {"geodesic": {"T": True}}}, [], "task.geodesic.T"),
+        ("geodesic", {"task": {"geodesic": {"T": "4"}}}, [], "task.geodesic.T"),
+        ("geodesic", {"task": {"geodesic": {}}}, [], "task.geodesic.T"),
+        ("geodesic", {"task": {"geodesic": {"T": 1.0, "grid": "abc"}}}, [],
+         "task.geodesic.grid"),
+        ("geodesic", {"task": {"geodesic": {"T": 1.0, "grid": 0}}}, [],
+         "task.geodesic.grid"),
+        ("geodesic", {"task": {"geodesic": {"T": 1.0, "grid": 2.5}}}, [],
+         "task.geodesic.grid"),
+        ("geodesic", {}, ["-T", "1", "--grid", "-3"], "task.geodesic.grid"),
+        ("maslov", {"tolerances": {"null": "x"}}, [], "tolerances.null"),
+        ("maslov", {"tolerances": {"null": True}}, [], "tolerances.null"),
+        ("maslov", {"tolerances": {"null": None}}, [], "tolerances.null"),
+        ("maslov", {"tolerances": {"null": -1e-8}}, [], "tolerances.null"),
+        ("spectrum", {"tolerances": {"null": float("nan")}}, [], "tolerances.null"),
+        ("maslov", {}, ["--tol-null", "inf"], "tolerances.null"),
+        ("selectors", {}, ["--tol-null", "nan"], "tolerances.null"),
+        ("maslov", {"path": {"random": {"seed": 3, "segments": 3, "norm_bound": 8}},
+                    "tolerances": {"null": 0.5}}, [], "tolerances.null"),
+    ])
+    def test_bad_geodesic_or_tolerance_exit_two(self, tmp_path, capsys, command, doc,
+                                                flags, field):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({**reeb_job(3, [1, 1], 1.0), **doc}))
+        assert main([command, str(f), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    @given(command=st.sampled_from(["geodesic", "maslov"]), T=GEODESIC_T,
+           grid=ANY_NUMBER_FIELD, null=ANY_NUMBER_FIELD)
+    @settings(max_examples=60, deadline=None)
+    def test_geodesic_and_null_values_exit_zero_or_two(self, tmp_path_factory, command,
+                                                       T, grid, null):
+        doc = {**reeb_job(3, [1, 1], 1.0, {"geodesic": {"T": T, "grid": grid}}),
+               "tolerances": {"null": null}}
+        f = tmp_path_factory.mktemp("job") / "job.json"
+        f.write_text(json.dumps(doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(f)])
+        assert code in (0, 2)
+        if code == 2:
+            fields = ("tolerances.null",) if command == "maslov" else (
+                "tolerances.null", "task.geodesic.T", "task.geodesic.grid")
+            assert err.getvalue().startswith(tuple(f"error: {f}" for f in fields))
+
+    def test_jobs_do_not_import_scipy(self, tmp_path):
+        # scipy.linalg is loaded only by the product-path log; none of these
+        # jobs builds a product path
+        rand = {"random": {"seed": 3, "segments": 3, "norm_bound": 8}}
+        jobs = {
+            "maslov": {"lens": {"k": 3, "weights": [1, 1]}, "path": rand},
+            "selectors": {"lens": {"k": 4, "weights": [1, 3]}, "path": rand},
+            "spectrum": {"lens": {"k": 5, "weights": [1, 2, 3]}, "path": rand},
+            "norms": {**reeb_job(3, [1, 1], 10.0), "task": {"norms": {"decompose": True}}},
+            "geodesic": {"lens": {"k": 3, "weights": [1, 1]},
+                         "task": {"geodesic": {"T": 7.0}}},
+        }
+        argvs = []
+        for command, doc in jobs.items():
+            f = tmp_path / f"{command}.json"
+            f.write_text(json.dumps(doc))
+            argvs.append([command, str(f)])
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import lenselect.cli\n"
+            "assert 'scipy' not in sys.modules, 'import lenselect.cli'\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert lenselect.cli.main(argv) == 0, argv\n"
+            "    assert 'scipy' not in sys.modules, argv[0]\n"
+        )
+        src = str(Path(lenselect.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
 
     def test_decompose_stationary_eigenline(self, tmp_path, capsys):
         gen = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]

@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from lenselect.lens import new_lens
 from lenselect.maslov import maslov_index
 from lenselect.paths import (
     PathError,
     UnitaryPath,
+    _eigenphases,
     action_spectrum,
     append_segment,
     cluster_phases,
     identity_path,
     inverse_path,
+    haar_unitary,
     is_embedded,
     product_path,
     random_path,
@@ -30,6 +33,14 @@ L4 = new_lens(4, [1, 3])
 
 def diag_path(lens, phases):
     return UnitaryPath(lens, [(np.diag(np.array(phases, dtype=float)), 1.0)])
+
+
+def schur_phases(U, classes):
+    """Reference eigenphases: the complex Schur diagonal of each block."""
+    return np.concatenate([
+        np.angle(np.diag(scipy.linalg.schur(U[np.ix_(idx, idx)], output="complex")[0]))
+        for idx in classes
+    ])
 
 
 class TestConstruction:
@@ -174,6 +185,28 @@ class TestSpectra:
                 for ph in fine:
                     d = np.abs(np.mod(ph - coarse + math.pi, TWO_PI) - math.pi)
                     assert d.min() < 1e-8
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_eigenphases_equal_schur_diagonal(self, n):
+        rng = np.random.default_rng(100 + n)
+        block = [list(range(n))]
+        for trial in range(40):
+            V = haar_unitary(n, rng)
+            if trial % 2:  # eigenvalue clusters of width ~1e-11
+                ph = rng.uniform(-math.pi, math.pi, n)
+                ph[: max(1, n // 2)] = ph[0] + 1e-11 * rng.normal(size=max(1, n // 2))
+                U = (V * np.exp(1j * ph)) @ V.conj().T
+            else:
+                U = V
+            assert np.array_equal(_eigenphases(U, block), schur_phases(U, block))
+
+    @pytest.mark.parametrize("lens", [new_lens(5, [1, 2, 3]), new_lens(3, [1, 1, 2])])
+    def test_eigenphases_equal_schur_diagonal_per_class(self, lens):
+        rng = np.random.default_rng(5)
+        classes = lens.weight_classes()
+        for _ in range(20):
+            U = random_path(lens, rng, segments=3, norm_bound=8.0).endpoint
+            assert np.array_equal(_eigenphases(U, classes), schur_phases(U, classes))
 
     def test_translated_points_full_space(self):
         d, basis = translated_points(reeb_path(L2, 1.0), 1.0)
