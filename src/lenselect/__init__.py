@@ -2,7 +2,7 @@
 for contact isotopies of lens spaces generated by weight-compatible unitary
 paths."""
 
-from .lens import LensSpace, LensSpaceError, new_lens, reeb_period, round_to_period
+from .lens import LensSpace, LensSpaceError, new_lens, round_to_period
 from .maslov import evaluate_step, maslov_index, maslov_shifted, subdivide
 from .norms import (
     geodesic_report,
@@ -36,7 +36,6 @@ __all__ = [
     "LensSpace",
     "LensSpaceError",
     "new_lens",
-    "reeb_period",
     "round_to_period",
     "InvariantQuadraticForm",
     "cayley_gf",

@@ -54,8 +54,6 @@ def build_parser():
     _add_job_arg(sp)
     _add_common(sp)
     sp.add_argument("-T", type=float, default=None, help="Reeb time")
-    sp.add_argument("--grid", type=int, default=None,
-                    help="embeddedness sweep resolution per unit time")
 
     sp = sub.add_parser("verify")
     _add_common(sp)
@@ -83,7 +81,6 @@ def main(argv=None):
             document = {"lens": {"k": 2, "weights": [1, 1]},
                         "task": {"verify": {}}}
             job = jobs.parse_job(document)
-            job.task = "verify"
             overrides = {"suite": args.suite, "trials": args.trials,
                          "seed": args.seed}
         else:
@@ -97,7 +94,7 @@ def main(argv=None):
                 overrides = {"j_lo": args.j_lo, "j_hi": args.j_hi,
                              "window_base": args.window_base}
             elif args.command == "geodesic":
-                overrides = {"T": args.T, "grid": args.grid}
+                overrides = {"T": args.T}
         if args.tol_null is not None:
             job.tolerances["null"] = args.tol_null
         report = jobs.run_job(job, overrides=overrides)

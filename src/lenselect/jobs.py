@@ -6,6 +6,14 @@ overrides.  Complex matrices are encoded as nested arrays of [re, im] pairs.
 Reports are plain JSON dicts, deterministic given (job, seed): exact lattice
 values are serialized as {num, den, approx} fractions of 2 pi and no wall
 clock data is included.
+
+`parse_job` checks only the JSON shape of the document.  The lens and the
+path are validated once, by the types that own them: `new_lens` (k and the
+weights) and `UnitaryPath` (shape, finiteness, Hermitian and deck-commuting
+generators, positive durations).  Their errors say which input is at fault,
+and `parse_job` prefixes the JSON path, so every input error leaves the CLI
+as exit 2 naming the field.  Task parameters and tolerances are validated
+where `run_job` reads them, after the CLI flags are merged in.
 """
 
 import json
@@ -14,8 +22,8 @@ import math
 import numpy as np
 
 from . import maslov, norms, quadratic, selectors, verify
-from .lens import LensSpaceError, new_lens
-from .paths import DEFAULT_EMBED_GRID, PathError, UnitaryPath, random_path, reeb_path
+from .lens import PERIOD_SNAP_TOL, LensSpaceError, _is_int, new_lens
+from .paths import PHASE_CLUSTER_TOL, PathError, UnitaryPath, random_path, reeb_path
 
 TASKS = ("maslov", "selectors", "spectrum", "norms", "geodesic", "verify")
 
@@ -27,9 +35,10 @@ class JobError(ValueError):
 
 
 class Job:
-    def __init__(self, lens, path_spec, task, params, tolerances):
+    def __init__(self, lens, path_spec, path, task, params, tolerances):
         self.lens = lens
-        self.path_spec = path_spec
+        self.path_spec = path_spec  # as given, for the report echo
+        self.path = path  # the validated UnitaryPath, or None
         self.task = task
         self.params = params
         self.tolerances = tolerances
@@ -40,14 +49,15 @@ def _require(cond, field, message):
         raise JobError(field, message)
 
 
-def _is_int(x):
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _is_number(x):
-    """A finite JSON number (bools are not numbers here)."""
-    return (isinstance(x, (int, float)) and not isinstance(x, bool)
-            and math.isfinite(x))
+    """A finite JSON number: bools are not numbers here, and neither is an
+    integer too large for a float."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
 
 
 def _parse_complex_matrix(data, field):
@@ -64,8 +74,57 @@ def _parse_complex_matrix(data, field):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
-def _encode_complex_matrix(M):
-    return np.stack([M.real, M.imag], axis=-1).tolist()
+def _parse_path(lens, path_spec):
+    """The UnitaryPath of a job's `path` object.
+
+    The JSON shape is checked here; the path's own validity (generator shape,
+    finiteness, Hermitian, deck action, durations) is checked once, by
+    `UnitaryPath`, and its PathError is reported at the JSON path of the
+    offending segment.
+    """
+    _require(isinstance(path_spec, dict) and len(path_spec) == 1, "path",
+             "path must be an object with exactly one of reeb / "
+             "piecewise_hermitian / random")
+    kind = next(iter(path_spec))
+    _require(kind in ("reeb", "piecewise_hermitian", "random"), "path",
+             f"unknown path kind {kind!r}")
+    spec = path_spec[kind]
+    try:
+        if kind == "reeb":
+            _require(_is_number(spec), "path.reeb", "expected a finite number")
+            return reeb_path(lens, float(spec))
+        if kind == "piecewise_hermitian":
+            segs = spec.get("segments") if isinstance(spec, dict) else None
+            _require(isinstance(segs, list) and segs,
+                     "path.piecewise_hermitian.segments",
+                     "expected a non-empty segment list")
+            segments = []
+            for i, seg in enumerate(segs):
+                fld = f"path.piecewise_hermitian.segments[{i}]"
+                _require(isinstance(seg, dict), fld, "expected an object")
+                A = _parse_complex_matrix(seg.get("generator"), fld + ".generator")
+                d = seg.get("duration", 1.0)
+                _require(_is_number(d), fld + ".duration",
+                         "duration must be a finite number")
+                segments.append((A, d))
+            return UnitaryPath(lens, segments)
+        _require(isinstance(spec, dict), "path.random", "expected an object")
+        seed = spec.get("seed", 0)
+        _require(_is_int(seed) and 0 <= seed < 2**64,
+                 "path.random.seed", "seed must be a 64-bit integer")
+        segments = spec.get("segments", 2)
+        _require(_is_int(segments) and segments >= 1,
+                 "path.random.segments", "segments must be an integer >= 1")
+        bound = spec.get("norm_bound", 2.0)
+        _require(_is_number(bound) and bound > 0,
+                 "path.random.norm_bound", "norm_bound must be a finite number > 0")
+        return random_path(lens, np.random.default_rng(seed), segments=segments,
+                           norm_bound=float(bound))
+    except PathError as e:
+        field = f"path.{kind}"
+        if kind == "piecewise_hermitian" and e.segment is not None:
+            field += f".segments[{e.segment}].{e.part}"
+        raise JobError(field, str(e)) from None
 
 
 def parse_job(document):
@@ -79,74 +138,16 @@ def parse_job(document):
 
     lens_spec = document.get("lens")
     _require(isinstance(lens_spec, dict), "lens", "missing lens object")
-    k = lens_spec.get("k")
     weights = lens_spec.get("weights")
-    _require(isinstance(k, int), "lens.k", "k must be an integer")
-    _require(
-        isinstance(weights, list) and all(isinstance(w, int) for w in weights),
-        "lens.weights",
-        "weights must be a list of integers",
-    )
+    _require(isinstance(weights, list), "lens.weights",
+             "weights must be a list of integers")
     try:
-        lens = new_lens(k, weights)
+        lens = new_lens(lens_spec.get("k"), weights)
     except LensSpaceError as e:
-        # point at the offending weight when there is one
-        msg = str(e)
-        field = "lens.weights"
-        for j, w in enumerate(weights):
-            if f"weights[{j}]" in msg:
-                field = f"lens.weights[{j}]"
-                break
-        raise JobError(field if "weights" in msg else "lens.k", msg) from None
+        raise JobError(f"lens.{e.field}", str(e)) from None
 
     path_spec = document.get("path")
-    if path_spec is not None:
-        _require(isinstance(path_spec, dict) and len(path_spec) == 1, "path",
-                 "path must be an object with exactly one of reeb / "
-                 "piecewise_hermitian / random")
-        kind = next(iter(path_spec))
-        _require(kind in ("reeb", "piecewise_hermitian", "random"), "path",
-                 f"unknown path kind {kind!r}")
-        if kind == "reeb":
-            _require(_is_number(path_spec["reeb"]),
-                     "path.reeb", "expected a finite number")
-        elif kind == "piecewise_hermitian":
-            spec = path_spec["piecewise_hermitian"]
-            segs = spec.get("segments") if isinstance(spec, dict) else None
-            _require(isinstance(segs, list) and segs,
-                     "path.piecewise_hermitian.segments",
-                     "expected a non-empty segment list")
-            for i, seg in enumerate(segs):
-                fld = f"path.piecewise_hermitian.segments[{i}]"
-                _require(isinstance(seg, dict), fld, "expected an object")
-                A = _parse_complex_matrix(seg.get("generator"), fld + ".generator")
-                _require(A.shape == (lens.n, lens.n), fld + ".generator",
-                         f"expected a {lens.n}x{lens.n} matrix")
-                asym = float(np.linalg.norm(A - A.conj().T, 2))
-                _require(asym <= 1e-10 * max(1.0, np.linalg.norm(A, 2)),
-                         fld + ".generator",
-                         f"not Hermitian (max asymmetry {asym:.3e})")
-                g = lens.deck()
-                comm = float(np.linalg.norm(A @ g - g @ A, 2))
-                _require(comm <= 1e-10 * max(1.0, np.linalg.norm(A, 2)),
-                         fld + ".generator",
-                         f"does not commute with the deck action "
-                         f"(residual {comm:.3e})")
-                d = seg.get("duration", 1.0)
-                _require(_is_number(d) and d > 0,
-                         fld + ".duration", "duration must be positive")
-        else:
-            spec = path_spec["random"]
-            _require(isinstance(spec, dict), "path.random", "expected an object")
-            seed = spec.get("seed", 0)
-            _require(_is_int(seed) and 0 <= seed < 2**64,
-                     "path.random.seed", "seed must be a 64-bit integer")
-            segments = spec.get("segments", 2)
-            _require(_is_int(segments) and segments >= 1,
-                     "path.random.segments", "segments must be an integer >= 1")
-            bound = spec.get("norm_bound", 2.0)
-            _require(_is_number(bound) and bound > 0,
-                     "path.random.norm_bound", "norm_bound must be a finite number > 0")
+    path = None if path_spec is None else _parse_path(lens, path_spec)
 
     task_spec = document.get("task")
     task, params = None, {}
@@ -160,34 +161,12 @@ def parse_job(document):
 
     tolerances = document.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances", "expected an object")
-    return Job(lens, path_spec, task, dict(params), dict(tolerances))
+    return Job(lens, path_spec, path, task, dict(params), dict(tolerances))
 
 
-def build_path(job):
-    spec = job.path_spec
-    if spec is None:
-        raise JobError("path", "this task requires a path")
-    kind = next(iter(spec))
-    if kind == "reeb":
-        return reeb_path(job.lens, float(spec["reeb"]))
-    if kind == "piecewise_hermitian":
-        segs = [
-            (_parse_complex_matrix(s["generator"], "generator"),
-             float(s.get("duration", 1.0)))
-            for s in spec["piecewise_hermitian"]["segments"]
-        ]
-        try:
-            return UnitaryPath(job.lens, segs)
-        except PathError as e:
-            raise JobError("path.piecewise_hermitian", str(e)) from None
-    spec = spec["random"]
-    rng = np.random.default_rng(spec.get("seed", 0))
-    return random_path(
-        job.lens,
-        rng,
-        segments=spec.get("segments", 2),
-        norm_bound=float(spec.get("norm_bound", 2.0)),
-    )
+def _require_path(job):
+    _require(job.path is not None, "path", "this task requires a path")
+    return job.path
 
 
 def _selector_params(params, lens):
@@ -204,9 +183,8 @@ def _selector_params(params, lens):
 
 
 def _geodesic_params(params, lens):
-    """(T, grid) of a geodesic task, after the CLI merge; T's cost is capped."""
+    """T of a geodesic task, after the CLI merge; its cost is capped."""
     T = params.get("T")
-    grid = params.get("grid", DEFAULT_EMBED_GRID)
     _require(_is_number(T) and T >= 0, "task.geodesic.T",
              "T must be a finite number >= 0")
     cap = norms.MAX_GEODESIC_ORBITS
@@ -215,9 +193,21 @@ def _geodesic_params(params, lens):
              "task.geodesic.T",
              f"T = {T!r} needs more than {cap} embedded pieces "
              f"(floor(kT/2pi) + 1 with k = {lens.k})")
-    _require(_is_int(grid) and grid >= 1, "task.geodesic.grid",
-             "grid must be an integer >= 1")
-    return float(T), grid
+    return float(T)
+
+
+def _verify_params(params):
+    """(suite, trials, seed) of a verify task, after the CLI merge."""
+    suite = params.get("suite", "thm1")
+    trials = params.get("trials", 25)
+    seed = params.get("seed", 0)
+    _require(suite in verify.SUITES, "task.verify.suite",
+             f"unknown suite {suite!r}; choose from {', '.join(verify.SUITES)}")
+    _require(_is_int(trials) and trials >= 1, "task.verify.trials",
+             "trials must be an integer >= 1")
+    _require(_is_int(seed) and seed >= 0, "task.verify.seed",
+             "seed must be an integer >= 0")
+    return suite, trials, seed
 
 
 def _null_tol(tolerances):
@@ -255,8 +245,8 @@ def run_job(job, overrides=None):
     res = report["results"]
     report["tolerances"] = {
         "null": tol,
-        "phase_cluster": 1e-9,
-        "period_snap": 1e-9,
+        "phase_cluster": PHASE_CLUSTER_TOL,
+        "period_snap": PERIOD_SNAP_TOL,
     }
     res["reeb_period"] = {
         "num": lens.reeb_numerator,
@@ -269,7 +259,7 @@ def run_job(job, overrides=None):
         )
 
     if task == "maslov":
-        p = build_path(job)
+        p = _require_path(job)
         try:
             res["mu"] = maslov.maslov_index(p, tol=tol)
         except maslov.BasedFamilyCheckError as e:
@@ -284,7 +274,7 @@ def run_job(job, overrides=None):
         )
     elif task == "selectors":
         j_lo, j_hi, base = _selector_params(params, lens)
-        p = build_path(job)
+        p = _require_path(job)
         rep = selectors.selector_range(p, j_lo, j_hi, window_base=base)
         res["selectors"] = {str(j): rep.values[j] for j in range(j_lo, j_hi + 1)}
         res["c_plus"] = rep.c_plus
@@ -300,7 +290,7 @@ def run_job(job, overrides=None):
             "endpoint eigenphases (spectrality)"
         )
     elif task == "spectrum":
-        p = build_path(job)
+        p = _require_path(job)
         from .paths import action_spectrum
 
         sw = action_spectrum(p)
@@ -317,7 +307,7 @@ def run_job(job, overrides=None):
             "over deck powers m of eigenphases of g^-m U_1"
         )
     elif task == "norms":
-        p = build_path(job)
+        p = _require_path(job)
         rep = norms.norm_report(p, decompose=bool(params.get("decompose", False)))
         res.update(rep.as_dict())
         report["provenance"].append(
@@ -325,17 +315,15 @@ def run_job(job, overrides=None):
             "nu* minimized over Reeb-period shifts of the lift"
         )
     elif task == "geodesic":
-        T, grid = _geodesic_params(params, lens)
-        rep = norms.geodesic_report(lens, T, grid=grid)
+        T = _geodesic_params(params, lens)
+        rep = norms.geodesic_report(lens, T)
         res.update(rep.as_dict())
         report["provenance"].append(
             "equal weights: greedy embedded count = selector lower bound = "
             "floor(kT/2pi) + 1; general weights: only the two bounds"
         )
     elif task == "verify":
-        suite = params.get("suite", "thm1")
-        trials = int(params.get("trials", 25))
-        seed = int(params.get("seed", 0))
+        suite, trials, seed = _verify_params(params)
         out = verify.verify_suite(suite, trials=trials, seed=seed)
         res.update(out)
         report["provenance"].append(

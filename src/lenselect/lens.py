@@ -23,7 +23,16 @@ PERIOD_SNAP_TOL = 1e-9
 
 
 class LensSpaceError(ValueError):
-    pass
+    """Invalid lens data; `field` names the offending input ("k", "weights"
+    or "weights[j]")."""
+
+    def __init__(self, field, message):
+        self.field = field
+        super().__init__(message)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _smallest_prime_divisor(k):
@@ -65,11 +74,8 @@ class LensSpace:
 
     @property
     def reeb_period(self):
+        """T_w: the least t > 0 with e^{it} z = g^m z for some deck power m."""
         return TWO_PI * self.reeb_numerator / self.k
-
-    @property
-    def generator_phases(self):
-        return np.array([TWO_PI * w / self.k for w in self.weights])
 
     @property
     def equal_weights(self):
@@ -112,17 +118,21 @@ class LensSpace:
 
 
 def new_lens(k, weights):
-    if not isinstance(k, int) or k < 2:
-        raise LensSpaceError(f"k must be an integer >= 2, got {k!r}")
+    """L_k(weights), validated: k an integer >= 2, weights positive integers
+    coprime to k (bools are not integers here)."""
+    if not _is_int(k) or k < 2:
+        raise LensSpaceError("k", f"k must be an integer >= 2, got {k!r}")
     weights = tuple(weights)
     if not weights:
-        raise LensSpaceError("weights must be non-empty")
+        raise LensSpaceError("weights", "weights must be non-empty")
     for j, w in enumerate(weights):
-        if not isinstance(w, int) or w < 1:
-            raise LensSpaceError(f"weights[{j}] must be a positive integer, got {w!r}")
+        if not _is_int(w) or w < 1:
+            raise LensSpaceError(f"weights[{j}]",
+                                 f"weights[{j}] must be a positive integer, got {w!r}")
         if math.gcd(w, k) != 1:
             raise LensSpaceError(
-                f"weights[{j}] = {w} is not coprime to k = {k} (gcd {math.gcd(w, k)})"
+                f"weights[{j}]",
+                f"weights[{j}] = {w} is not coprime to k = {k} (gcd {math.gcd(w, k)})",
             )
     return LensSpace(
         k=k,
@@ -131,11 +141,6 @@ def new_lens(k, weights):
         k_prime=_smallest_prime_divisor(k),
         reeb_numerator=_reeb_numerator(k, weights),
     )
-
-
-def reeb_period(lens):
-    """Least t > 0 with e^{it} z = g^m z for some m, by exhaustive m-search."""
-    return TWO_PI * _reeb_numerator(lens.k, lens.weights) / lens.k
 
 
 def round_to_period(lens, x, mode):

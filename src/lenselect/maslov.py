@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import quadratic
-from .paths import reeb_shift, cluster_phases, _eigenphases
+from .paths import reeb_shift, cluster_phases, _eigenphases, _opnorm
 from .quadratic import InvariantQuadraticForm, cayley_gf, complex_structure, index
 
 TWO_PI = 2.0 * math.pi
@@ -48,8 +48,6 @@ MAX_TRAVEL = math.pi / 2
 # The det-lift winding W is an integer up to roundoff in the lift and the
 # endpoint eigenphases; a larger miss means the path data are inconsistent.
 DET_LIFT_TOL = 1e-6
-
-_F0_INDEX_CACHE = {}
 
 
 class BasedFamilyCheckError(AssertionError):
@@ -141,7 +139,7 @@ def _travel(path, a, b):
         lo = max(path._starts[i], a)
         hi = min(path._starts[i + 1], b)
         if hi > lo:
-            total += np.linalg.norm(A, 2) * (hi - lo)
+            total += _opnorm(A) * (hi - lo)
     return total
 
 
@@ -154,7 +152,7 @@ def subdivide(path):
     pts = [0.0]
     for i, (A, d) in enumerate(path.segments):
         a, b = path._starts[i], path._starts[i + 1]
-        parts = max(1, math.ceil(np.linalg.norm(A, 2) * d / MAX_TRAVEL - 1e-12))
+        parts = max(1, math.ceil(_opnorm(A) * d / MAX_TRAVEL - 1e-12))
         for j in range(1, parts + 1):
             pts.append(a + (b - a) * j / parts)
     pts[-1] = 1.0
@@ -165,10 +163,7 @@ def maslov_index(path, breakpoints=None, tol=quadratic.DEFAULT_NULL_TOL):
     """mu(path) = ind(F_0) - ind(F_1) over a based family."""
     fam = BasedFamily(path, breakpoints)
     n2 = 2 * path.lens.n
-    key = (n2, fam.N, tol)
-    if key not in _F0_INDEX_CACHE:
-        _F0_INDEX_CACHE[key] = index(fam.form_at(0.0), tol)
-    i0 = _F0_INDEX_CACHE[key]
+    i0 = index(fam.form_at(0.0), tol)
     if i0 != n2 * fam.N:
         raise BasedFamilyCheckError(
             f"based-family self-check failed: ind(F_0) = {i0} != {n2 * fam.N}"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import is_embedded, reeb_path, reeb_shift, DEFAULT_EMBED_GRID
+from .paths import _opnorm, is_embedded, reeb_path
 from .selectors import c_minus, c_plus
 
 TWO_PI = 2.0 * math.pi
@@ -120,7 +120,7 @@ def _constant_run_end(path, t):
             continue
         if a > end + 1e-12:
             break
-        if np.linalg.norm(A, 2) * (b - max(a, end)) <= 1e-12:
+        if _opnorm(A) * (b - max(a, end)) <= 1e-12:
             end = b
         else:
             break
@@ -137,7 +137,7 @@ def _segment_sign_definite(path, a, b):
     return bool(lam.min() >= -1e-12 or lam.max() <= 1e-12)
 
 
-def greedy_embedded_decomposition(path, grid=DEFAULT_EMBED_GRID):
+def greedy_embedded_decomposition(path):
     """Upper bound for the discriminant length via maximal embedded prefixes.
 
     Each segment is extended to the largest prefix certified embedded by
@@ -156,7 +156,7 @@ def greedy_embedded_decomposition(path, grid=DEFAULT_EMBED_GRID):
         if run > t + 1e-12:
             q = run  # an identity factor; embedded by convention
         else:
-            rep = is_embedded(path, t, 1.0, grid=grid)
+            rep = is_embedded(path, t, 1.0)
             if rep.embedded:
                 q = 1.0
             else:
@@ -169,7 +169,7 @@ def greedy_embedded_decomposition(path, grid=DEFAULT_EMBED_GRID):
                     if hi - lo <= 1e-12 * max(1.0, hi):
                         break
                     mid = (lo + hi) / 2.0
-                    r = is_embedded(path, t, mid, grid=grid)
+                    r = is_embedded(path, t, mid)
                     if r.embedded:
                         lo = mid
                     else:
@@ -255,13 +255,13 @@ class NormReport:
         }
 
 
-def norm_report(path, decompose=False, grid=DEFAULT_EMBED_GRID):
+def norm_report(path, decompose=False):
     lens = path.lens
     star, shift = nu_star(path)
     bounds = selector_lower_bounds(path)
     dis_upper = osc_upper = None
     if decompose:
-        dec = greedy_embedded_decomposition(path, grid=grid)
+        dec = greedy_embedded_decomposition(path)
         if dec.certified:
             dis_upper = dec.count
             if dec.sign_definite:
@@ -310,7 +310,7 @@ def orbit_count(lens, T):
     return (r if abs(q - r) <= 1e-9 * max(1.0, abs(q)) else math.floor(q)) + 1
 
 
-def geodesic_report(lens, T, grid=DEFAULT_EMBED_GRID):
+def geodesic_report(lens, T):
     """Reeb-flow geodesic verdict: certified equality for equal weights,
     lower/upper gap for general weights."""
     if T < 0:
@@ -320,7 +320,7 @@ def geodesic_report(lens, T, grid=DEFAULT_EMBED_GRID):
     if lens.equal_weights:
         if T <= 1e-12:
             return GeodesicReport(lens, T, "certified", 1, 1, 1, True)
-        dec = greedy_embedded_decomposition(path, grid=grid)
+        dec = greedy_embedded_decomposition(path)
         lower = selector_lower_bounds(path)["dis"]
         if not (dec.certified and dec.count == lower == upper):
             raise AssertionError(
@@ -329,7 +329,7 @@ def geodesic_report(lens, T, grid=DEFAULT_EMBED_GRID):
             )
         return GeodesicReport(lens, T, "certified", lower, upper, dec.count, True)
     lower = lens.period_multiple(T, "floor") + 1 if T > 1e-12 else 1
-    dec = greedy_embedded_decomposition(path, grid=grid)
+    dec = greedy_embedded_decomposition(path)
     return GeodesicReport(
         lens, T, "gap", lower, upper, dec.count if dec.certified else None, False
     )

@@ -23,7 +23,6 @@ TWO_PI = 2.0 * math.pi
 
 HERMITIAN_TOL = 1e-10
 COMMUTATION_TOL = 1e-10
-ENDPOINT_TOL = 1e-10
 
 # Clustering tolerance for eigenphases: spectrum members closer than this are
 # one point of the action spectrum with summed multiplicity.
@@ -39,30 +38,29 @@ def _opnorm(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
-def expm_iherm(A, s):
-    """exp(i*A*s) for Hermitian A via eigendecomposition (exactly unitary)."""
-    lam, V = np.linalg.eigh(A)
-    return (V * np.exp(1j * lam * s)) @ V.conj().T
-
-
 class PathError(ValueError):
-    pass
+    """Invalid path data.  `segment` is the index of the offending segment
+    (None when the error concerns the whole path) and `part` says which of
+    its entries is at fault: "generator" or "duration"."""
+
+    def __init__(self, message, segment=None, part="generator"):
+        self.segment = segment
+        self.part = part
+        super().__init__(message if segment is None else f"segment {segment}: {message}")
 
 
 class UnitaryPath:
     def __init__(self, lens, segments, _validate=True):
         self.lens = lens
-        total = float(sum(d for _, d in segments))
+        self.segments = [(np.asarray(A, dtype=complex), d) for A, d in segments]
+        if _validate:
+            self._validate()  # the segments as given, before any arithmetic
+        total = float(sum(d for _, d in self.segments))
         if total <= 0:
             raise PathError("total duration must be positive")
         # reparametrize to total time 1: durations shrink, generators grow,
         # so the traced path of unitaries (and the endpoint) is unchanged
-        self.segments = [
-            (np.asarray(A, dtype=complex) * total, float(d) / total)
-            for A, d in segments
-        ]
-        if _validate:
-            self._validate()
+        self.segments = [(A * total, float(d) / total) for A, d in self.segments]
         self._starts = np.concatenate(
             [[0.0], np.cumsum([d for _, d in self.segments])]
         )
@@ -77,21 +75,27 @@ class UnitaryPath:
         self._step_cache = {}  # window_base -> MaslovEvaluation, filled by selectors
 
     def _validate(self):
+        """Each segment (A, d): A is n x n, finite (checked before any SVD),
+        Hermitian and commuting with the deck action, both relative to
+        max(||A||, 1), and the duration d is positive."""
+        n = self.lens.n
         g = self.lens.deck()
         for i, (A, d) in enumerate(self.segments):
-            if A.shape != (self.lens.n, self.lens.n):
-                raise PathError(f"segment {i}: generator shape {A.shape}")
+            if A.shape != (n, n):
+                raise PathError(f"generator shape {A.shape}, expected ({n}, {n})", i)
             if not np.all(np.isfinite(A)):
-                raise PathError(f"segment {i}: non-finite generator")
+                raise PathError("non-finite generator", i)
             scale = max(_opnorm(A), 1.0)
-            if _opnorm(A - A.conj().T) > HERMITIAN_TOL * scale:
-                raise PathError(f"segment {i}: generator not Hermitian")
-            if _opnorm(A @ g - g @ A) > COMMUTATION_TOL * scale:
+            asym = _opnorm(A - A.conj().T)
+            if asym > HERMITIAN_TOL * scale:
+                raise PathError(f"generator not Hermitian (max asymmetry {asym:.3e})", i)
+            comm = _opnorm(A @ g - g @ A)
+            if comm > COMMUTATION_TOL * scale:
                 raise PathError(
-                    f"segment {i}: generator does not commute with the deck action"
+                    f"generator does not commute with the deck action (residual {comm:.3e})", i
                 )
-            if d <= 0:
-                raise PathError(f"segment {i}: non-positive duration")
+            if not d > 0:
+                raise PathError(f"non-positive duration {d!r}", i, "duration")
 
     @property
     def breakpoints(self):
@@ -108,13 +112,6 @@ class UnitaryPath:
         lam, V = self._eig[i]
         s = t - self._starts[i]
         return (V * np.exp(1j * lam * s)) @ V.conj().T @ self._prefix[i]
-
-    def transition(self, s, t):
-        """U(t) U(s)^{-1}."""
-        return self.value(t) @ self.value(s).conj().T
-
-    def max_generator_norm(self):
-        return max(_opnorm(A) for A, _ in self.segments)
 
     def is_identity_endpoint(self, tol=1e-9):
         return _opnorm(self.endpoint - np.eye(self.lens.n)) <= tol
@@ -351,7 +348,7 @@ def _restrict_pieces(p, t0, t1):
     return pieces
 
 
-def _joint_eigendata(pieces, lens, rng_seed=0):
+def _joint_eigendata(pieces, lens):
     """Common eigenbasis of commuting piece generators and the deck action.
 
     Returns (slopes[j][piece], class_weights[j]) or None when the pieces do
@@ -367,7 +364,7 @@ def _joint_eigendata(pieces, lens, rng_seed=0):
             sb = max(_opnorm(B), 1.0)
             if _opnorm(A @ B - B @ A) > 1e-10 * sa * sb:
                 return None
-    rng = np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(0)
     # a generic combination separates the common eigenspaces
     C = Gh * rng.uniform(1, 2)
     for A in mats:
@@ -386,7 +383,7 @@ def _joint_eigendata(pieces, lens, rng_seed=0):
     return np.array(slopes), weights
 
 
-def _commuting_embedded(pieces, lens, t0, t1):
+def _commuting_embedded(pieces, lens):
     """Exact embeddedness for commuting pieces via per-eigenline phase travel.
 
     On a common eigenline with deck weight w, the phase of U_t U_s^{-1} is
@@ -401,9 +398,8 @@ def _commuting_embedded(pieces, lens, t0, t1):
     slopes, weights = data
     nodes = [pieces[0][1]] + [b for _, _, b in pieces]
     lengths = np.array([b - a for _, a, b in pieces])
-    nP, n = slopes.shape
+    n = slopes.shape[1]
     best_margin = np.inf
-    witness = None
     for j in range(n):
         f = np.concatenate([[0.0], np.cumsum(slopes[:, j] * lengths)])
         run_min = np.minimum.accumulate(f)
@@ -477,7 +473,7 @@ def is_embedded(p, t0, t1, grid=DEFAULT_EMBED_GRID):
     pieces = _restrict_pieces(p, t0, t1)
     if all(_opnorm(A) * (b - a) <= 1e-12 for A, a, b in pieces):
         return EmbeddednessReport(True, "embedded", None, np.inf, "constant")
-    exact = _commuting_embedded(pieces, lens, t0, t1)
+    exact = _commuting_embedded(pieces, lens)
     if exact is not None:
         return exact
     return _sweep_embedded(p, pieces, t0, t1, grid)

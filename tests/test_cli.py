@@ -31,6 +31,17 @@ ANY_NUMBER_FIELD = st.one_of(
 )
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+def hermitian_path(*generators, durations=None):
+    """A piecewise_hermitian path object from real matrices, one per segment."""
+    segs = [{"generator": [[[x, 0.0] for x in row] for row in A]} for A in generators]
+    for seg, d in zip(segs, durations or []):
+        seg["duration"] = d
+    return {"piecewise_hermitian": {"segments": segs}}
+
+
 def reeb_job(k, weights, T, task=None):
     doc = {"lens": {"k": k, "weights": weights}, "path": {"reeb": T}}
     if task is not None:
@@ -128,6 +139,18 @@ class TestRunJob:
         with pytest.raises(JobError, match="path"):
             run_job(job)
 
+    @pytest.mark.parametrize("params, field", [
+        ({"trials": True}, "task.verify.trials"),
+        ({"trials": 2.0}, "task.verify.trials"),
+        ({"seed": False}, "task.verify.seed"),
+        ({"suite": ["thm1"]}, "task.verify.suite"),
+    ])
+    def test_bad_verify_params(self, params, field):
+        # the CLI flags are typed by argparse; a job built as JSON is not
+        job = parse_job({"lens": {"k": 2, "weights": [1, 1]}, "task": {"verify": params}})
+        with pytest.raises(JobError, match=rf"^{field}:"):
+            run_job(job)
+
     def test_deterministic_serialization(self):
         doc = reeb_job(2, [1, 1], 1.5, {"selectors": {}})
         a = serialize(run_job(parse_job(json.dumps(doc))))
@@ -220,13 +243,12 @@ class TestMain:
         ("geodesic", {"task": {"geodesic": {"T": True}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": "4"}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {}}}, [], "task.geodesic.T"),
-        ("geodesic", {"task": {"geodesic": {"T": 1.0, "grid": "abc"}}}, [],
-         "task.geodesic.grid"),
-        ("geodesic", {"task": {"geodesic": {"T": 1.0, "grid": 0}}}, [],
-         "task.geodesic.grid"),
-        ("geodesic", {"task": {"geodesic": {"T": 1.0, "grid": 2.5}}}, [],
-         "task.geodesic.grid"),
-        ("geodesic", {}, ["-T", "1", "--grid", "-3"], "task.geodesic.grid"),
+        ("geodesic", {"task": {"geodesic": {"T": 10**400}}}, [], "task.geodesic.T"),
+        # floor(kT/2pi) + 1 = 1001 pieces on L_3, one past the cap
+        ("geodesic", {}, ["-T", repr(2000 * math.pi / 3)], "task.geodesic.T"),
+        ("geodesic", {"task": {"geodesic": {"T": 1.0}}}, ["-T", "nan"], "task.geodesic.T"),
+        ("geodesic", {"lens": {"k": 7, "weights": [1, 2]},
+                      "task": {"geodesic": {"T": 900.0}}}, [], "task.geodesic.T"),
         ("maslov", {"tolerances": {"null": "x"}}, [], "tolerances.null"),
         ("maslov", {"tolerances": {"null": True}}, [], "tolerances.null"),
         ("maslov", {"tolerances": {"null": None}}, [], "tolerances.null"),
@@ -236,6 +258,22 @@ class TestMain:
         ("selectors", {}, ["--tol-null", "nan"], "tolerances.null"),
         ("maslov", {"path": {"random": {"seed": 3, "segments": 3, "norm_bound": 8}},
                     "tolerances": {"null": 0.5}}, [], "tolerances.null"),
+        ("maslov", {"path": hermitian_path([[NAN, 0], [0, 0]])}, [],
+         "path.piecewise_hermitian.segments[0].generator"),
+        ("maslov", {"path": hermitian_path([[0, 0], [0, INF]])}, [],
+         "path.piecewise_hermitian.segments[0].generator"),
+        # L_4(1, 3): the off-diagonal entries mix the two weight classes
+        ("maslov", {"lens": {"k": 4, "weights": [1, 3]},
+                    "path": hermitian_path([[1, 0], [0, 2]], [[0, 1], [1, 0]])}, [],
+         "path.piecewise_hermitian.segments[1].generator"),
+        ("maslov", {"path": hermitian_path([[1, 0], [0, 2]], [[1, 0], [0, 2]],
+                                           durations=[1.0, 0])}, [],
+         "path.piecewise_hermitian.segments[1].duration"),
+        ("maslov", {"lens": {"k": 3, "weights": [True, True]}}, [], "lens.weights[0]"),
+        ("maslov", {"lens": {"k": 3, "weights": [1, 1.5]}}, [], "lens.weights[1]"),
+        ("verify", {}, ["--suite", "nope"], "task.verify.suite"),
+        ("verify", {}, ["--trials", "0"], "task.verify.trials"),
+        ("verify", {}, ["--seed", "-1"], "task.verify.seed"),
     ])
     def test_bad_geodesic_or_tolerance_exit_two(self, tmp_path, capsys, command, doc,
                                                 flags, field):
@@ -245,11 +283,11 @@ class TestMain:
         assert capsys.readouterr().err.startswith(f"error: {field}")
 
     @given(command=st.sampled_from(["geodesic", "maslov"]), T=GEODESIC_T,
-           grid=ANY_NUMBER_FIELD, null=ANY_NUMBER_FIELD)
+           null=ANY_NUMBER_FIELD)
     @settings(max_examples=60, deadline=None)
     def test_geodesic_and_null_values_exit_zero_or_two(self, tmp_path_factory, command,
-                                                       T, grid, null):
-        doc = {**reeb_job(3, [1, 1], 1.0, {"geodesic": {"T": T, "grid": grid}}),
+                                                       T, null):
+        doc = {**reeb_job(3, [1, 1], 1.0, {"geodesic": {"T": T}}),
                "tolerances": {"null": null}}
         f = tmp_path_factory.mktemp("job") / "job.json"
         f.write_text(json.dumps(doc))
@@ -259,7 +297,7 @@ class TestMain:
         assert code in (0, 2)
         if code == 2:
             fields = ("tolerances.null",) if command == "maslov" else (
-                "tolerances.null", "task.geodesic.T", "task.geodesic.grid")
+                "tolerances.null", "task.geodesic.T")
             assert err.getvalue().startswith(tuple(f"error: {f}" for f in fields))
 
     def test_jobs_do_not_import_scipy(self, tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from lenselect.lens import (
     LensSpaceError,
     new_lens,
-    reeb_period,
     round_to_period,
 )
 
@@ -92,7 +91,7 @@ class TestReebPeriod:
     def test_period_in_range_and_lattice(self):
         for k, w in [(5, [1, 2]), (6, [1, 5]), (10, [1, 3, 7, 9])]:
             lens = new_lens(k, w)
-            T = reeb_period(lens)
+            T = lens.reeb_period
             assert 0 < T <= TWO_PI + 1e-15
             # T_w is a multiple of 2 pi / k
             assert (T * k / TWO_PI) == pytest.approx(round(T * k / TWO_PI), abs=1e-12)
