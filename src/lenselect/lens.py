@@ -48,20 +48,13 @@ def _reeb_numerator(k, weights):
     """Smallest a in {1..k} with 2*pi*a/k a feasible Reeb return time.
 
     e^{it} z = g^m z on the sphere forces t = 2*pi*(m*w_j mod k)/k with the
-    same residue for every j, i.e. m*(w_j - w_1) = 0 mod k for all j.  For
-    each feasible m the return time numerator is m*w_1 mod k (k when the
-    residue is 0, since t must be positive).  m = 0 always contributes a = k,
-    so the search is total.
+    same residue for every j, i.e. m*(w_j - w_1) = 0 mod k for all j: m runs
+    over the multiples of k/g with g = gcd(k, w_2 - w_1, ..., w_n - w_1).
+    w_1 is a unit mod k, so m*w_1 mod k then runs over the multiples of k/g
+    too, and the least positive numerator is k/g (k itself, from m = 0, when
+    g = 1).
     """
-    best = k
-    for m in range(k):
-        if any((m * (w - weights[0])) % k != 0 for w in weights):
-            continue
-        a = (m * weights[0]) % k
-        if a == 0:
-            a = k
-        best = min(best, a)
-    return best
+    return k // math.gcd(k, *(w - weights[0] for w in weights))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import _opnorm, is_embedded, reeb_path
+from .paths import _joint_eigendata, _opnorm, _restrict_pieces, is_embedded, reeb_path
 from .selectors import c_minus, c_plus
 
 TWO_PI = 2.0 * math.pi
@@ -23,9 +23,11 @@ TWO_PI = 2.0 * math.pi
 IDENTITY_CLASS_TOL = 1e-9
 
 # The geodesic task decomposes the Reeb flow into floor(kT / 2 pi) + 1
-# embedded pieces; the greedy search costs about 20-35 ms per piece (measured
-# on a 2-vCPU x86 VM for k <= 7, n <= 8, up to 1000 pieces), so this cap
-# bounds a geodesic job at roughly half a minute and larger T is refused.
+# embedded pieces; with exact cuts the greedy decomposition costs about
+# 0.5-0.75 ms per piece, one is_embedded certificate each (geodesic_report
+# with 1000 pieces, k in {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so
+# this cap bounds the decomposition of a geodesic job below a second; larger
+# T is refused.
 MAX_GEODESIC_ORBITS = 1000
 
 
@@ -137,56 +139,111 @@ def _segment_sign_definite(path, a, b):
     return bool(lam.min() >= -1e-12 or lam.max() <= 1e-12)
 
 
+def _exact_prefix(pieces, slopes, k, t):
+    """End q of the maximal embedded prefix [t, q] of a commuting path.
+
+    pieces are the path's (generator, start, end) pieces and slopes[i, j]
+    the slope of the eigenline phase f_j on piece i.  Every deck weight is a
+    unit mod k, so the deck targets of f_j(q) - f_j(s) are exactly the
+    multiples of 2 pi / k, and [t, q] is embedded while every f_j is
+    strictly monotone and travels less than 2 pi / k - 1e-12 (the threshold
+    of is_embedded).  The prefix thus ends at the first node where some
+    slope vanishes or changes sign (the cut is the node itself), or 1e-12
+    before the first threshold crossing, whichever comes first.  Returns
+    1.0 when [t, 1] is embedded and t when no prefix is.  O(pieces * n).
+    """
+    limit = TWO_PI / k - 1e-12
+    scale = np.maximum(np.abs(slopes).max(axis=0), 1.0)
+    travel = np.zeros(slopes.shape[1])
+    sign = None
+    for (_, a, b), sl in zip(pieces, slopes):
+        if b <= t:
+            continue
+        a = max(a, t)
+        speed = np.abs(sl)
+        if np.any(speed * (b - a) <= 1e-12 * scale) or (
+            sign is not None and np.any(np.sign(sl) != sign)
+        ):
+            return a
+        sign = np.sign(sl)
+        reach = travel + speed * (b - a)
+        if reach.max() >= limit:
+            return a + float(np.min((limit - travel) / speed)) - 1e-12
+        travel = reach
+    return 1.0
+
+
+def _bisect_prefix(path, t, notes):
+    """(q, decided): the largest prefix [t, q] that is_embedded certifies,
+    found by bisection (q == t when there is none); decided is False when
+    some probe was indeterminate.  The reference for _exact_prefix, and the
+    route for non-commuting paths."""
+    rep = is_embedded(path, t, 1.0)
+    if rep.embedded:
+        return 1.0, True
+    decided = rep.embedded is not None
+    if not decided:
+        notes.append(f"indeterminate on [{t}, 1]")
+    lo, hi = t, 1.0
+    # invariant: (t, lo] certified embedded (or lo == t), hi not
+    for _ in range(60):
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        mid = (lo + hi) / 2.0
+        r = is_embedded(path, t, mid)
+        if r.embedded:
+            lo = mid
+        else:
+            decided = decided and r.embedded is not None
+            hi = mid
+    return lo, decided
+
+
 def greedy_embedded_decomposition(path):
     """Upper bound for the discriminant length via maximal embedded prefixes.
 
-    Each segment is extended to the largest prefix certified embedded by
-    bisection; constant stretches form their own (identity-factor) segments.
-    When no prefix from t can be certified, the rest [t, 1] becomes one
-    uncertified segment and a note says where.  The count also bounds the
-    oscillation length when every segment is sign-definite.
+    When the path's pieces commute, each cut is the exact end of the
+    maximal embedded prefix (_exact_prefix), re-certified by one is_embedded
+    call; after a failed certificate, and on a non-commuting path, the cut
+    is bisected over is_embedded instead (_bisect_prefix, also the
+    reference in the tests).  Constant stretches form their own
+    (identity-factor) segments.  The loop ends only when [t, 1] is itself a
+    segment, so a closed piece whose phase travel reaches 2 pi / k is never
+    counted as one: a Reeb flow for time T gets floor(kT / 2 pi) + 1
+    segments, lattice T included.  When no prefix from t can be certified
+    (a stationary eigenline), the rest [t, 1] becomes one uncertified
+    segment and a note says where.  The count also bounds the oscillation
+    length when every segment is sign-definite.
     """
+    pieces = _restrict_pieces(path, 0.0, 1.0)
+    data = _joint_eigendata(pieces, path.lens)
     t = 0.0
     cuts = [0.0]
     certified = True
     sign_definite = True
     notes = []
-    while t < 1.0 - 1e-12:
+    while t < 1.0:
         run = _constant_run_end(path, t)
         if run > t + 1e-12:
             q = run  # an identity factor; embedded by convention
         else:
-            rep = is_embedded(path, t, 1.0)
-            if rep.embedded:
-                q = 1.0
-            else:
-                if rep.embedded is None:
-                    certified = False
-                    notes.append(f"indeterminate on [{t}, 1]")
-                lo, hi = t, 1.0
-                # invariant: (t, lo] certified embedded (or lo == t), hi not
-                for _ in range(60):
-                    if hi - lo <= 1e-12 * max(1.0, hi):
-                        break
-                    mid = (lo + hi) / 2.0
-                    r = is_embedded(path, t, mid)
-                    if r.embedded:
-                        lo = mid
-                    else:
-                        if r.embedded is None:
-                            certified = False
-                        hi = mid
-                q = lo
-            if q <= t + 1e-9 and q < 1.0 - 1e-12:
+            q = None
+            if data is not None:
+                q = _exact_prefix(pieces, data[0], path.lens.k, t)
+                if q > t and not is_embedded(path, t, q).embedded:
+                    q = None  # the certificate failed: bisect this piece
+            if q is None:
+                q, decided = _bisect_prefix(path, t, notes)
+                certified = certified and decided
+            if q <= t + 1e-9 and q < 1.0:
                 # e.g. a stationary eigenline: every U_t U_s^{-1} from t on
                 # fixes it, so no prefix is embedded; [t, 1] stays uncertified
                 certified = False
                 notes.append(f"cannot certify an embedded prefix at t = {t}")
                 q = 1.0
-        sign_definite = sign_definite and _segment_sign_definite(path, t, min(q, 1.0))
-        t = min(q, 1.0)
+        sign_definite = sign_definite and _segment_sign_definite(path, t, q)
+        t = q
         cuts.append(t)
-    cuts[-1] = 1.0
     return DecompositionReport(
         count=len(cuts) - 1,
         breakpoints=cuts,

@@ -351,8 +351,10 @@ def _restrict_pieces(p, t0, t1):
 def _joint_eigendata(pieces, lens):
     """Common eigenbasis of commuting piece generators and the deck action.
 
-    Returns (slopes[j][piece], class_weights[j]) or None when the pieces do
-    not commute (with each other or with the deck phases' diagonal).
+    Returns (slopes[piece, j], weights[j]): the eigenvalue of each piece's
+    generator on common eigenline j, and that line's deck weight mod k; or
+    None when the pieces do not commute (with each other or with the deck
+    phases' diagonal).
     """
     mats = [A for A, _, _ in pieces]
     Gh = np.diag(np.array(lens.weights, dtype=float) % lens.k)
@@ -388,58 +390,38 @@ def _commuting_embedded(pieces, lens):
 
     On a common eigenline with deck weight w, the phase of U_t U_s^{-1} is
     f(t) - f(s) with f piecewise linear; a discriminant crossing at deck power
-    m means f(t) - f(s) = 2 pi (m w mod k)/k mod 2 pi for some s < t.  The
-    attainable set of forward differences is [min drawdown, max drawup],
-    computed exactly at the nodes.
+    m means f(t) - f(s) = 2 pi (m w mod k)/k mod 2 pi for some s < t.  w is a
+    unit mod k, so the targets are all the multiples of 2 pi / k.  The
+    attainable forward differences fill [min drawdown, max drawup], an
+    interval around 0 computed exactly at the nodes, so there is a crossing
+    iff f is not strictly monotone (target 0, m = 0) or the interval reaches
+    +-2 pi / k (m = +-w^{-1} mod k), up to 1e-12.
     """
     data = _joint_eigendata(pieces, lens)
     if data is None:
         return None
     slopes, weights = data
+    k = lens.k
+    step = TWO_PI / k
     nodes = [pieces[0][1]] + [b for _, _, b in pieces]
     lengths = np.array([b - a for _, a, b in pieces])
-    n = slopes.shape[1]
     best_margin = np.inf
-    for j in range(n):
-        f = np.concatenate([[0.0], np.cumsum(slopes[:, j] * lengths)])
-        run_min = np.minimum.accumulate(f)
-        run_max = np.maximum.accumulate(f)
-        drawup = float(np.max(f - run_min))
-        drawdown = float(np.min(f - run_max))
+    for j in range(slopes.shape[1]):
         sl = slopes[:, j]
+        f = np.concatenate([[0.0], np.cumsum(sl * lengths)])
+        drawup = float(np.max(f - np.minimum.accumulate(f)))
+        drawdown = float(np.min(f - np.maximum.accumulate(f)))
         scale = max(np.abs(sl).max(), 1.0)
         # zero crossing: some s < t with f(t) = f(s)
-        zero_cross = bool(
-            np.any(np.abs(sl) * lengths <= 1e-12 * scale)
-            or (sl.max() > 0 and sl.min() < 0)
-        )
-        targets = sorted({(m * weights[j]) % lens.k for m in range(lens.k)})
-        for a in targets:
-            base = TWO_PI * a / lens.k
-            if a == 0:
-                if zero_cross:
-                    return _crossing_report(f, nodes, 0.0, 0, "commuting-exact")
-                # nonzero 2 pi ell targets still need checking below
-            lo = math.floor((drawdown - base) / TWO_PI)
-            hi = math.ceil((drawup - base) / TWO_PI)
-            for ell in range(lo, hi + 1):
-                c = base + TWO_PI * ell
-                if abs(c) < 1e-15:
-                    continue  # handled by zero_cross
-                if drawdown - 1e-12 <= c <= drawup + 1e-12:
-                    m = _deck_power_for(lens, weights[j], a)
-                    return _crossing_report(f, nodes, c, m, "commuting-exact")
-                best_margin = min(
-                    best_margin, abs(c - drawup), abs(c - drawdown)
-                )
+        if np.any(np.abs(sl) * lengths <= 1e-12 * scale) or (sl.max() > 0 and sl.min() < 0):
+            return _crossing_report(f, nodes, 0.0, 0, "commuting-exact")
+        m = pow(int(weights[j]), -1, k)
+        if drawup >= step - 1e-12:
+            return _crossing_report(f, nodes, step, m, "commuting-exact")
+        if drawdown <= -step + 1e-12:
+            return _crossing_report(f, nodes, -step, -m % k, "commuting-exact")
+        best_margin = min(best_margin, step - drawup, drawdown + step)
     return EmbeddednessReport(True, "embedded", None, best_margin, "commuting-exact")
-
-
-def _deck_power_for(lens, w, residue):
-    for m in range(lens.k):
-        if (m * w) % lens.k == residue % lens.k:
-            return m
-    return 0
 
 
 def _crossing_report(f, nodes, c, m, method):
@@ -461,11 +443,15 @@ def is_embedded(p, t0, t1, grid=DEFAULT_EMBED_GRID):
 
     True iff 1 is not an eigenvalue of g^{-m} U_t U_s^{-1} for any s < t in
     [t0, t1] and any deck power m.  Commuting pieces (in particular every
-    Reeb segment) are decided exactly; otherwise a grid sweep with a
-    Lipschitz certificate is used, and an uncertifiable margin yields an
-    explicit indeterminate status.  A constant stretch is the identity at
-    every pair of times, which we count as embedded by convention (it is an
-    identity factor in any decomposition).
+    Reeb segment) are decided exactly and in closed form: the stretch is
+    embedded iff every common-eigenline phase is strictly monotone on it
+    and travels less than 2 pi / k (up to 1e-12).  Otherwise a grid sweep
+    with a Lipschitz certificate is used, and an uncertifiable margin
+    yields an explicit indeterminate status.  A constant stretch is the
+    identity at every pair of times, which we count as embedded by
+    convention (it is an identity factor in any decomposition).  The greedy
+    decomposition calls this once per cut of a commuting path, as the
+    certificate of its exact prefix.
     """
     if not (0.0 <= t0 < t1 <= 1.0):
         raise ValueError(f"need 0 <= t0 < t1 <= 1, got ({t0}, {t1})")

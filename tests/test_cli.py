@@ -343,6 +343,19 @@ class TestMain:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["dis_upper"] is None and res["osc_upper"] is None
 
+    def test_decompose_sign_change_at_node(self, tmp_path, capsys):
+        # every slope flips sign at the node; the cut lands exactly there
+        doc = {"lens": {"k": 7, "weights": [1, 1, 1]},
+               "path": hermitian_path([[4.77, 0, 0], [0, 2.78, 0], [0, 0, 1.81]],
+                                      [[-4.68, 0, 0], [0, -4.86, 0], [0, 0, -7.5]],
+                                      durations=[0.412, 0.298]),
+               "task": {"norms": {"decompose": True}}}
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        assert main(["norms", str(f)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["dis_upper"] == res["osc_upper"] == 6
+
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--suite", "quadratic_core", "--trials", "3"]) == 0
         out = json.loads(capsys.readouterr().out)

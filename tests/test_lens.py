@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from lenselect.lens import (
     LensSpaceError,
+    _reeb_numerator,
     new_lens,
     round_to_period,
 )
@@ -21,6 +23,19 @@ def brute_force_period(k, weights):
             if t > 0:
                 times.append(t)
     return min(times)
+
+
+def reeb_numerator_scan(k, weights):
+    """The O(k) scan over deck powers that the closed form replaced."""
+    best = k
+    for m in range(k):
+        if any((m * (w - weights[0])) % k != 0 for w in weights):
+            continue
+        a = (m * weights[0]) % k
+        if a == 0:
+            a = k
+        best = min(best, a)
+    return best
 
 
 class TestNewLens:
@@ -95,6 +110,24 @@ class TestReebPeriod:
             assert 0 < T <= TWO_PI + 1e-15
             # T_w is a multiple of 2 pi / k
             assert (T * k / TWO_PI) == pytest.approx(round(T * k / TWO_PI), abs=1e-12)
+
+    def test_closed_form_matches_scan(self):
+        # every lens with k < 25 and n <= 3, weights in 1..k-1 coprime to k
+        count = 0
+        for k in range(2, 25):
+            units = [w for w in range(1, k) if math.gcd(w, k) == 1]
+            for n in (1, 2, 3):
+                for weights in itertools.product(units, repeat=n):
+                    want = reeb_numerator_scan(k, weights)
+                    assert _reeb_numerator(k, weights) == want, (k, weights)
+                    count += 1
+        assert count == 31433
+
+    def test_huge_k(self):
+        # the closed form does not scan the deck powers: k = 10^9 returns at once
+        lens = new_lens(10**9, [1, 3])
+        assert lens.reeb_numerator == 5 * 10**8  # gcd(10^9, 3 - 1) = 2
+        assert lens.reeb_period == pytest.approx(math.pi)
 
     def test_substitution_identity(self):
         # the returned time corresponds to a single deck power for all weights

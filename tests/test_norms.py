@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import lenselect.norms
 from lenselect.lens import new_lens
 from lenselect.norms import (
     geodesic_report,
@@ -17,6 +18,7 @@ from lenselect.paths import (
     UnitaryPath,
     identity_path,
     inverse_path,
+    is_embedded,
     product_path,
     random_path,
     reeb_path,
@@ -27,6 +29,43 @@ TWO_PI = 2 * math.pi
 L2 = new_lens(2, [1, 1])
 L3 = new_lens(3, [1, 1])
 L5 = new_lens(5, [1, 2])
+
+# diag(4.77, 2.78, 1.81) for 0.412, then diag(-4.68, -4.86, -7.5) for 0.298 on
+# L_7(1,1,1): every slope changes sign at the node
+SIGN_CHANGE = UnitaryPath(new_lens(7, [1, 1, 1]),
+                          [(np.diag([4.77, 2.78, 1.81]), 0.412),
+                           (np.diag([-4.68, -4.86, -7.5]), 0.298)])
+
+
+def diagonal_paths(count, seed):
+    """Seeded commuting paths: 1-3 diagonal segments with entries of size
+    0.5-4; every other path has random signs per segment and eigenline."""
+    rng = np.random.default_rng(seed)
+    lenses = [new_lens(3, [1, 2]), new_lens(4, [1, 3]), new_lens(5, [1, 2, 3]),
+              new_lens(7, [1, 1, 1])]
+    paths = []
+    for i in range(count):
+        lens = lenses[i % len(lenses)]
+        segs = []
+        for d in rng.dirichlet(np.ones(int(rng.integers(1, 4)))):
+            diag = rng.uniform(0.5, 4.0, size=lens.n)
+            if i % 2:
+                diag *= rng.choice([-1.0, 1.0], size=lens.n)
+            segs.append((np.diag(diag), float(d)))
+        paths.append(UnitaryPath(lens, segs))
+    return paths
+
+
+def bisection_reference(path):
+    """The greedy decomposition with every cut bisected, as on a
+    non-commuting path: the reference for the exact cuts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lenselect.norms, "_joint_eigendata", lambda pieces, lens: None)
+        return greedy_embedded_decomposition(path)
+
+
+def summary(dec):
+    return dec.count, dec.certified, dec.sign_definite
 
 
 class TestNu:
@@ -119,6 +158,76 @@ class TestGreedy:
         assert cuts[0] == 0.0 and cuts[-1] == 1.0
         assert all(a < b for a, b in zip(cuts, cuts[1:]))
 
+
+    def test_lattice_reeb_counts(self):
+        # kT / 2 pi = m exactly: a closed piece whose phase travel reaches
+        # 2 pi / k is not embedded, so m + 1 pieces
+        for k in (2, 3, 5, 7):
+            for n in (2, 3):
+                lens = new_lens(k, [1] * n)
+                for T in (TWO_PI, 6 * math.pi, 20 * math.pi):
+                    dec = greedy_embedded_decomposition(reeb_path(lens, T))
+                    assert dec.certified and dec.sign_definite
+                    assert dec.count == round(k * T / TWO_PI) + 1, (k, n, T)
+
+    def test_exact_matches_bisection(self):
+        # the bisection is the reference; the only allowed difference is a
+        # reference that stops a hair before a node where a slope changes
+        # sign and then cannot certify the sliver
+        paths = [reeb_path(new_lens(k, [1, 1]), T) for k in (2, 3, 5, 7)
+                 for T in (0.1, 2.0, TWO_PI, 6 * math.pi)]
+        paths += diagonal_paths(40, seed=0)
+        slivers = 0
+        for p in paths:
+            dec = greedy_embedded_decomposition(p)
+            ref = bisection_reference(p)
+            assert dec.breakpoints[0] == 0.0 and dec.breakpoints[-1] == 1.0
+            if summary(dec) == summary(ref):
+                continue
+            slivers += 1
+            assert dec.certified and not ref.certified
+            assert any("cannot certify" in note for note in ref.notes)
+            stop = ref.breakpoints[-2]  # start of the uncertified rest
+            assert min(abs(stop - node) for node in p.breakpoints[1:-1]) < 1e-9
+        assert 0 < slivers < len(paths)
+
+    def test_every_piece_embedded(self):
+        for p in diagonal_paths(40, seed=0) + [SIGN_CHANGE]:
+            dec = greedy_embedded_decomposition(p)
+            assert dec.certified
+            for a, b in zip(dec.breakpoints, dec.breakpoints[1:]):
+                assert is_embedded(p, a, b).embedded is True, (a, b)
+
+    def test_sign_change_cut_at_node(self):
+        node = SIGN_CHANGE.breakpoints[1]
+        dec = greedy_embedded_decomposition(SIGN_CHANGE)
+        assert summary(dec) == (6, True, True)
+        assert node in dec.breakpoints
+        # the bisection stops just short of the node and is left with a
+        # mixed-sign sliver that no prefix can extend
+        ref = bisection_reference(SIGN_CHANGE)
+        assert summary(ref) == (4, False, False)
+
+    def test_one_certificate_per_cut(self, monkeypatch):
+        calls = []
+
+        def counting(p, t0, t1, *args, **kwargs):
+            calls.append((t0, t1))
+            return is_embedded(p, t0, t1, *args, **kwargs)
+
+        def no_bisection(*args):
+            raise AssertionError("bisection on a commuting path")
+
+        monkeypatch.setattr(lenselect.norms, "is_embedded", counting)
+        monkeypatch.setattr(lenselect.norms, "_bisect_prefix", no_bisection)
+        L7 = new_lens(7, [1, 1, 1])
+        # slope 0.95 < 1: the cut must clear the 1e-12 threshold margin too
+        for p in [reeb_path(L7, 20 * math.pi), reeb_path(L7, 0.95), SIGN_CHANGE,
+                  *diagonal_paths(8, seed=1)]:
+            calls.clear()
+            dec = greedy_embedded_decomposition(p)
+            assert len(calls) == dec.count
+            assert calls == list(zip(dec.breakpoints, dec.breakpoints[1:]))
 
     def test_stationary_eigenline_uncertified(self):
         # one eigenline pinned at 0: U_t U_s^{-1} fixes it for every s < t,
