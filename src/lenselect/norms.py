@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import _joint_eigendata, _opnorm, _restrict_pieces, is_embedded, reeb_path
+from .lens import PERIOD_SNAP_TOL
+from .paths import _joint_eigendata, _restrict_pieces, is_embedded, reeb_path
 from .selectors import c_minus, c_plus
 
 TWO_PI = 2.0 * math.pi
@@ -81,24 +82,20 @@ def nu_star(path):
     """min over N of nu(reeb_shift(path, N*T_w)), with the minimizing shift.
 
     Selectors shift exactly: c_j(r_{-N T_w} . path) = c_j(path) - N*T_w, so
-    the search is max(C - N, N - F) over integers N in the window
-    [F - per, C + per] with per = 2 pi / T_w periods.  Returns
-    (value, shift) as lattice values; the value is asserted <= 2 pi + T_w.
+    the search is min over integers N of max(C - N, N - F, 0).  Since
+    c_- <= c_+ gives F <= C, the minimum is m = ceil((C - F) / 2), first
+    reached at N = C - m.  Returns (value, shift) as lattice values; the
+    value is asserted <= 2 pi + T_w.
     """
     lens = path.lens
     C, F = _lattice_pair(path)
-    per = -((-lens.k) // lens.reeb_numerator)  # ceil(2 pi / T_w)
-    best_m, best_N = None, None
-    for N in range(F - per, C + per + 1):
-        m = max(C - N, N - F, 0)
-        if best_m is None or m < best_m:
-            best_m, best_N = m, N
+    m = -((F - C) // 2)
     bound = TWO_PI + lens.reeb_period
-    if lens.period_value(best_m) > bound + 1e-9:
+    if lens.period_value(m) > bound + 1e-9:
         raise AssertionError(
-            f"nu* = {lens.period_value(best_m)} exceeds the 2 pi + T_w bound {bound}"
+            f"nu* = {lens.period_value(m)} exceeds the 2 pi + T_w bound {bound}"
         )
-    return LatticeValue.of(lens, best_m), LatticeValue.of(lens, best_N)
+    return LatticeValue.of(lens, m), LatticeValue.of(lens, C - m)
 
 
 # --- embedded decompositions ---
@@ -116,26 +113,22 @@ class DecompositionReport:
 def _constant_run_end(path, t):
     """End of the maximal constant stretch starting at t (== t if none)."""
     end = t
-    for i, (A, _) in enumerate(path.segments):
+    for i, (lam, _) in enumerate(path._eig):
         a, b = path._starts[i], path._starts[i + 1]
         if b <= end + 1e-15:
             continue
-        if a > end + 1e-12:
+        if a > end + 1e-12 or np.abs(lam).max() * (b - max(a, end)) > 1e-12:
             break
-        if _opnorm(A) * (b - max(a, end)) <= 1e-12:
-            end = b
-        else:
-            break
+        end = b
     return end
 
 
 def _segment_sign_definite(path, a, b):
-    lams = []
-    for i, (A, _) in enumerate(path.segments):
-        lo, hi = max(path._starts[i], a), min(path._starts[i + 1], b)
-        if hi - lo > 1e-15:
-            lams.append(np.linalg.eigvalsh(A))
-    lam = np.concatenate(lams) if lams else np.zeros(1)
+    # the extra 0 changes neither test and covers a stretch with no segment
+    lam = np.concatenate([np.zeros(1)] + [
+        lam for i, (lam, _) in enumerate(path._eig)
+        if min(path._starts[i + 1], b) - max(path._starts[i], a) > 1e-15
+    ])
     return bool(lam.min() >= -1e-12 or lam.max() <= 1e-12)
 
 
@@ -161,7 +154,7 @@ def _exact_prefix(pieces, slopes, k, t):
             continue
         a = max(a, t)
         speed = np.abs(sl)
-        if np.any(speed * (b - a) <= 1e-12 * scale) or (
+        if np.any(speed <= 1e-12 * scale) or (
             sign is not None and np.any(np.sign(sl) != sign)
         ):
             return a
@@ -173,30 +166,38 @@ def _exact_prefix(pieces, slopes, k, t):
     return 1.0
 
 
-def _bisect_prefix(path, t, notes):
-    """(q, decided): the largest prefix [t, q] that is_embedded certifies,
-    found by bisection (q == t when there is none); decided is False when
-    some probe was indeterminate.  The reference for _exact_prefix, and the
-    route for non-commuting paths."""
-    rep = is_embedded(path, t, 1.0)
-    if rep.embedded:
-        return 1.0, True
-    decided = rep.embedded is not None
-    if not decided:
-        notes.append(f"indeterminate on [{t}, 1]")
-    lo, hi = t, 1.0
+def _bisect_prefix(path, t):
+    """The largest prefix end q such that is_embedded certifies [t, q],
+    found by bisection (q == t when there is none), or None at the first
+    indeterminate probe.  The reference for _exact_prefix, and the route
+    for non-commuting paths."""
+    lo, hi, probe = t, 1.0, 1.0
     # invariant: (t, lo] certified embedded (or lo == t), hi not
-    for _ in range(60):
+    for _ in range(61):
+        embedded = is_embedded(path, t, probe).embedded
+        if embedded is None:
+            return None
+        if embedded:
+            lo = probe
+        else:
+            hi = probe
         if hi - lo <= 1e-12 * max(1.0, hi):
             break
-        mid = (lo + hi) / 2.0
-        r = is_embedded(path, t, mid)
-        if r.embedded:
-            lo = mid
-        else:
-            decided = decided and r.embedded is not None
-            hi = mid
-    return lo, decided
+        probe = (lo + hi) / 2.0
+    return lo
+
+
+def _next_cut(path, pieces, data, t):
+    """End of the certified piece that starts at t, or None when none can
+    be certified: an indeterminate probe, or no embedded prefix past t (e.g.
+    a stationary eigenline, which every U_t U_s^{-1} from t on fixes)."""
+    run = _constant_run_end(path, t)
+    if run > t + 1e-12:
+        return run  # an identity factor; embedded by convention
+    q = None if data is None else _exact_prefix(pieces, data[0], path.lens.k, t)
+    if q is None or (q > t and not is_embedded(path, t, q).embedded):
+        q = _bisect_prefix(path, t)  # non-commuting, or the certificate failed
+    return None if q is None or (q <= t + 1e-9 and q < 1.0) else q
 
 
 def greedy_embedded_decomposition(path):
@@ -210,45 +211,31 @@ def greedy_embedded_decomposition(path):
     (identity-factor) segments.  The loop ends only when [t, 1] is itself a
     segment, so a closed piece whose phase travel reaches 2 pi / k is never
     counted as one: a Reeb flow for time T gets floor(kT / 2 pi) + 1
-    segments, lattice T included.  When no prefix from t can be certified
-    (a stationary eigenline), the rest [t, 1] becomes one uncertified
-    segment and a note says where.  The count also bounds the oscillation
-    length when every segment is sign-definite.
+    segments, lattice T included.  The first cut that cannot be certified
+    (an indeterminate is_embedded probe, or no embedded prefix past t) ends
+    the decomposition: an uncertified decomposition is a certified prefix
+    [0, t] plus the one uncertified rest [t, 1], with a note saying where.
+    The count also bounds the oscillation length when every segment is
+    sign-definite.
     """
     pieces = _restrict_pieces(path, 0.0, 1.0)
     data = _joint_eigendata(pieces, path.lens)
-    t = 0.0
     cuts = [0.0]
-    certified = True
-    sign_definite = True
     notes = []
-    while t < 1.0:
-        run = _constant_run_end(path, t)
-        if run > t + 1e-12:
-            q = run  # an identity factor; embedded by convention
-        else:
-            q = None
-            if data is not None:
-                q = _exact_prefix(pieces, data[0], path.lens.k, t)
-                if q > t and not is_embedded(path, t, q).embedded:
-                    q = None  # the certificate failed: bisect this piece
-            if q is None:
-                q, decided = _bisect_prefix(path, t, notes)
-                certified = certified and decided
-            if q <= t + 1e-9 and q < 1.0:
-                # e.g. a stationary eigenline: every U_t U_s^{-1} from t on
-                # fixes it, so no prefix is embedded; [t, 1] stays uncertified
-                certified = False
-                notes.append(f"cannot certify an embedded prefix at t = {t}")
-                q = 1.0
-        sign_definite = sign_definite and _segment_sign_definite(path, t, q)
-        t = q
-        cuts.append(t)
+    while cuts[-1] < 1.0:
+        t = cuts[-1]
+        q = _next_cut(path, pieces, data, t)
+        if q is None:
+            notes.append(f"cannot certify an embedded prefix at t = {t}")
+            q = 1.0
+        cuts.append(q)
     return DecompositionReport(
         count=len(cuts) - 1,
         breakpoints=cuts,
-        certified=certified,
-        sign_definite=sign_definite,
+        certified=not notes,
+        sign_definite=all(
+            _segment_sign_definite(path, a, b) for a, b in zip(cuts, cuts[1:])
+        ),
         notes=notes,
     )
 
@@ -360,33 +347,42 @@ class GeodesicReport:
         }
 
 
+def _snapped_orbits(lens, T):
+    """(r, T_r): r = floor(k T / 2 pi), where T within the period lattice's
+    snap tolerance of a multiple of 2 pi / k counts as that multiple, and
+    the time T_r = r * 2 pi / k it snaps to (T itself when it does not)."""
+    step = TWO_PI / lens.k
+    r = round(T / step)
+    if abs(T - r * step) <= PERIOD_SNAP_TOL * max(1.0, abs(T)):
+        return r, r * step
+    return math.floor(T / step), T
+
+
 def orbit_count(lens, T):
-    """floor(k T / 2 pi) + 1, with the same snap tolerance as the period lattice."""
-    q = lens.k * T / TWO_PI
-    r = round(q)
-    return (r if abs(q - r) <= 1e-9 * max(1.0, abs(q)) else math.floor(q)) + 1
+    """floor(k T / 2 pi) + 1, with T snapped as in _snapped_orbits."""
+    return _snapped_orbits(lens, T)[0] + 1
 
 
 def geodesic_report(lens, T):
     """Reeb-flow geodesic verdict: certified equality for equal weights,
-    lower/upper gap for general weights."""
+    lower/upper gap for general weights.  The greedy count, the selector
+    bound and the orbit count all see T snapped as in _snapped_orbits; the
+    report echoes T as given."""
     if T < 0:
         raise ValueError("T must be >= 0")
-    upper = orbit_count(lens, T)
-    path = reeb_path(lens, T)
-    if lens.equal_weights:
-        if T <= 1e-12:
-            return GeodesicReport(lens, T, "certified", 1, 1, 1, True)
-        dec = greedy_embedded_decomposition(path)
-        lower = selector_lower_bounds(path)["dis"]
-        if not (dec.certified and dec.count == lower == upper):
-            raise AssertionError(
-                f"geodesic certificate failed: greedy {dec.count}, "
-                f"selector lower {lower}, orbit count {upper}"
-            )
-        return GeodesicReport(lens, T, "certified", lower, upper, dec.count, True)
-    lower = lens.period_multiple(T, "floor") + 1 if T > 1e-12 else 1
+    r, Ts = _snapped_orbits(lens, T)
+    if lens.equal_weights and Ts == 0:
+        return GeodesicReport(lens, T, "certified", 1, 1, 1, True)
+    path = reeb_path(lens, Ts)
     dec = greedy_embedded_decomposition(path)
-    return GeodesicReport(
-        lens, T, "gap", lower, upper, dec.count if dec.certified else None, False
-    )
+    if not lens.equal_weights:
+        lower = lens.period_multiple(Ts, "floor") + 1
+        greedy = dec.count if dec.certified else None
+        return GeodesicReport(lens, T, "gap", lower, r + 1, greedy, False)
+    lower = selector_lower_bounds(path)["dis"]
+    if not (dec.certified and dec.count == lower == r + 1):
+        raise AssertionError(
+            f"geodesic certificate failed: greedy {dec.count}, "
+            f"selector lower {lower}, orbit count {r + 1}"
+        )
+    return GeodesicReport(lens, T, "certified", lower, r + 1, dec.count, True)

@@ -395,7 +395,8 @@ def _commuting_embedded(pieces, lens):
     attainable forward differences fill [min drawdown, max drawup], an
     interval around 0 computed exactly at the nodes, so there is a crossing
     iff f is not strictly monotone (target 0, m = 0) or the interval reaches
-    +-2 pi / k (m = +-w^{-1} mod k), up to 1e-12.
+    +-2 pi / k (m = +-w^{-1} mod k), up to 1e-12.  A slope is zero when it
+    is at most 1e-12 * max(|slopes|, 1), however short its piece.
     """
     data = _joint_eigendata(pieces, lens)
     if data is None:
@@ -413,7 +414,7 @@ def _commuting_embedded(pieces, lens):
         drawdown = float(np.min(f - np.maximum.accumulate(f)))
         scale = max(np.abs(sl).max(), 1.0)
         # zero crossing: some s < t with f(t) = f(s)
-        if np.any(np.abs(sl) * lengths <= 1e-12 * scale) or (sl.max() > 0 and sl.min() < 0):
+        if np.any(np.abs(sl) <= 1e-12 * scale) or (sl.max() > 0 and sl.min() < 0):
             return _crossing_report(f, nodes, 0.0, 0, "commuting-exact")
         m = pow(int(weights[j]), -1, k)
         if drawup >= step - 1e-12:

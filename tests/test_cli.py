@@ -356,6 +356,24 @@ class TestMain:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["dis_upper"] == res["osc_upper"] == 6
 
+    def test_norms_huge_k(self, tmp_path, capsys):
+        # nu* is closed-form, with no loop over the k / reeb_numerator periods
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(10**8, [1, 1], 1.0)))
+        assert main(["norms", str(f)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["nu_star"]["num"] == 1 and res["nu_star"]["den"] == 10**8
+
+    def test_geodesic_just_below_lattice(self, tmp_path, capsys):
+        # T = 2 pi (1 - 1e-11) snaps to 2 pi for all three counts
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({"lens": {"k": 3, "weights": [1, 1]},
+                                 "task": {"geodesic": {"T": TWO_PI * (1 - 1e-11)}}}))
+        assert main(["geodesic", str(f)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["verdict"] == "certified"
+        assert res["lower"] == res["upper"] == res["greedy_count"] == 4
+
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--suite", "quadratic_core", "--trials", "3"]) == 0
         out = json.loads(capsys.readouterr().out)

@@ -15,6 +15,7 @@ from lenselect.norms import (
     selector_lower_bounds,
 )
 from lenselect.paths import (
+    EmbeddednessReport,
     UnitaryPath,
     identity_path,
     inverse_path,
@@ -66,6 +67,32 @@ def bisection_reference(path):
 
 def summary(dec):
     return dec.count, dec.certified, dec.sign_definite
+
+
+def count_is_embedded(monkeypatch, verdict=None):
+    """Patch norms.is_embedded with a recorder of its (t0, t1) calls; it
+    answers with the real verdict, or with `verdict` when one is given."""
+    calls = []
+
+    def counting(p, t0, t1, *args, **kwargs):
+        calls.append((t0, t1))
+        if verdict is not None:
+            return verdict
+        return is_embedded(p, t0, t1, *args, **kwargs)
+
+    monkeypatch.setattr(lenselect.norms, "is_embedded", counting)
+    return calls
+
+
+def nu_star_loop(C, F, per):
+    """The former O(per) search of nu_star: the smallest N in [F - per,
+    C + per] minimizing max(C - N, N - F, 0), as (minimum, N)."""
+    best_m, best_N = None, None
+    for N in range(F - per, C + per + 1):
+        m = max(C - N, N - F, 0)
+        if best_m is None or m < best_m:
+            best_m, best_N = m, N
+    return best_m, best_N
 
 
 class TestNu:
@@ -131,6 +158,24 @@ class TestNuStar:
         for _ in range(10):
             p = random_path(L3, rng)
             assert nu_star(p)[0].multiple <= nu(p).multiple
+
+    def test_closed_form_matches_loop(self, monkeypatch):
+        # per = ceil(2 pi / T_w) is 1, 2, 3 and 7 on these lenses
+        lenses = [new_lens(5, [1, 2]), L2, L3, new_lens(7, [1, 1])]
+        for lens in lenses:
+            per = -((-lens.k) // lens.reeb_numerator)
+            p = identity_path(lens)
+            for C in range(-15, 16):
+                for F in range(-15, C + 1):
+                    monkeypatch.setattr(lenselect.norms, "_lattice_pair",
+                                        lambda path, C=C, F=F: (C, F))
+                    m, N = nu_star_loop(C, F, per)
+                    if lens.period_value(m) > TWO_PI + lens.reeb_period + 1e-9:
+                        with pytest.raises(AssertionError):
+                            nu_star(p)
+                        continue
+                    star, shift = nu_star(p)
+                    assert (star.multiple, shift.multiple) == (m, N), (per, C, F)
 
 
 class TestGreedy:
@@ -209,16 +254,11 @@ class TestGreedy:
         assert summary(ref) == (4, False, False)
 
     def test_one_certificate_per_cut(self, monkeypatch):
-        calls = []
-
-        def counting(p, t0, t1, *args, **kwargs):
-            calls.append((t0, t1))
-            return is_embedded(p, t0, t1, *args, **kwargs)
+        calls = count_is_embedded(monkeypatch)
 
         def no_bisection(*args):
             raise AssertionError("bisection on a commuting path")
 
-        monkeypatch.setattr(lenselect.norms, "is_embedded", counting)
         monkeypatch.setattr(lenselect.norms, "_bisect_prefix", no_bisection)
         L7 = new_lens(7, [1, 1, 1])
         # slope 0.95 < 1: the cut must clear the 1e-12 threshold margin too
@@ -241,6 +281,53 @@ class TestGreedy:
         assert any("cannot certify" in note for note in dec.notes)
         rep = norm_report(p, decompose=True)
         assert rep.dis_upper is None and rep.osc_upper is None
+
+    def test_indeterminate_probe_stops(self, monkeypatch):
+        # a non-commuting path bisects; its first probe, on [0, 1], comes back
+        # indeterminate, and that ends the decomposition with no further probe
+        p = random_path(L3, np.random.default_rng(2))
+        assert lenselect.norms._joint_eigendata(
+            lenselect.norms._restrict_pieces(p, 0.0, 1.0), L3) is None
+        verdict = EmbeddednessReport(None, "indeterminate", None, 0.1, "grid")
+        calls = count_is_embedded(monkeypatch, verdict)
+        dec = greedy_embedded_decomposition(p)
+        assert calls == [(0.0, 1.0)]
+        assert dec.breakpoints == [0.0, 1.0] and dec.count == 1
+        assert not dec.certified
+        assert dec.notes == ["cannot certify an embedded prefix at t = 0.0"]
+        calls.clear()
+        rep = norm_report(p, decompose=True)
+        assert len(calls) == 1
+        assert rep.dis_upper is None and rep.osc_upper is None
+
+    def test_indeterminate_probe_mid_bisection_stops(self, monkeypatch):
+        # [0, 1] not embedded, [0, 1/2] embedded, [0, 3/4] indeterminate:
+        # the bisection stops at its first indeterminate probe, and the whole
+        # path is the one uncertified piece
+        p = random_path(L3, np.random.default_rng(2))
+        answers = {1.0: (False, "not_embedded"), 0.5: (True, "embedded"),
+                   0.75: (None, "indeterminate")}
+        calls = []
+
+        def scripted(path, t0, t1, *args, **kwargs):
+            calls.append((t0, t1))
+            return EmbeddednessReport(*answers[t1], None, 0.1, "grid")
+
+        monkeypatch.setattr(lenselect.norms, "is_embedded", scripted)
+        dec = greedy_embedded_decomposition(p)
+        assert calls == [(0.0, 1.0), (0.0, 0.5), (0.0, 0.75)]
+        assert dec.breakpoints == [0.0, 1.0] and not dec.certified
+
+    def test_short_segment_not_stationary(self):
+        # a 1e-13 segment with nonzero slopes is monotone, not stationary
+        p = UnitaryPath(new_lens(7, [1, 1, 1]),
+                        [(np.diag([3.0, 2.0, 1.0]), 0.5),
+                         (np.diag([3.0, 2.0, 1.5]), 1e-13),
+                         (np.diag([2.0, 2.0, 1.0]), 0.5)])
+        dec = greedy_embedded_decomposition(p)
+        assert dec.certified and dec.sign_definite and not dec.notes
+        rep = is_embedded(p, 0.45, 0.55)
+        assert rep.status == "embedded" and rep.method == "commuting-exact"
 
 
 class TestSelectorBounds:
@@ -285,8 +372,10 @@ class TestReports:
         assert rep.lower == rep.upper == rep.greedy_count == 7
 
     def test_geodesic_tiny(self):
-        rep = geodesic_report(new_lens(2, [1, 1, 1]), 0.1)
-        assert rep.verdict == "certified" and rep.upper == 1
+        # T within the period snap of 0 is the constant path: one piece
+        for T in (0.1, 5e-10, 5e-12, 0.0):
+            rep = geodesic_report(new_lens(2, [1, 1, 1]), T)
+            assert rep.verdict == "certified" and rep.lower == rep.upper == 1, T
 
     def test_geodesic_gap(self):
         rep = geodesic_report(new_lens(4, [1, 3]), 6 * math.pi)
@@ -298,3 +387,17 @@ class TestReports:
     def test_geodesic_rejects_negative(self):
         with pytest.raises(ValueError):
             geodesic_report(L2, -1.0)
+
+    def test_geodesic_snapped_lattice(self):
+        # T within the period snap of m * 2 pi / k: greedy count, selector
+        # bound and orbit count all see the snapped T, and the report echoes
+        # the T it was given
+        for k in (2, 3, 7):
+            lens = new_lens(k, [1, 1])
+            for m in (1, 3, 10):
+                for offset in (-1e-11, 0.0, 1e-11):
+                    T = m * TWO_PI / k * (1.0 + offset)
+                    rep = geodesic_report(lens, T)
+                    assert rep.T == T
+                    assert rep.verdict == "certified", (k, m, offset)
+                    assert rep.lower == rep.upper == rep.greedy_count == m + 1, (k, m, offset)
