@@ -2,6 +2,18 @@
 for contact isotopies of lens spaces generated by weight-compatible unitary
 paths."""
 
+import os
+
+# One BLAS thread unless the caller says otherwise; it must be set before
+# numpy loads OpenBLAS.  The eigenproblems here are small (form dimension
+# D <= 1616 on the bench corpora) and each CLI job is its own short process.
+# OpenBLAS's idle helper thread spins for about 0.1 s after numpy's import and
+# after each threaded call: about 0.12 CPU-s per job.  On a 2 vCPU VM
+# (OpenBLAS 0.3.31) eigvalsh of a Maslov form takes 16 ms on 2 threads and
+# 0.4 ms on 1 at D = 104; the second thread pays only from D ~ 700
+# (D = 1656: 0.30 s on 2 threads, 0.45 s on 1).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .lens import LensSpace, LensSpaceError, new_lens, round_to_period
 from .maslov import evaluate_step, maslov_index, maslov_shifted, subdivide
 from .norms import (

@@ -23,7 +23,15 @@ import numpy as np
 
 from . import maslov, norms, quadratic, selectors, verify
 from .lens import PERIOD_SNAP_TOL, LensSpaceError, _is_int, new_lens
-from .paths import PHASE_CLUSTER_TOL, PathError, UnitaryPath, random_path, reeb_path
+from .paths import (
+    MAX_LENS_PHASES,
+    PHASE_CLUSTER_TOL,
+    PathError,
+    UnitaryPath,
+    action_spectrum,
+    random_path,
+    reeb_path,
+)
 
 TASKS = ("maslov", "selectors", "spectrum", "norms", "geodesic", "verify")
 
@@ -196,6 +204,19 @@ def _geodesic_params(params, lens):
     return float(T)
 
 
+def _maslov_intervals(path):
+    """N of the maslov task's subdivision, priced before any form is built."""
+    try:
+        N = maslov.subdivision_count(path)
+    except ValueError as e:
+        raise JobError("path", str(e)) from None
+    D = (2 * N - 1) * 2 * path.lens.n
+    size = f"{D} (N = {N} intervals)" if D < 10**9 else f"about 1e{int(math.log10(D))}"
+    _require(D <= maslov.MAX_FORM_DIM, "path",
+             f"the Maslov form needs dimension {size}, more than {maslov.MAX_FORM_DIM}")
+    return N
+
+
 def _verify_params(params):
     """(suite, trials, seed) of a verify task, after the CLI merge."""
     suite = params.get("suite", "thm1")
@@ -260,6 +281,7 @@ def run_job(job, overrides=None):
 
     if task == "maslov":
         p = _require_path(job)
+        res["subdivision_intervals"] = _maslov_intervals(p)
         try:
             res["mu"] = maslov.maslov_index(p, tol=tol)
         except maslov.BasedFamilyCheckError as e:
@@ -267,7 +289,6 @@ def run_job(job, overrides=None):
                 raise  # the default cut is part of the construction
             raise JobError("tolerances.null",
                            f"null = {tol!r} breaks the self-check ({e})") from None
-        res["subdivision_intervals"] = len(maslov.subdivide(p)) - 1
         report["provenance"].append(
             "mu = ind(F_0) - ind(F_1) over a based family of generating functions; "
             "ind(F_0) = 2nN asserted as a self-check"
@@ -291,8 +312,9 @@ def run_job(job, overrides=None):
         )
     elif task == "spectrum":
         p = _require_path(job)
-        from .paths import action_spectrum
-
+        _require(lens.k * lens.n <= MAX_LENS_PHASES, "lens.k",
+                 f"the lens-level spectrum lists k n = {lens.k * lens.n} phases, "
+                 f"more than {MAX_LENS_PHASES}")
         sw = action_spectrum(p)
         res["sphere"] = {
             "phases": sw.phases_sphere.tolist(),

@@ -49,6 +49,13 @@ MAX_TRAVEL = math.pi / 2
 # endpoint eigenphases; a larger miss means the path data are inconsistent.
 DET_LIFT_TOL = 1e-6
 
+# Largest form dimension D = (2N - 1) * 2n the `maslov` job builds: the
+# generating-function index costs O(D^3) in two dense eigvalsh calls.  On one
+# BLAS thread (2 vCPU, OpenBLAS 0.3.31) Reeb paths over L_3(1,1,1,1) took
+# 0.86 s at D = 1528, 2.0 s at D = 2040 and 14 s at D = 4072; the bench
+# corpora reach D = 1616.
+MAX_FORM_DIM = 2048
+
 
 class BasedFamilyCheckError(AssertionError):
     """ind(F_0) != 2nN: the null cut misjudged the family's zero blocks."""
@@ -143,6 +150,23 @@ def _travel(path, a, b):
     return total
 
 
+def _segment_parts(A, d):
+    """ceil(||A|| d / (pi/2)), at least 1; ValueError if ||A|| d is not finite."""
+    travel = _opnorm(A) * d
+    if not math.isfinite(travel):
+        raise ValueError(f"phase travel ||A|| d = {travel!r} of a segment is not finite")
+    return max(1, math.ceil(travel / MAX_TRAVEL - 1e-12))
+
+
+def subdivision_count(path):
+    """N, the number of intervals `subdivide(path)` makes, by arithmetic alone.
+
+    The based family's form has dimension D = (2N - 1) * 2n, so this prices a
+    `maslov_index` call before any form is built.
+    """
+    return sum(_segment_parts(A, d) for A, d in path.segments)
+
+
 def subdivide(path):
     """Breakpoints with phase travel <= pi/2 per interval.
 
@@ -152,7 +176,7 @@ def subdivide(path):
     pts = [0.0]
     for i, (A, d) in enumerate(path.segments):
         a, b = path._starts[i], path._starts[i + 1]
-        parts = max(1, math.ceil(_opnorm(A) * d / MAX_TRAVEL - 1e-12))
+        parts = _segment_parts(A, d)
         for j in range(1, parts + 1):
             pts.append(a + (b - a) * j / parts)
     pts[-1] = 1.0

@@ -33,6 +33,9 @@ PHASE_ZERO_TOL = 1e-9
 
 DEFAULT_EMBED_GRID = 512  # grid points per unit time for the sweep tier
 
+# Most lens-level phases (k n) a `spectrum` job lists; see `action_spectrum`.
+MAX_LENS_PHASES = 100_000
+
 
 def _opnorm(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
@@ -279,6 +282,11 @@ def action_spectrum(p):
     deck powers m of the eigenphases of g^{-m} U_1; since U_1 is
     block-diagonal over weight classes this is the blockwise spectrum shifted
     by -2 pi m w / k per class.
+
+    The lens level lists k n phases, clustered in a Python loop, so the
+    `spectrum` job refuses k n > MAX_LENS_PHASES: at k n = 1e5 the job took
+    0.25 s to compute and 0.28 s to serialize 3.8 MB of JSON (n = 3, one
+    thread of a 2 vCPU VM), and both grow linearly.
     """
     lens = p.lens
     classes = lens.weight_classes()

@@ -5,14 +5,17 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lenselect
+from lenselect import maslov
 from lenselect.cli import main
 from lenselect.jobs import JobError, parse_job, render_table, run_job, serialize
+from lenselect.paths import MAX_LENS_PHASES
 
 TWO_PI = 2 * math.pi
 
@@ -47,6 +50,17 @@ def reeb_job(k, weights, T, task=None):
     if task is not None:
         doc["task"] = task
     return doc
+
+
+def run_python(args, blas_threads=None, **kwargs):
+    """Run a fresh interpreter on lenselect's source, with OPENBLAS_NUM_THREADS
+    unset or set by the caller."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(lenselect.__file__).resolve().parent.parent)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=120, **kwargs)
 
 
 class TestParseJob:
@@ -282,6 +296,47 @@ class TestMain:
         assert main([command, str(f), *flags]) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
 
+    @pytest.mark.parametrize("command, doc, field", [
+        # ||A|| d ~ 1e308: subdivide would list ~1e308 breakpoints
+        ("maslov", {"path": {"random": {"seed": 1, "norm_bound": 1e308}}}, "path"),
+        ("maslov", {"path": {"reeb": 1e300}}, "path"),
+        # ||A|| overflows to inf
+        ("maslov", {"path": hermitian_path([[1e308, 1e308], [1e308, 1e308]])}, "path"),
+        # N = 160 intervals on L_3(1,1,1,1): D = 319 * 8 = 2552
+        ("maslov", reeb_job(3, [1, 1, 1, 1], 250.0), "path"),
+        ("spectrum", {"lens": {"k": 10**8, "weights": [1, 1]}}, "lens.k"),
+        ("spectrum", {"lens": {"k": MAX_LENS_PHASES // 2 + 1, "weights": [1, 1]}},
+         "lens.k"),
+    ])
+    def test_cost_over_cap_exits_two_at_once(self, tmp_path, capsys, command, doc, field):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({**reeb_job(3, [1, 1], 1.0), **doc}))
+        start = time.perf_counter()
+        assert main([command, str(f)]) == 2
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    def test_maslov_form_cap_boundary(self, tmp_path, capsys):
+        # L_3(1): a generator 256 pi for time 1 gives N = 512 intervals and
+        # D = 1023 * 2 = 2046 <= MAX_FORM_DIM; any more travel makes N = 513
+        assert (2 * 512 - 1) * 2 <= maslov.MAX_FORM_DIM < (2 * 513 - 1) * 2
+        lens = {"k": 3, "weights": [1]}
+        at_cap = parse_job({"lens": lens, "path": hermitian_path([[256 * math.pi]])})
+        assert maslov.subdivision_count(at_cap.path) == 512
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({"lens": lens,
+                                 "path": hermitian_path([[256 * math.pi + 1e-9]])}))
+        assert main(["maslov", str(f)]) == 2
+        assert "dimension 2050 (N = 513 intervals)" in capsys.readouterr().err
+
+    def test_spectrum_at_phase_cap_runs(self, tmp_path, capsys):
+        k = MAX_LENS_PHASES // 2
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(k, [1, 1], 1.0)))
+        assert main(["spectrum", str(f)]) == 0
+        lens_level = json.loads(capsys.readouterr().out)["results"]["lens"]
+        assert sum(lens_level["multiplicities"]) == MAX_LENS_PHASES
+
     @given(command=st.sampled_from(["geodesic", "maslov"]), T=GEODESIC_T,
            null=ANY_NUMBER_FIELD)
     @settings(max_examples=60, deadline=None)
@@ -326,11 +381,38 @@ class TestMain:
             "        assert lenselect.cli.main(argv) == 0, argv\n"
             "    assert 'scipy' not in sys.modules, argv[0]\n"
         )
-        src = str(Path(lenselect.__file__).resolve().parent.parent)
-        run = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
-                             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
-                             timeout=120)
+        run = run_python(["-c", script, json.dumps(argvs)])
         assert run.returncode == 0, run.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                        reason="needs /proc/self/task to count threads")
+    def test_import_pins_one_blas_thread(self):
+        # an idle OpenBLAS helper thread spins for ~0.1 s after numpy's import
+        # and after each threaded call; every job is too small to repay it
+        script = ("import os, lenselect\n"
+                  "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
+        run = run_python(["-c", script])
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["1", "1"]
+
+    def test_caller_blas_threads_kept(self):
+        script = "import os, lenselect; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        run = run_python(["-c", script], blas_threads="2")
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "2"
+
+    def test_maslov_report_same_on_one_and_two_blas_threads(self):
+        # N = 7 intervals, so eigvalsh runs on forms of dimension D = 104
+        doc = {"lens": {"k": 5, "weights": [1, 2, 3, 4]},
+               "path": {"random": {"seed": 8, "segments": 3, "norm_bound": 12}}}
+        outs = []
+        for threads in ("1", "2"):
+            run = run_python(["-m", "lenselect.cli", "maslov", "-"], threads,
+                                   input=json.dumps(doc))
+            assert run.returncode == 0, run.stderr
+            outs.append(run.stdout)
+        assert outs[0] == outs[1]
+        assert json.loads(outs[0])["results"]["subdivision_intervals"] == 7
 
     def test_decompose_stationary_eigenline(self, tmp_path, capsys):
         gen = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [3.0, 0.0]]]

@@ -11,6 +11,7 @@ from lenselect.maslov import (
     maslov_index,
     maslov_shifted,
     subdivide,
+    subdivision_count,
 )
 from lenselect.paths import (
     UnitaryPath,
@@ -56,6 +57,19 @@ class TestSubdivide:
     def test_segment_boundaries_kept(self):
         p = UnitaryPath(L2, [(np.zeros((2, 2)), 0.3), (np.eye(2), 0.7)])
         assert 0.3 in subdivide(p).tolist()
+
+    @pytest.mark.parametrize("p", [
+        reeb_path(L2, 0.0),
+        reeb_path(L3, -7.5),
+        reeb_path(new_lens(3, [1, 1, 1, 1]), 150.0),
+        random_path(L3, np.random.default_rng(4), segments=3, norm_bound=9.0),
+        random_path(new_lens(5, [1, 2, 3]), np.random.default_rng(5), segments=4),
+        UnitaryPath(L2, [(np.zeros((2, 2)), 0.3), (np.eye(2), 0.7)]),
+        # ||A|| d = pi/2 exactly: one interval, not two
+        UnitaryPath(L2, [(np.diag([math.pi / 2, 0.0]), 1.0), (np.eye(2) * 7.0, 2.0)]),
+    ])
+    def test_count_matches_breakpoints(self, p):
+        assert subdivision_count(p) == len(subdivide(p)) - 1
 
 
 class TestBasedFamily:
