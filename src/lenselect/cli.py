@@ -8,8 +8,9 @@
     lenselect verify --suite thm1 --trials 50 --seed 7
 
 Reports go to stdout as JSON (deterministic for a fixed job and seed); pass
---table for an aligned summary on stderr.  Exit codes: 0 success, 1 a verify
-check failed, 2 input error.
+--table for an aligned summary on stderr.  The flags override the job file's
+task parameters.  Tolerances are fixed, and every report lists them under
+`tolerances`.  Exit codes: 0 success, 1 a verify check failed, 2 input error.
 """
 
 import argparse
@@ -21,8 +22,6 @@ from . import jobs
 def _add_common(sp):
     sp.add_argument("--table", action="store_true",
                     help="also print an aligned results table to stderr")
-    sp.add_argument("--tol-null", type=float, default=None,
-                    help="nullity tolerance for index computations")
 
 
 def _add_job_arg(sp):
@@ -61,8 +60,6 @@ def build_parser():
                     help="thm1 | maslov_props | norms | geodesic | quadratic_core")
     sp.add_argument("--trials", type=int, default=25)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("job", nargs="?", default=None,
-                    help="optional job file naming a lens (ignored by the suites)")
 
     return ap
 
@@ -95,8 +92,6 @@ def main(argv=None):
                              "window_base": args.window_base}
             elif args.command == "geodesic":
                 overrides = {"T": args.T}
-        if args.tol_null is not None:
-            job.tolerances["null"] = args.tol_null
         report = jobs.run_job(job, overrides=overrides)
     except (jobs.JobError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

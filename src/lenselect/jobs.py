@@ -1,19 +1,21 @@
 """Job parsing and report assembly for the CLI.
 
 A job is one JSON document: a lens, an optional path (reeb / explicit
-piecewise-Hermitian segments / seeded random), a task, and optional tolerance
-overrides.  Complex matrices are encoded as nested arrays of [re, im] pairs.
-Reports are plain JSON dicts, deterministic given (job, seed): exact lattice
-values are serialized as {num, den, approx} fractions of 2 pi and no wall
-clock data is included.
+piecewise-Hermitian segments / seeded random) and a task with its parameters.
+Tolerances are fixed: every report lists them under `tolerances`, and a job
+that tries to set one exits 2 on that field.  Complex matrices are encoded as
+nested arrays of [re, im] pairs.  Reports are plain JSON dicts, deterministic
+given (job, seed): exact lattice values are serialized as {num, den, approx}
+fractions of 2 pi and no wall clock data is included.
 
 `parse_job` checks only the JSON shape of the document.  The lens and the
 path are validated once, by the types that own them: `new_lens` (k and the
 weights) and `UnitaryPath` (shape, finiteness, Hermitian and deck-commuting
-generators, positive durations).  Their errors say which input is at fault,
-and `parse_job` prefixes the JSON path, so every input error leaves the CLI
-as exit 2 naming the field.  Task parameters and tolerances are validated
-where `run_job` reads them, after the CLI flags are merged in.
+generators, positive durations, finite phase travel).  Their errors say
+which input is at fault, and `parse_job` prefixes the JSON path, so every
+input error leaves the CLI as exit 2 naming the field.  `parse_job` rejects a
+task parameter the task does not read; the values are validated where
+`run_job` reads them, after the CLI flags are merged in.
 """
 
 import json
@@ -21,7 +23,8 @@ import math
 
 import numpy as np
 
-from . import maslov, norms, quadratic, selectors, verify
+from . import maslov, norms, selectors, verify
+from .quadratic import NULL_TOL
 from .lens import PERIOD_SNAP_TOL, LensSpaceError, _is_int, new_lens
 from .paths import (
     MAX_LENS_PHASES,
@@ -33,7 +36,15 @@ from .paths import (
     reeb_path,
 )
 
-TASKS = ("maslov", "selectors", "spectrum", "norms", "geodesic", "verify")
+# Each task and the parameters it reads.
+TASK_PARAMS = {
+    "maslov": (),
+    "selectors": ("j_lo", "j_hi", "window_base"),
+    "spectrum": (),
+    "norms": ("decompose",),
+    "geodesic": ("T",),
+    "verify": ("suite", "trials", "seed"),
+}
 
 
 class JobError(ValueError):
@@ -43,13 +54,12 @@ class JobError(ValueError):
 
 
 class Job:
-    def __init__(self, lens, path_spec, path, task, params, tolerances):
+    def __init__(self, lens, path_spec, path, task, params):
         self.lens = lens
         self.path_spec = path_spec  # as given, for the report echo
         self.path = path  # the validated UnitaryPath, or None
         self.task = task
         self.params = params
-        self.tolerances = tolerances
 
 
 def _require(cond, field, message):
@@ -161,15 +171,22 @@ def parse_job(document):
     task, params = None, {}
     if task_spec is not None:
         _require(isinstance(task_spec, dict) and len(task_spec) == 1, "task",
-                 f"task must be an object with exactly one of {TASKS}")
+                 f"task must be an object with exactly one of {tuple(TASK_PARAMS)}")
         task = next(iter(task_spec))
-        _require(task in TASKS, "task", f"unknown task {task!r}")
+        _require(task in TASK_PARAMS, "task", f"unknown task {task!r}")
         params = task_spec[task]
         _require(isinstance(params, dict), f"task.{task}", "expected an object")
+        for key in params:
+            _require(key in TASK_PARAMS[task], f"task.{task}.{key}",
+                     f"unknown parameter; {task} reads "
+                     f"{', '.join(TASK_PARAMS[task]) or 'no parameters'}")
 
     tolerances = document.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances", "expected an object")
-    return Job(lens, path_spec, path, task, dict(params), dict(tolerances))
+    if tolerances:
+        raise JobError(f"tolerances.{next(iter(tolerances))}",
+                       "tolerances are fixed; every report lists them under tolerances")
+    return Job(lens, path_spec, path, task, dict(params))
 
 
 def _require_path(job):
@@ -206,10 +223,7 @@ def _geodesic_params(params, lens):
 
 def _maslov_intervals(path):
     """N of the maslov task's subdivision, priced before any form is built."""
-    try:
-        N = maslov.subdivision_count(path)
-    except ValueError as e:
-        raise JobError("path", str(e)) from None
+    N = maslov.subdivision_count(path)
     D = (2 * N - 1) * 2 * path.lens.n
     size = f"{D} (N = {N} intervals)" if D < 10**9 else f"about 1e{int(math.log10(D))}"
     _require(D <= maslov.MAX_FORM_DIM, "path",
@@ -231,14 +245,6 @@ def _verify_params(params):
     return suite, trials, seed
 
 
-def _null_tol(tolerances):
-    """The index null cut, from the job file or --tol-null."""
-    tol = tolerances.get("null", quadratic.DEFAULT_NULL_TOL)
-    _require(_is_number(tol) and tol >= 0, "tolerances.null",
-             "null must be a finite number >= 0")
-    return float(tol)
-
-
 def _echo(job):
     out = {
         "lens": {"k": job.lens.k, "weights": list(job.lens.weights)},
@@ -247,8 +253,6 @@ def _echo(job):
     }
     if job.path_spec is not None:
         out["path"] = job.path_spec
-    if job.tolerances:
-        out["tolerances"] = job.tolerances
     return out
 
 
@@ -261,11 +265,10 @@ def run_job(job, overrides=None):
     if task is None:
         raise JobError("task", "no task given (on the CLI the subcommand sets it)")
     lens = job.lens
-    tol = _null_tol(job.tolerances)
     report = {"job": _echo(job), "results": {}, "provenance": []}
     res = report["results"]
     report["tolerances"] = {
-        "null": tol,
+        "null": NULL_TOL,
         "phase_cluster": PHASE_CLUSTER_TOL,
         "period_snap": PERIOD_SNAP_TOL,
     }
@@ -282,13 +285,7 @@ def run_job(job, overrides=None):
     if task == "maslov":
         p = _require_path(job)
         res["subdivision_intervals"] = _maslov_intervals(p)
-        try:
-            res["mu"] = maslov.maslov_index(p, tol=tol)
-        except maslov.BasedFamilyCheckError as e:
-            if "null" not in job.tolerances:
-                raise  # the default cut is part of the construction
-            raise JobError("tolerances.null",
-                           f"null = {tol!r} breaks the self-check ({e})") from None
+        res["mu"] = maslov.maslov_index(p)
         report["provenance"].append(
             "mu = ind(F_0) - ind(F_1) over a based family of generating functions; "
             "ind(F_0) = 2nN asserted as a self-check"
@@ -330,7 +327,10 @@ def run_job(job, overrides=None):
         )
     elif task == "norms":
         p = _require_path(job)
-        rep = norms.norm_report(p, decompose=bool(params.get("decompose", False)))
+        decompose = params.get("decompose", False)
+        _require(isinstance(decompose, bool), "task.norms.decompose",
+                 "decompose must be true or false")
+        rep = norms.norm_report(p, decompose=decompose)
         res.update(rep.as_dict())
         report["provenance"].append(
             "nu = max(ceil(c_+), -floor(c_-)) in exact T_w-lattice arithmetic; "

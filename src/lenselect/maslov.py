@@ -34,7 +34,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import quadratic
 from .paths import reeb_shift, cluster_phases, _eigenphases, _opnorm
 from .quadratic import InvariantQuadraticForm, cayley_gf, complex_structure, index
 
@@ -55,10 +54,6 @@ DET_LIFT_TOL = 1e-6
 # 0.86 s at D = 1528, 2.0 s at D = 2040 and 14 s at D = 4072; the bench
 # corpora reach D = 1616.
 MAX_FORM_DIM = 2048
-
-
-class BasedFamilyCheckError(AssertionError):
-    """ind(F_0) != 2nN: the null cut misjudged the family's zero blocks."""
 
 
 class BasedFamily:
@@ -151,11 +146,8 @@ def _travel(path, a, b):
 
 
 def _segment_parts(A, d):
-    """ceil(||A|| d / (pi/2)), at least 1; ValueError if ||A|| d is not finite."""
-    travel = _opnorm(A) * d
-    if not math.isfinite(travel):
-        raise ValueError(f"phase travel ||A|| d = {travel!r} of a segment is not finite")
-    return max(1, math.ceil(travel / MAX_TRAVEL - 1e-12))
+    """ceil(||A|| d / (pi/2)), at least 1; `UnitaryPath` keeps ||A|| d finite."""
+    return max(1, math.ceil(_opnorm(A) * d / MAX_TRAVEL - 1e-12))
 
 
 def subdivision_count(path):
@@ -183,21 +175,21 @@ def subdivide(path):
     return np.array(pts)
 
 
-def maslov_index(path, breakpoints=None, tol=quadratic.DEFAULT_NULL_TOL):
+def maslov_index(path, breakpoints=None):
     """mu(path) = ind(F_0) - ind(F_1) over a based family."""
     fam = BasedFamily(path, breakpoints)
     n2 = 2 * path.lens.n
-    i0 = index(fam.form_at(0.0), tol)
+    i0 = index(fam.form_at(0.0))
     if i0 != n2 * fam.N:
-        raise BasedFamilyCheckError(
+        raise AssertionError(
             f"based-family self-check failed: ind(F_0) = {i0} != {n2 * fam.N}"
         )
-    return i0 - index(fam.form_at(1.0), tol)
+    return i0 - index(fam.form_at(1.0))
 
 
-def maslov_shifted(path, T, tol=quadratic.DEFAULT_NULL_TOL):
+def maslov_shifted(path, T):
     """mu of the Reeb-shifted class r_{-T} . path."""
-    return maslov_index(reeb_shift(path, T), tol=tol)
+    return maslov_index(reeb_shift(path, T))
 
 
 @dataclass(frozen=True)

@@ -250,19 +250,12 @@ def selector_lower_bounds(path):
     lens = path.lens
     cp, cm = c_plus(path), c_minus(path)
     candidates = [0]
-    chain = []
     if cp > IDENTITY_CLASS_TOL:
-        d = lens.period_multiple(cp, "floor") + 1
-        candidates.append(d)
-        chain.append(f"c_+ = {cp:.12g} > 0: dis >= floor(c_+/T_w) + 1 = {d}")
-    if cm < -IDENTITY_CLASS_TOL:
-        d = lens.period_multiple(-cm, "floor") + 1
-        candidates.append(d)
-        chain.append(f"c_- = {cm:.12g} < 0: dis >= floor(-c_-/T_w) + 1 = {d} (duality)")
+        candidates.append(lens.period_multiple(cp, "floor") + 1)
+    if cm < -IDENTITY_CLASS_TOL:  # the inverse path's c_+ is -c_- (duality)
+        candidates.append(lens.period_multiple(-cm, "floor") + 1)
     C, F = _lattice_pair(path)
-    osc = max(C, -F)
-    chain.append(f"osc >= nu/T_w = {osc}")
-    return {"dis": max(candidates), "osc": osc, "chain": chain}
+    return {"dis": max(candidates), "osc": max(C, -F)}
 
 
 # --- reports ---

@@ -59,16 +59,17 @@ class UnitaryPath:
         if _validate:
             self._validate()  # the segments as given, before any arithmetic
         total = float(sum(d for _, d in self.segments))
-        if total <= 0:
-            raise PathError("total duration must be positive")
+        if not 0 < total < math.inf:
+            raise PathError(f"total duration {total!r} must be positive and finite")
         # reparametrize to total time 1: durations shrink, generators grow,
         # so the traced path of unitaries (and the endpoint) is unchanged
-        self.segments = [(A * total, float(d) / total) for A, d in self.segments]
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            self.segments = [(A * total, float(d) / total) for A, d in self.segments]
         self._starts = np.concatenate(
             [[0.0], np.cumsum([d for _, d in self.segments])]
         )
         self._starts[-1] = 1.0
-        self._eig = [np.linalg.eigh(A) for A, _ in self.segments]
+        self._eig = [self._finite_eigh(i, A, total) for i, (A, _) in enumerate(self.segments)]
         # prefix[i] = U(tau_i); prefix[N] = endpoint
         self._prefix = [np.eye(lens.n, dtype=complex)]
         for (A, d), (lam, V) in zip(self.segments, self._eig):
@@ -76,6 +77,21 @@ class UnitaryPath:
             self._prefix.append(step @ self._prefix[-1])
         self.endpoint = self._prefix[-1]
         self._step_cache = {}  # window_base -> MaslovEvaluation, filled by selectors
+
+    @staticmethod
+    def _finite_eigh(i, A, total):
+        """eigh of the rescaled generator A of segment i; PathError unless A
+        and its eigenvalues (the phase speeds) are finite.  eigh is undefined
+        on a non-finite A, and a finite A can still have an overflowing
+        eigenvalue."""
+        if not np.all(np.isfinite(A)):
+            raise PathError(f"generator times the total duration {total!r} is not finite", i)
+        lam, V = np.linalg.eigh(A)
+        if not np.all(np.isfinite(lam)):
+            raise PathError(
+                f"generator times the total duration {total!r} has a non-finite eigenvalue", i
+            )
+        return lam, V
 
     def _validate(self):
         """Each segment (A, d): A is n x n, finite (checked before any SVD),

@@ -8,7 +8,7 @@ symmetrization would mask assembly bugs).
 
 The cohomological index of the sublevel set cut out by an invariant form
 equals nullity + (number of negative eigenvalues); `index` computes that count
-with a relative tolerance for the exactly-zero blocks that appear in based
+with a fixed relative null cut for the exactly-zero blocks that appear in based
 families.
 """
 
@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Eigenvalue lambda counts as <= 0 when lambda <= tol * ||S||.  Based families
-# contain exactly-zero blocks whose eigenvalues are polluted at machine-eps
+# Eigenvalue lambda counts as <= 0 when lambda <= NULL_TOL * max |lambda|.
+# Based families contain exactly-zero blocks whose eigenvalues are polluted at machine-eps
 # scale by the sharp coupling, hence a relative rather than absolute cut.
-DEFAULT_NULL_TOL = 1e-8
+NULL_TOL = 1e-8
 
 # Cayley transform needs -1 away from spec(U); subdivision keeps eigenphases
 # within pi/2 of 0 so this guard only trips on contract violations.
@@ -107,13 +107,13 @@ def zero_form(lens):
     )
 
 
-def index(Q, tol=DEFAULT_NULL_TOL):
+def index(Q):
     """nullity + negative count = cohomological index of the sublevel set."""
     lam = np.linalg.eigvalsh(Q.matrix)
     scale = np.abs(lam).max() if lam.size else 0.0
     if scale < 1e-14:
         scale = 1.0  # zero form: every eigenvalue is null
-    return int(np.sum(lam <= tol * scale))
+    return int(np.sum(lam <= NULL_TOL * scale))
 
 
 def direct_sum(Q1, Q2):

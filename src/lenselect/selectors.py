@@ -57,9 +57,6 @@ class SelectorReport:
         """ceil(c_j / T_w) as an exact lattice integer."""
         return self.lens.period_multiple(self.values[j], "ceil")
 
-    def floor_multiple(self, j):
-        return self.lens.period_multiple(self.values[j], "floor")
-
 
 def selector_range(path, j_lo, j_hi, window_base=0.0):
     if j_lo > j_hi:

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import lenselect
 from lenselect import maslov
 from lenselect.cli import main
-from lenselect.jobs import JobError, parse_job, render_table, run_job, serialize
+from lenselect.jobs import TASK_PARAMS, JobError, parse_job, render_table, run_job, serialize
 from lenselect.paths import MAX_LENS_PHASES
 
 TWO_PI = 2 * math.pi
@@ -100,6 +100,19 @@ class TestParseJob:
             parse_job({"lens": {"k": 2, "weights": [1, 1]},
                        "task": {"frobnicate": {}}})
 
+    @pytest.mark.parametrize("task", list(TASK_PARAMS))
+    def test_tolerances_refused_on_every_task(self, task):
+        # the first key is named; the null cut is fixed like the others
+        doc = {**reeb_job(3, [1, 1], 1.0, {task: {}}),
+               "tolerances": {"null": 1e-8, "phase_cluster": 1e-9}}
+        with pytest.raises(JobError, match=r"^tolerances\.null:"):
+            parse_job(doc)
+
+    def test_empty_tolerances_accepted(self):
+        assert parse_job({**reeb_job(3, [1, 1], 1.0), "tolerances": {}}).path is not None
+        with pytest.raises(JobError, match=r"^tolerances:"):
+            parse_job({**reeb_job(3, [1, 1], 1.0), "tolerances": [1e-8]})
+
     def test_bad_duration(self):
         seg = {"generator": [[[1, 0]]], "duration": -1}
         doc = {
@@ -158,12 +171,13 @@ class TestRunJob:
         ({"trials": 2.0}, "task.verify.trials"),
         ({"seed": False}, "task.verify.seed"),
         ({"suite": ["thm1"]}, "task.verify.suite"),
+        ({"trails": 3}, "task.verify.trails"),
     ])
     def test_bad_verify_params(self, params, field):
         # the CLI flags are typed by argparse; a job built as JSON is not
-        job = parse_job({"lens": {"k": 2, "weights": [1, 1]}, "task": {"verify": params}})
         with pytest.raises(JobError, match=rf"^{field}:"):
-            run_job(job)
+            run_job(parse_job({"lens": {"k": 2, "weights": [1, 1]},
+                               "task": {"verify": params}}))
 
     def test_deterministic_serialization(self):
         doc = reeb_job(2, [1, 1], 1.5, {"selectors": {}})
@@ -224,6 +238,8 @@ class TestMain:
         ({"j_lo": 2, "j_hi": 1}, [], "task.selectors:"),
         ({}, ["--j-lo", "3", "--j-hi", "0"], "task.selectors:"),
         ({"j_lo": -1, "j_hi": 5}, ["--j-lo", "6"], "task.selectors:"),
+        ({"j": 0}, [], "task.selectors.j:"),
+        ({"window": 1.0}, ["--window-base", "1.0"], "task.selectors.window:"),
     ])
     def test_bad_selector_params_exit_two(self, tmp_path, capsys, params, flags, field):
         f = tmp_path / "job.json"
@@ -268,8 +284,9 @@ class TestMain:
         ("maslov", {"tolerances": {"null": None}}, [], "tolerances.null"),
         ("maslov", {"tolerances": {"null": -1e-8}}, [], "tolerances.null"),
         ("spectrum", {"tolerances": {"null": float("nan")}}, [], "tolerances.null"),
-        ("maslov", {}, ["--tol-null", "inf"], "tolerances.null"),
-        ("selectors", {}, ["--tol-null", "nan"], "tolerances.null"),
+        # the former default null cut is refused too: the cut is fixed
+        ("maslov", {"tolerances": {"null": 1e-8}}, [], "tolerances.null"),
+        ("selectors", {"tolerances": {"null": 1e-8}}, [], "tolerances.null"),
         ("maslov", {"path": {"random": {"seed": 3, "segments": 3, "norm_bound": 8}},
                     "tolerances": {"null": 0.5}}, [], "tolerances.null"),
         ("maslov", {"path": hermitian_path([[NAN, 0], [0, 0]])}, [],
@@ -288,20 +305,78 @@ class TestMain:
         ("verify", {}, ["--suite", "nope"], "task.verify.suite"),
         ("verify", {}, ["--trials", "0"], "task.verify.trials"),
         ("verify", {}, ["--seed", "-1"], "task.verify.seed"),
+        ("norms", {"tolerances": {"phase_cluster": 1e-9}}, [], "tolerances.phase_cluster"),
+        ("geodesic", {"task": {"geodesic": {"T": 1.0}}, "tolerances": {"period_snap": 0}},
+         [], "tolerances.period_snap"),
+        ("norms", {"task": {"norms": {"decompose": "false"}}}, [], "task.norms.decompose"),
+        ("norms", {"task": {"norms": {"decompose": 0}}}, [], "task.norms.decompose"),
+        ("norms", {"task": {"norms": {"decompose": False, "bogus": 1}}}, [],
+         "task.norms.bogus"),
+        ("maslov", {"task": {"maslov": {"null": 1e-8}}}, [], "task.maslov.null"),
+        ("spectrum", {"task": {"spectrum": {"level": "lens"}}}, [], "task.spectrum.level"),
+        ("geodesic", {"task": {"geodesic": {"T": 1.0, "k": 3}}}, [], "task.geodesic.k"),
     ])
     def test_bad_geodesic_or_tolerance_exit_two(self, tmp_path, capsys, command, doc,
                                                 flags, field):
         f = tmp_path / "job.json"
         f.write_text(json.dumps({**reeb_job(3, [1, 1], 1.0), **doc}))
-        assert main([command, str(f), *flags]) == 2
+        argv = [command, *flags] if command == "verify" else [command, str(f), *flags]
+        assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {field}")
+
+    @pytest.mark.parametrize("command", ["maslov", "selectors", "spectrum", "norms"])
+    @pytest.mark.parametrize("path, field", [
+        # A times the total duration overflows
+        (hermitian_path([[1e308, 0], [0, 1e308]], durations=[1e300]), "segments[0].generator"),
+        # finite entries, but the eigenvalue 2e308 overflows
+        (hermitian_path([[1e308, 1e308], [1e308, 1e308]]), "segments[0].generator"),
+        (hermitian_path([[1, 0], [0, 1]], [[1e308, 1e308], [1e308, 1e308]],
+                        durations=[0.5, 0.5]), "segments[1].generator"),
+        # each duration is finite, their sum is not
+        (hermitian_path([[1, 0], [0, 1]], [[1, 0], [0, 1]], durations=[1e308, 1e308]),
+         "piecewise_hermitian: total duration"),
+    ])
+    def test_overflowing_phase_travel_exit_two(self, tmp_path, capsys, command, path, field):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({"lens": {"k": 3, "weights": [1, 1]}, "path": path}))
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: path.") and field in err
+
+    @pytest.mark.parametrize("command", ["maslov", "selectors", "spectrum", "norms",
+                                         "geodesic", "verify"])
+    def test_tol_null_flag_refused(self, command, capsys):
+        with pytest.raises(SystemExit) as e:
+            main([command, "--tol-null", "1e-8"])
+        assert e.value.code == 2
+        assert "--tol-null" in capsys.readouterr().err
+
+    def test_verify_takes_no_job_file(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["verify", "--suite", "geodesic", "--trials", "1", "/nonexistent.json"])
+        assert e.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_random_path_mu_at_fixed_null_cut(self, tmp_path, capsys):
+        # a null cut of 0.2 gave mu = 0 on this job; the closed form gives 2
+        doc = {"lens": {"k": 3, "weights": [1, 1]},
+               "path": {"random": {"seed": 5, "segments": 2, "norm_bound": 3}}}
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        assert main(["maslov", str(f)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        closed_form = maslov.evaluate_step(parse_job(doc).path).value_at(0.0)
+        assert report["results"]["mu"] == closed_form == 2
+        assert report["tolerances"]["null"] == 1e-8
+        assert "tolerances" not in report["job"]
 
     @pytest.mark.parametrize("command, doc, field", [
         # ||A|| d ~ 1e308: subdivide would list ~1e308 breakpoints
         ("maslov", {"path": {"random": {"seed": 1, "norm_bound": 1e308}}}, "path"),
         ("maslov", {"path": {"reeb": 1e300}}, "path"),
-        # ||A|| overflows to inf
-        ("maslov", {"path": hermitian_path([[1e308, 1e308], [1e308, 1e308]])}, "path"),
+        # an eigenvalue of A overflows to inf: refused by UnitaryPath
+        ("maslov", {"path": hermitian_path([[1e308, 1e308], [1e308, 1e308]])},
+         "path.piecewise_hermitian.segments[0].generator"),
         # N = 160 intervals on L_3(1,1,1,1): D = 319 * 8 = 2552
         ("maslov", reeb_job(3, [1, 1, 1, 1], 250.0), "path"),
         ("spectrum", {"lens": {"k": 10**8, "weights": [1, 1]}}, "lens.k"),
@@ -342,18 +417,23 @@ class TestMain:
     @settings(max_examples=60, deadline=None)
     def test_geodesic_and_null_values_exit_zero_or_two(self, tmp_path_factory, command,
                                                        T, null):
-        doc = {**reeb_job(3, [1, 1], 1.0, {"geodesic": {"T": T}}),
-               "tolerances": {"null": null}}
-        f = tmp_path_factory.mktemp("job") / "job.json"
-        f.write_text(json.dumps(doc))
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([command, str(f)])
+        # any tolerances.null is refused; without it T alone decides
+        doc = reeb_job(3, [1, 1], 1.0, {"geodesic": {"T": T}})
+        directory = tmp_path_factory.mktemp("job")
+
+        def run(document):
+            f = directory / "job.json"
+            f.write_text(json.dumps(document))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                return main([command, str(f)]), err.getvalue()
+
+        code, err = run({**doc, "tolerances": {"null": null}})
+        assert code == 2 and err.startswith("error: tolerances.null:")
+        code, err = run(doc)
         assert code in (0, 2)
         if code == 2:
-            fields = ("tolerances.null",) if command == "maslov" else (
-                "tolerances.null", "task.geodesic.T")
-            assert err.getvalue().startswith(tuple(f"error: {f}" for f in fields))
+            assert command == "geodesic" and err.startswith("error: task.geodesic.T:")
 
     def test_jobs_do_not_import_scipy(self, tmp_path):
         # scipy.linalg is loaded only by the product-path log; none of these
