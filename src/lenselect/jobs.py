@@ -194,6 +194,17 @@ def _require_path(job):
     return job.path
 
 
+def _det_lift_path(job):
+    """The path of a task answered by the det-lift closed form, refused when
+    the lift's roundoff bound exceeds `maslov.DET_LIFT_TOL`."""
+    p = _require_path(job)
+    err = maslov.det_lift_roundoff(p)
+    _require(err <= maslov.DET_LIFT_TOL, "path",
+             f"the det-lift sum tr(A) d has roundoff up to {err:.3g}, "
+             f"more than {maslov.DET_LIFT_TOL:g}")
+    return p
+
+
 def _selector_params(params, lens):
     """(j_lo, j_hi, window_base) of a selectors task, after the CLI merge."""
     j_lo = params.get("j_lo", -2 * lens.n + 1)
@@ -292,7 +303,7 @@ def run_job(job, overrides=None):
         )
     elif task == "selectors":
         j_lo, j_hi, base = _selector_params(params, lens)
-        p = _require_path(job)
+        p = _det_lift_path(job)
         rep = selectors.selector_range(p, j_lo, j_hi, window_base=base)
         res["selectors"] = {str(j): rep.values[j] for j in range(j_lo, j_hi + 1)}
         res["c_plus"] = rep.c_plus
@@ -326,7 +337,7 @@ def run_job(job, overrides=None):
             "over deck powers m of eigenphases of g^-m U_1"
         )
     elif task == "norms":
-        p = _require_path(job)
+        p = _det_lift_path(job)
         decompose = params.get("decompose", False)
         _require(isinstance(decompose, bool), "task.norms.decompose",
                  "decompose must be true or false")

@@ -9,9 +9,13 @@ The total dimension of F_t is constant in t, so
     mu = ind(F_0) - ind(F_1)
 
 is a difference of indices on one fixed space, with ind(F_0) = 2nN asserted
-as a per-run self-check.  `BasedFamily.form_at` writes every Cayley block and
-every +-2J coupling of the # chain straight into one preallocated matrix, at
-the slots the chain gives them.
+as a per-run self-check.  Every block of F_t is complex-linear, so
+`BasedFamily.form_at` holds F_t as the Hermitian matrix of size (2N - 1) n
+that it realifies: each Cayley block is the Hermitian A of the factor and
+each +-2J coupling is +-2i I, written straight into one preallocated matrix
+at the slots the # chain gives them.  `quadratic.index` counts each
+eigenvalue of that matrix twice, as the real form of dimension
+D = (2N - 1) 2n has it.
 
 Closed form (the step function).  On the universal cover of U(n) a path class
 is fixed by its endpoint together with the lift of arg det, and for a
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import reeb_shift, cluster_phases, _eigenphases, _opnorm
-from .quadratic import InvariantQuadraticForm, cayley_gf, complex_structure, index
+from .quadratic import InvariantQuadraticForm, base_phases, cayley_hermitian, index
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,13 +50,24 @@ MAX_TRAVEL = math.pi / 2
 
 # The det-lift winding W is an integer up to roundoff in the lift and the
 # endpoint eigenphases; a larger miss means the path data are inconsistent.
+#
+# The check means something only while the lift itself is that accurate.  In
+# float64 (unit roundoff u = 2^-53), tr(A_i) sums n diagonal entries, with
+# error <= (n - 1) u sum_j |a_jj|; the product by d_i adds one rounding and
+# the sum over S segments (S - 1) u times the sum of the terms' sizes.  To
+# first order the computed L misses the exact one by at most
+#     (n + S - 1) u Lambda,    Lambda = sum_i d_i sum_j |(A_i)_jj|,
+# which `det_lift_roundoff` returns.  Past DET_LIFT_TOL the rounded W can be
+# the wrong integer and still pass the check (from |W| = 2^52 on, every float
+# is an integer), so a path with a larger bound is refused up front.
 DET_LIFT_TOL = 1e-6
 
-# Largest form dimension D = (2N - 1) * 2n the `maslov` job builds: the
-# generating-function index costs O(D^3) in two dense eigvalsh calls.  On one
-# BLAS thread (2 vCPU, OpenBLAS 0.3.31) Reeb paths over L_3(1,1,1,1) took
-# 0.86 s at D = 1528, 2.0 s at D = 2040 and 14 s at D = 4072; the bench
-# corpora reach D = 1616.
+# Largest real form dimension D = (2N - 1) * 2n the `maslov` job builds: the
+# generating-function index costs O(D^3) in two dense eigvalsh calls on the
+# complex Hermitian matrix of size D/2.  On one BLAS thread (2 vCPU, OpenBLAS
+# 0.3.31) `maslov_index` on Reeb paths over L_3(1,1,1,1) took 0.21 s at
+# D = 1528, 0.46 s at D = 2040 and 3.3 s at D = 4072; the bench corpora reach
+# D = 1616.
 MAX_FORM_DIM = 2048
 
 
@@ -83,51 +98,48 @@ class BasedFamily:
                     f"interval [{a}, {b}] exceeds the pi/2 phase-travel bound"
                 )
 
-    def factors(self, t):
-        """Cayley generating functions C_1..C_N of the clamped factors at t."""
+    def transitions(self, t):
+        """The clamped factors V_1(t)..V_N(t), each in the Cayley domain."""
         s = self.breakpoints
         return [
-            cayley_gf(
-                self.path.value(min(max(t, s[i]), s[i + 1])) @ self._inv_at_start[i],
-                self.lens,
-            )
+            self.path.value(min(max(t, s[i]), s[i + 1])) @ self._inv_at_start[i]
             for i in range(self.N)
         ]
 
     def form_at(self, t):
         """F_t = (..((C_1 # C_2) # C_3) ..) # C_N, assembled in one block.
 
-        The left-associated chain lays out its 2N-1 blocks of size 2n as
+        Every block of the chain is complex-linear, so F_t is held as the
+        Hermitian matrix it realifies, of size (2N-1) n: the Cayley factor
+        C_m is `cayley_hermitian(V_m)` and each +-2J coupling is +-2i I.
+        The chain lays out its 2N-1 blocks of size n as
         [q_N, q_{N-1}, C_N, q_{N-2}, C_{N-1}, ..., q_2, C_3, C_1, C_2], where
         q_m is the base added by the m-th # and C_1 doubles as the base of
         the first factor.  Level m couples (q_m, base of level m-1, C_m) as
-        `sharp` does; every entry is written once, so the matrix equals the
-        chain's entry for entry.
+        `sharp` does; every entry is written once, so `realify` of the matrix
+        equals the chain's entry for entry.
         """
-        C = self.factors(t)
-        N = self.N
-        if N == 1:
-            return C[0]
-        n2 = 2 * self.lens.n
-        H = np.zeros((self.total_dim, self.total_dim))
+        C = [cayley_hermitian(V) for V in self.transitions(t)]
+        N, n = self.N, self.lens.n
+        H = np.zeros(((2 * N - 1) * n,) * 2, dtype=complex)
 
         def blk(p):
-            return slice(p * n2, (p + 1) * n2)
+            return slice(p * n, (p + 1) * n)
 
         def base(m):  # slot of the base of the level-m composite
             return 0 if m == N else 2 * (N - m) - 1
 
-        H[blk(base(1)), blk(base(1))] += C[0].matrix
-        J = complex_structure(n2 // 2)
+        H[blk(base(1)), blk(base(1))] = C[0]
+        I2 = 2j * np.eye(n)
         for m in range(2, N + 1):
             q, z1, z2 = blk(base(m)), blk(base(m - 1)), blk(2 * (N - m) + 2)
-            H[z2, z2] += C[m - 1].matrix
+            H[z2, z2] = C[m - 1]
             # -2<z2 - q, i(z1 - q)>, as in `sharp`
-            for a, b, M in ((z2, z1, -2.0 * J), (z2, q, 2.0 * J), (q, z1, 2.0 * J)):
-                H[a, b] += M
-                H[b, a] += M.T
-        phases = np.tile(C[0].action_phases, 2 * N - 1)
-        return InvariantQuadraticForm(H, n2, phases, self.lens.k_prime)
+            for a, b, M in ((z2, z1, -I2), (z2, q, I2), (q, z1, I2)):
+                H[a, b] = M
+                H[b, a] = M.conj().T
+        phases = np.tile(base_phases(self.lens), 2 * N - 1)
+        return InvariantQuadraticForm(H, 2 * n, phases, self.lens.k_prime)
 
     @property
     def total_dim(self):
@@ -238,6 +250,16 @@ class MaslovEvaluation:
     def drops(self):
         vals = np.concatenate([[self.pre_value], self.values])
         return (-np.diff(vals)).astype(int)
+
+
+def det_lift_roundoff(path):
+    """First-order bound on the float64 roundoff in L = sum_i tr(A_i) d_i.
+
+    See DET_LIFT_TOL; inf when Lambda itself overflows.
+    """
+    with np.errstate(over="ignore"):
+        size = sum(float(np.abs(np.diag(A).real).sum()) * d for A, d in path.segments)
+    return (path.lens.n + len(path.segments) - 1) * np.finfo(float).eps / 2 * size
 
 
 def evaluate_step(path, window_base=0.0):

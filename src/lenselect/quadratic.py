@@ -6,10 +6,14 @@ action_phases[j]; every constructor below produces exactly invariant forms, and
 validation checks invariance rather than projecting onto it (silent
 symmetrization would mask assembly bugs).
 
+A form whose every block is complex-linear (the based families of `maslov`)
+is held as the complex Hermitian M x M matrix A it realifies: the real form is
+`realify(A)`, whose spectrum is that of A with every eigenvalue twice.
+
 The cohomological index of the sublevel set cut out by an invariant form
 equals nullity + (number of negative eigenvalues); `index` computes that count
 with a fixed relative null cut for the exactly-zero blocks that appear in based
-families.
+families, and on a Hermitian A counts each eigenvalue of A twice.
 """
 
 from dataclasses import dataclass
@@ -62,21 +66,25 @@ def rotation_matrix(phases):
 
 @dataclass(frozen=True)
 class InvariantQuadraticForm:
-    matrix: np.ndarray  # real symmetric, 2M x 2M; W(v) = 1/2 v^T S v
+    # real symmetric S, 2M x 2M, with W(v) = 1/2 v^T S v; or complex Hermitian
+    # A, M x M, standing for S = realify(A).  `sharp` and `direct_sum` take
+    # real forms only.
+    matrix: np.ndarray
     base_dim: int  # 2n, the first n complex coordinates
     action_phases: np.ndarray  # M angles, multiples of 2*pi/k_prime
     k_prime: int
 
     @property
     def total_dim(self):
-        return self.matrix.shape[0]
+        """Real dimension 2M of the space the form lives on."""
+        return self.matrix.shape[0] * (2 if np.iscomplexobj(self.matrix) else 1)
 
     @property
     def fiber_dim(self):
         return self.total_dim - self.base_dim
 
     def validate(self):
-        S = self.matrix
+        S = realify(self.matrix) if np.iscomplexobj(self.matrix) else self.matrix
         scale = max(np.linalg.norm(S), 1.0)
         if not np.all(np.isfinite(S)):
             raise ValueError("form matrix has non-finite entries")
@@ -108,12 +116,18 @@ def zero_form(lens):
 
 
 def index(Q):
-    """nullity + negative count = cohomological index of the sublevel set."""
+    """nullity + negative count = cohomological index of the sublevel set.
+
+    A complex Hermitian matrix counts twice: each of its eigenvalues is a
+    double eigenvalue of its realification, so the dense eigvalsh runs at
+    half the real dimension.
+    """
     lam = np.linalg.eigvalsh(Q.matrix)
     scale = np.abs(lam).max() if lam.size else 0.0
     if scale < 1e-14:
         scale = 1.0  # zero form: every eigenvalue is null
-    return int(np.sum(lam <= NULL_TOL * scale))
+    count = int(np.sum(lam <= NULL_TOL * scale))
+    return 2 * count if np.iscomplexobj(Q.matrix) else count
 
 
 def direct_sum(Q1, Q2):
@@ -183,21 +197,25 @@ def sharp(F, G, lens=None):
     return InvariantQuadraticForm(H, n2, phases, F.k_prime)
 
 
-def cayley_gf(U, lens):
-    """Fiberless generating function of the unitary U via the Cayley transform.
-
-    W(q) = 1/2 q^T realify(A) q with A = 2i(I - U)(I + U)^{-1} Hermitian.
-    Contract: for q = (z + Uz)/2 the differential dW(q) is the covector
-    i(z - Uz), i.e. the form generates the graph of U.
-    """
-    m = U.shape[0]
+def cayley_hermitian(U):
+    """The Hermitian A = 2i(I - U)(I + U)^{-1} of the unitary U."""
     lam = np.linalg.eigvals(U)
     if np.abs(lam + 1.0).min() < CAYLEY_GUARD:
         raise CayleyDomainError(
             "Cayley transform undefined: eigenvalue of U within "
             f"{CAYLEY_GUARD} of -1 (subdivide the path)"
         )
-    I = np.eye(m)
+    I = np.eye(U.shape[0])
     A = 2j * (I - U) @ np.linalg.inv(I + U)
-    A = (A + A.conj().T) / 2.0  # Hermitian up to roundoff by construction
-    return InvariantQuadraticForm(realify(A), 2 * m, base_phases(lens), lens.k_prime)
+    return (A + A.conj().T) / 2.0  # Hermitian up to roundoff by construction
+
+
+def cayley_gf(U, lens):
+    """Fiberless generating function of the unitary U via the Cayley transform.
+
+    W(q) = 1/2 q^T realify(A) q with A = `cayley_hermitian(U)`.
+    Contract: for q = (z + Uz)/2 the differential dW(q) is the covector
+    i(z - Uz), i.e. the form generates the graph of U.
+    """
+    S = realify(cayley_hermitian(U))
+    return InvariantQuadraticForm(S, 2 * U.shape[0], base_phases(lens), lens.k_prime)

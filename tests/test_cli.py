@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -382,14 +383,32 @@ class TestMain:
         ("spectrum", {"lens": {"k": 10**8, "weights": [1, 1]}}, "lens.k"),
         ("spectrum", {"lens": {"k": MAX_LENS_PHASES // 2 + 1, "weights": [1, 1]}},
          "lens.k"),
+        # the det-lift sum tr(A) d = 2T rounds off by more than DET_LIFT_TOL
+        ("selectors", {"path": {"reeb": 1e300}}, "path"),
+        ("selectors", {"path": {"reeb": 1e17}}, "path"),
+        ("norms", {"path": {"reeb": 1e300}}, "path"),
+        ("norms", {"path": {"reeb": 1e17}}, "path"),
     ])
     def test_cost_over_cap_exits_two_at_once(self, tmp_path, capsys, command, doc, field):
         f = tmp_path / "job.json"
         f.write_text(json.dumps({**reeb_job(3, [1, 1], 1.0), **doc}))
         start = time.perf_counter()
-        assert main([command, str(f)]) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, str(f)]) == 2
         assert time.perf_counter() - start < 5
         assert capsys.readouterr().err.startswith(f"error: {field}:")
+
+    def test_det_lift_bound_boundary(self, tmp_path, capsys):
+        # L_3(1,1): a Reeb path of time T has lift 2T and roundoff bound
+        # 2u * 2T, which passes DET_LIFT_TOL at T = 2.2e9 but not at 2.3e9
+        under, over = (parse_job(reeb_job(3, [1, 1], T)).path for T in (2.2e9, 2.3e9))
+        assert (maslov.det_lift_roundoff(under) <= maslov.DET_LIFT_TOL
+                < maslov.det_lift_roundoff(over))
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 2.2e9)))
+        assert main(["selectors", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["c_plus"] == 2.2e9
 
     def test_maslov_form_cap_boundary(self, tmp_path, capsys):
         # L_3(1): a generator 256 pi for time 1 gives N = 512 intervals and

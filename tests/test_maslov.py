@@ -21,7 +21,7 @@ from lenselect.paths import (
     reeb_path,
     reeb_shift,
 )
-from lenselect.quadratic import sharp
+from lenselect.quadratic import InvariantQuadraticForm, cayley_gf, index, realify, sharp
 
 TWO_PI = 2 * math.pi
 
@@ -79,10 +79,28 @@ class TestBasedFamily:
         p = random_path(new_lens(5, [1, 2, 3]), np.random.default_rng(N), norm_bound=1.0)
         fam = BasedFamily(p, np.linspace(0.0, 1.0, N + 1))
         F = fam.form_at(t)
-        chain = functools.reduce(sharp, fam.factors(t))
-        assert np.array_equal(F.matrix, chain.matrix)
+        chain = functools.reduce(sharp, [cayley_gf(V, fam.lens) for V in fam.transitions(t)])
+        assert np.array_equal(realify(F.matrix), chain.matrix)
         assert np.array_equal(F.action_phases, chain.action_phases)
         assert F.total_dim == fam.total_dim
+
+    @pytest.mark.parametrize("k, weights", DET_LIFT_LENSES)
+    @pytest.mark.parametrize("path", ["random", 1, 2])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_complex_form_index_is_its_realification_index(self, k, weights, path, t):
+        # Reeb paths at T = 2 pi and 4 pi end at the identity: exact null blocks
+        lens = new_lens(k, weights)
+        p = (random_path(lens, np.random.default_rng(k), segments=3, norm_bound=4.0)
+             if path == "random" else reeb_path(lens, TWO_PI * path))
+        fam = BasedFamily(p)
+        F = fam.form_at(t)
+        M = (2 * fam.N - 1) * lens.n
+        assert F.matrix.shape == (M, M) and np.iscomplexobj(F.matrix)
+        assert F.total_dim == fam.total_dim == 2 * M
+        F.validate()  # its realification is symmetric and Z_k'-invariant
+        real = InvariantQuadraticForm(realify(F.matrix), F.base_dim, F.action_phases,
+                                      F.k_prime)
+        assert index(F) == index(real)
 
 
 class TestMaslovIndex:
