@@ -194,14 +194,19 @@ def _require_path(job):
     return job.path
 
 
-def _det_lift_path(job):
+def _det_lift_path(job, window_base=0.0):
     """The path of a task answered by the det-lift closed form, refused when
-    the lift's roundoff bound exceeds `maslov.DET_LIFT_TOL`."""
+    the lift's roundoff bound exceeds `maslov.DET_LIFT_TOL`, and for
+    `selectors` also when its window base takes the bound past it."""
     p = _require_path(job)
     err = maslov.det_lift_roundoff(p)
     _require(err <= maslov.DET_LIFT_TOL, "path",
              f"the det-lift sum tr(A) d has roundoff up to {err:.3g}, "
              f"more than {maslov.DET_LIFT_TOL:g}")
+    err = maslov.det_lift_roundoff(p, window_base)
+    _require(err <= maslov.DET_LIFT_TOL, "task.selectors.window_base",
+             f"window_base = {window_base!r} puts the det-lift roundoff bound "
+             f"at {err:.3g}, more than {maslov.DET_LIFT_TOL:g}")
     return p
 
 
@@ -303,7 +308,7 @@ def run_job(job, overrides=None):
         )
     elif task == "selectors":
         j_lo, j_hi, base = _selector_params(params, lens)
-        p = _det_lift_path(job)
+        p = _det_lift_path(job, base)
         rep = selectors.selector_range(p, j_lo, j_hi, window_base=base)
         res["selectors"] = {str(j): rep.values[j] for j in range(j_lo, j_hi + 1)}
         res["c_plus"] = rep.c_plus

@@ -9,13 +9,24 @@ The total dimension of F_t is constant in t, so
     mu = ind(F_0) - ind(F_1)
 
 is a difference of indices on one fixed space, with ind(F_0) = 2nN asserted
-as a per-run self-check.  Every block of F_t is complex-linear, so
-`BasedFamily.form_at` holds F_t as the Hermitian matrix of size (2N - 1) n
-that it realifies: each Cayley block is the Hermitian A of the factor and
-each +-2J coupling is +-2i I, written straight into one preallocated matrix
-at the slots the # chain gives them.  `quadratic.index` counts each
-eigenvalue of that matrix twice, as the real form of dimension
-D = (2N - 1) 2n has it.
+as a per-run self-check.  Every block of F_t is complex-linear, so F_t is
+the realification of a Hermitian matrix H of size (2N - 1) n: each Cayley
+block is the Hermitian A of the factor and each +-2J coupling is +-2i I, and
+each eigenvalue of H counts twice in the real form of dimension
+D = (2N - 1) 2n.
+
+`BasedFamily.index_at` counts ind(F_t) in O(N n^3) without assembling H.
+Level m of the # chain couples its fiber (the front left by the levels
+before it, the C_m slot and any carried directions) to nothing but its new
+base q_m, so H has block bandwidth 3 and its inertia follows level by level
+(Sylvester's law; Haynsworth 1968): each fiber pivot is diagonalized, its
+well-conditioned directions are eliminated onto q_m and the near-null ones
+are carried into the next front instead of being divided by.  The dense
+null cut NULL_TOL * max |lambda(H)| is matched exactly by counting the
+nonpositive inertia of H - cI at two cuts c that bracket it: equal counts
+certify the dense count.  `BasedFamily.form_at` assembles H itself; with
+`quadratic.index` it is the reference, and the fallback when the bracket
+does not certify a count or the form is small.
 
 Closed form (the step function).  On the universal cover of U(n) a path class
 is fixed by its endpoint together with the lift of arg det, and for a
@@ -39,13 +50,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paths import reeb_shift, cluster_phases, _eigenphases, _opnorm
-from .quadratic import InvariantQuadraticForm, base_phases, cayley_hermitian, index
+from .quadratic import (
+    NULL_TOL,
+    InvariantQuadraticForm,
+    base_phases,
+    cayley_hermitian,
+    index,
+)
 
 TWO_PI = 2.0 * math.pi
 
 # Phase travel per subdivision interval; keeps ||V - I|| <= sqrt(2), i.e.
 # transition eigenvalues in the closed right half-circle, so tan(theta/2) <= 1
-# and the Cayley factors have norm <= 1.
+# and the Cayley blocks, with eigenvalues 2 tan(theta/2), have norm <= 2.
 MAX_TRAVEL = math.pi / 2
 
 # The det-lift winding W is an integer up to roundoff in the lift and the
@@ -60,15 +77,61 @@ MAX_TRAVEL = math.pi / 2
 # which `det_lift_roundoff` returns.  Past DET_LIFT_TOL the rounded W can be
 # the wrong integer and still pass the check (from |W| = 2^52 on, every float
 # is an integer), so a path with a larger bound is refused up front.
+#
+# The window adds roundoff of its own: W is evaluated at the gap midpoints
+# mid of [window_base, window_base + 2 pi).  An error in mid itself cancels
+# (it moves n mid and sum_j phi_j by the same amount while mid stays in its
+# gap); the product n mid, the n differences mid - theta_j, their reductions
+# modulo the rounded 2 pi and the two sums of terms of size n |mid| each add
+# at most about n u |mid|.  So W misses by at most (5 / 2 pi) n u |mid|, less
+# than n u |window_base| + 5 n u, and `det_lift_roundoff(path, window_base)`
+# adds n u |window_base| to the bound on L.
 DET_LIFT_TOL = 1e-6
 
-# Largest real form dimension D = (2N - 1) * 2n the `maslov` job builds: the
-# generating-function index costs O(D^3) in two dense eigvalsh calls on the
-# complex Hermitian matrix of size D/2.  On one BLAS thread (2 vCPU, OpenBLAS
-# 0.3.31) `maslov_index` on Reeb paths over L_3(1,1,1,1) took 0.21 s at
-# D = 1528, 0.46 s at D = 2040 and 3.3 s at D = 4072; the bench corpora reach
-# D = 1616.
+# Largest real form dimension D = (2N - 1) * 2n the `maslov` job accepts.
+# `index_at` costs O(N n^3), but its dense fallback costs O(D^3) in two
+# eigvalsh calls on the complex Hermitian matrix of size D/2, and the cap
+# bounds that.  On one BLAS thread (2 vCPU, OpenBLAS 0.3.31), on Reeb paths
+# over L_3(1,1,1,1), the two dense counts took 0.23 s at D = 1528, 0.48 s at
+# D = 2040 and 3.0 s at D = 4072, and `maslov_index` 12, 14 and 27 ms; the
+# bench corpora reach D = 1616.
 MAX_FORM_DIM = 2048
+
+# `BasedFamily.index_at` counts the eigenvalues of the Maslov form H below the
+# null cut by block elimination of H - cI (`_shifted_counts`).
+#
+# ELIM_PIVOT: pivot eigenvalues with |lambda| below it are carried, not
+# divided by.  Every block of H has norm <= 2 (the Cayley blocks because
+# MAX_TRAVEL keeps their eigenvalues 2 tan(theta/2) in [-2, 2], the couplings
+# because they are +-2i I), and a level's fiber couples to its new base
+# through B with ||B|| = 2 sqrt(2).  So an elimination adds at most
+# ||B||^2 / ELIM_PIVOT = 8 / ELIM_PIVOT to the next front, and every pivot P
+# has ||P|| <= 8 / ELIM_PIVOT + 7.  eigh and the Schur update are backward
+# stable, and a perturbation of a Schur complement is one of the same size in
+# the block of H it lands on, so to first order the count is exact for some
+# H + E with ||E|| <= 2 d u ||P||, d = 2n + r the pivot size (r carried) and
+# u = 2^-53 (levels overlap only in their shared base).  At 1e-3 and d <= 24
+# (n = 8 with up to 8 carried) that is ||E|| <= 4.3e-11.
+#
+# NULL_BRACKET (kappa): the dense cut NULL_TOL * max |lambda(H)| lies in
+# [NULL_TOL s_lo, NULL_TOL s_hi] with s_lo = 2; the counts are taken at
+# NULL_TOL s_lo / kappa and NULL_TOL s_hi kappa.  Equal counts decide the
+# dense count while the guard band NULL_TOL s_lo (1 - 1/kappa) = 1e-8 exceeds
+# ||E|| plus the dense eigvalsh's own backward error (about D u s_hi <= 1e-12
+# at MAX_FORM_DIM), here by more than 200x.  A larger kappa widens the
+# window [1e-8, 1.6e-7] (s_hi = 8) in which an eigenvalue of H sends the count
+# to the dense fallback.
+ELIM_PIVOT = 1e-3
+NULL_BRACKET = 2.0
+
+# Below this real dimension D the dense count is as fast or faster: the
+# elimination costs about 40 us per level.  Medians of 61 alternating runs
+# at t = 1 on Reeb paths, one BLAS thread (2 vCPU, OpenBLAS 0.3.31), as
+# elimination against dense: n = 1, D = 126: 1.08 against 0.79 ms; n = 2,
+# D = 124: 0.53 against 0.45 ms and D = 156: 0.74 against 0.75 ms; n = 4,
+# D = 120: 0.68 against 0.67 ms and D = 152: 0.85 against 0.95 ms; n = 8
+# crosses earlier (D = 112: 0.47 against 0.54 ms).
+DENSE_BELOW = 128
 
 
 class BasedFamily:
@@ -84,42 +147,46 @@ class BasedFamily:
         )
         self._check_subdivision()
         self.N = len(self.breakpoints) - 1
-        self._inv_at_start = [
-            path.value(s).conj().T for s in self.breakpoints[:-1]
-        ]
+        self._U = np.array([path.value(s) for s in self.breakpoints])
+        self._inv_at_start = self._U[:-1].conj().swapaxes(-1, -2)
 
     def _check_subdivision(self):
         s = self.breakpoints
         if not (s[0] == 0.0 and s[-1] == 1.0 and np.all(np.diff(s) > 0)):
             raise ValueError("breakpoints must be strictly increasing from 0 to 1")
+        norms = [_opnorm(A) for A, _ in self.path.segments]
         for a, b in zip(s[:-1], s[1:]):
-            if _travel(self.path, a, b) > MAX_TRAVEL * (1 + 1e-9):
+            if _travel(self.path, norms, a, b) > MAX_TRAVEL * (1 + 1e-9):
                 raise ValueError(
                     f"interval [{a}, {b}] exceeds the pi/2 phase-travel bound"
                 )
 
     def transitions(self, t):
-        """The clamped factors V_1(t)..V_N(t), each in the Cayley domain."""
-        s = self.breakpoints
-        return [
-            self.path.value(min(max(t, s[i]), s[i + 1])) @ self._inv_at_start[i]
-            for i in range(self.N)
-        ]
+        """The clamped factors V_1(t)..V_N(t), stacked (N, n, n), each in the
+        Cayley domain."""
+        s, U = self.breakpoints, self._U
+        j = int(np.searchsorted(s, t, side="right")) - 1  # s_j <= t < s_{j+1}
+        ends = np.where((np.arange(self.N) < j)[:, None, None], U[1:], U[:-1])
+        if 0 <= j < self.N and t > s[j]:
+            ends[j] = self.path.value(t)
+        return ends @ self._inv_at_start
 
     def form_at(self, t):
         """F_t = (..((C_1 # C_2) # C_3) ..) # C_N, assembled in one block.
 
-        Every block of the chain is complex-linear, so F_t is held as the
-        Hermitian matrix it realifies, of size (2N-1) n: the Cayley factor
-        C_m is `cayley_hermitian(V_m)` and each +-2J coupling is +-2i I.
-        The chain lays out its 2N-1 blocks of size n as
+        The dense reference for `index_at`, which falls back to it when its
+        bracket cannot certify a count.  Every block of the chain is
+        complex-linear, so F_t is held as the Hermitian matrix it realifies,
+        of size (2N-1) n: the Cayley factor C_m is `cayley_hermitian(V_m)`
+        and each +-2J coupling is +-2i I.  The chain lays out its 2N-1 blocks
+        of size n as
         [q_N, q_{N-1}, C_N, q_{N-2}, C_{N-1}, ..., q_2, C_3, C_1, C_2], where
         q_m is the base added by the m-th # and C_1 doubles as the base of
         the first factor.  Level m couples (q_m, base of level m-1, C_m) as
         `sharp` does; every entry is written once, so `realify` of the matrix
         equals the chain's entry for entry.
         """
-        C = [cayley_hermitian(V) for V in self.transitions(t)]
+        C = cayley_hermitian(self.transitions(t))
         N, n = self.N, self.lens.n
         H = np.zeros(((2 * N - 1) * n,) * 2, dtype=complex)
 
@@ -141,19 +208,127 @@ class BasedFamily:
         phases = np.tile(base_phases(self.lens), 2 * N - 1)
         return InvariantQuadraticForm(H, 2 * n, phases, self.lens.k_prime)
 
+    def index_at(self, t):
+        """ind(F_t), the count `index(self.form_at(t))` makes, in O(N n^3).
+
+        With H the Hermitian matrix of `form_at`, the dense rule counts the
+        eigenvalues lam <= c = NULL_TOL * max |lam(H)|, i.e. the nonpositive
+        inertia of H - cI.  `_bracket_counts` takes it at two cuts that
+        bracket c; equal counts are the dense count, and otherwise the dense
+        form decides.  Forms of real dimension below DENSE_BELOW, and N = 1,
+        where H is C_1 itself, are counted dense.
+        """
+        if self.N > 1 and self.total_dim >= DENSE_BELOW:
+            lo, hi = self._bracket_counts(t)
+            if lo == hi:
+                return 2 * lo
+        return index(self.form_at(t))
+
+    def _bracket_counts(self, t):
+        """Nonpositive inertia of H - cI at c = NULL_TOL * 2 / NULL_BRACKET
+        and c = NULL_TOL * s_hi * NULL_BRACKET (N >= 2).
+
+        max |lam(H)| >= 2: every C_m sits in a principal block
+        [[0, +-2i I], [-+2i I, C_m]] with a q slot, whose eigenvalues
+        (c +- sqrt(c^2 + 16)) / 2 for c in spec(C_m) reach modulus 2 (Cauchy
+        interlacing).  max |lam(H)| <= s_hi, the largest Gershgorin row sum:
+        a base row holds at most four couplings of modulus 2 and no
+        diagonal, a C_m row its own row sum plus two couplings.  The count
+        is monotone in the cut, so equal counts certify that no eigenvalue
+        of H lies between the cuts, the dense cut included.
+        """
+        C = cayley_hermitian(self.transitions(t))
+        s_hi = max(8.0, 4.0 + float(np.abs(C).sum(axis=-1).max()))
+        cuts = NULL_TOL * np.array([2.0 / NULL_BRACKET, s_hi * NULL_BRACKET])
+        lo, hi = _shifted_counts(C, cuts)
+        return int(lo), int(hi)
+
     @property
     def total_dim(self):
         return (2 * self.N - 1) * 2 * self.lens.n
 
 
-def _travel(path, a, b):
-    """Upper bound on the phase travel of U_t U_a^{-1} for t in [a, b]."""
+def _shifted_counts(C, cuts):
+    """Nonpositive inertia of H - cI for each c in cuts, H the `form_at`
+    matrix of the Cayley blocks C (stacked (N, n, n), N >= 2).
+
+    Level m of the chain (m = 2..N) couples its fiber, which is the front
+    (the base of level m - 1, with everything before it eliminated into its
+    block), the C_m slot and the directions carried from earlier levels, to
+    nothing but its new base q_m.  So the fiber is a Hermitian pivot P of
+    size 2n + r; `eigh` rotates it to diagonal.  Directions with
+    |lam| >= ELIM_PIVOT are eliminated: their signs add to the count and
+    their Schur complement lands on q_m, whose block in H - cI is -cI.  The
+    others are carried into the next front as extra variables coupled only
+    to q_m, so no pivot near zero is ever divided by (at a lattice Reeb time
+    a partial product is -I and the plain 2n pivot is exactly singular).
+    After level N the front and the carried directions are counted by
+    eigvalsh.  Every step is a congruence, so the count is the inertia of
+    H - cI (Sylvester's law).  All cuts run as one stack; a cut that carries
+    fewer directions than another pads its carry with decoupled +1 entries,
+    which add nothing to the count.
+    """
+    N, n = C.shape[:2]
+    K = len(cuts)
+    I = np.eye(n)
+    cI = cuts[:, None, None] * I  # (K, n, n)
+    P0 = np.zeros((K, 2 * n, 2 * n), dtype=complex)
+    P0[:, :n, n:] = 2j * I  # H[base(m-1), C_m slot], as `form_at` writes it
+    P0[:, n:, :n] = -2j * I
+    S = C[:, None] - cI  # (N, K, n, n): the diagonal blocks of H - cI
+    front, W, mu = S[0], None, None
+    count = np.zeros(K, dtype=int)
+    for m in range(1, N):
+        P = P0.copy()
+        P[:, :n, :n] = front
+        P[:, n:, n:] = S[m]
+        if W is not None:
+            P = _with_carry(P, W, mu)
+        lam, V = np.linalg.eigh(P)
+        # The fiber couples to q_m by -2i I from the front and 2i I from the
+        # C_m slot, in the eigenbasis by G = 2i D^H with D = V_C - V_front;
+        # the Schur complement G^H lam^-1 G is 4 D lam^-1 D^H.
+        D = V[:, n : 2 * n] - V[:, :n]
+        small = np.abs(lam) < ELIM_PIVOT
+        count += (lam <= -ELIM_PIVOT).sum(axis=1)
+        W = None
+        if small.any():
+            r = int(small.sum(axis=1).max())
+            W = np.zeros((K, r, n), dtype=complex)
+            mu = np.ones((K, r))
+            for k in range(K):
+                j = np.flatnonzero(small[k])
+                W[k, : len(j)] = 2j * D[k][:, j].conj().T
+                mu[k, : len(j)] = lam[k, j]
+            lam = np.where(small, np.inf, lam)  # carried, not eliminated
+        front = (D * (-4.0 / lam)[:, None, :]) @ D.conj().swapaxes(1, 2) - cI
+    if W is not None:
+        front = _with_carry(front, W, mu)
+    return count + np.count_nonzero(np.linalg.eigvalsh(front) <= 0, axis=1)
+
+
+def _with_carry(X, W, mu):
+    """The stacked [[X, W^H], [W, diag mu]]: carried directions with pivots
+    mu, coupled by W (K, r, n) to the first n coordinates of X, the front."""
+    K, a = X.shape[:2]
+    r, n = W.shape[1:]
+    M = np.zeros((K, a + r, a + r), dtype=complex)
+    M[:, :a, :a] = X
+    M[:, a:, :n] = W
+    M[:, :n, a:] = W.conj().swapaxes(1, 2)
+    M[:, a:, a:] = mu[:, :, None] * np.eye(r)
+    return M
+
+
+def _travel(path, norms, a, b):
+    """Upper bound on the phase travel of U_t U_a^{-1} for t in [a, b], with
+    norms[i] the operator norm of segment i's generator."""
     total = 0.0
-    for i, (A, _) in enumerate(path.segments):
+    for i, norm in enumerate(norms):
         lo = max(path._starts[i], a)
         hi = min(path._starts[i + 1], b)
         if hi > lo:
-            total += _opnorm(A) * (hi - lo)
+            total += norm * (hi - lo)
     return total
 
 
@@ -188,15 +363,21 @@ def subdivide(path):
 
 
 def maslov_index(path, breakpoints=None):
-    """mu(path) = ind(F_0) - ind(F_1) over a based family."""
+    """mu(path) = ind(F_0) - ind(F_1) over a based family.
+
+    Both indices come from `BasedFamily.index_at`: block elimination along
+    the # chain with a carried front, counted at two cuts that bracket the
+    dense null cut, and the dense `form_at` form where the cuts disagree or
+    the form is small.
+    """
     fam = BasedFamily(path, breakpoints)
     n2 = 2 * path.lens.n
-    i0 = index(fam.form_at(0.0))
+    i0 = fam.index_at(0.0)
     if i0 != n2 * fam.N:
         raise AssertionError(
             f"based-family self-check failed: ind(F_0) = {i0} != {n2 * fam.N}"
         )
-    return i0 - index(fam.form_at(1.0))
+    return i0 - fam.index_at(1.0)
 
 
 def maslov_shifted(path, T):
@@ -252,14 +433,18 @@ class MaslovEvaluation:
         return (-np.diff(vals)).astype(int)
 
 
-def det_lift_roundoff(path):
-    """First-order bound on the float64 roundoff in L = sum_i tr(A_i) d_i.
+def det_lift_roundoff(path, window_base=0.0):
+    """First-order bound on the float64 roundoff in L = sum_i tr(A_i) d_i,
+    plus that of the window terms of W when the step function is evaluated
+    from window_base.
 
     See DET_LIFT_TOL; inf when Lambda itself overflows.
     """
+    u = np.finfo(float).eps / 2
     with np.errstate(over="ignore"):
         size = sum(float(np.abs(np.diag(A).real).sum()) * d for A, d in path.segments)
-    return (path.lens.n + len(path.segments) - 1) * np.finfo(float).eps / 2 * size
+    n = path.lens.n
+    return (n + len(path.segments) - 1) * u * size + n * u * abs(window_base)
 
 
 def evaluate_step(path, window_base=0.0):

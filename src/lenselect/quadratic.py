@@ -198,16 +198,22 @@ def sharp(F, G, lens=None):
 
 
 def cayley_hermitian(U):
-    """The Hermitian A = 2i(I - U)(I + U)^{-1} of the unitary U."""
+    """The Hermitian A = 2i(I - U)(I + U)^{-1} of the unitary U.
+
+    U may be a stack (..., n, n) of unitaries: one stacked eigvals makes the
+    guard test for all of them and one stacked inverse the transforms, each
+    rounded as the single-matrix transform is.
+    """
     lam = np.linalg.eigvals(U)
     if np.abs(lam + 1.0).min() < CAYLEY_GUARD:
         raise CayleyDomainError(
             "Cayley transform undefined: eigenvalue of U within "
             f"{CAYLEY_GUARD} of -1 (subdivide the path)"
         )
-    I = np.eye(U.shape[0])
+    I = np.eye(U.shape[-1])
     A = 2j * (I - U) @ np.linalg.inv(I + U)
-    return (A + A.conj().T) / 2.0  # Hermitian up to roundoff by construction
+    # Hermitian up to roundoff by construction
+    return (A + np.swapaxes(A.conj(), -1, -2)) / 2.0
 
 
 def cayley_gf(U, lens):

@@ -388,6 +388,13 @@ class TestMain:
         ("selectors", {"path": {"reeb": 1e17}}, "path"),
         ("norms", {"path": {"reeb": 1e300}}, "path"),
         ("norms", {"path": {"reeb": 1e17}}, "path"),
+        # the window terms n mid of W round off by about n u |window_base|
+        ("selectors", {"task": {"selectors": {"window_base": 1e17}}},
+         "task.selectors.window_base"),
+        ("selectors", {"task": {"selectors": {"window_base": -1e300}}},
+         "task.selectors.window_base"),
+        ("selectors", {"task": {"selectors": {"window_base": 1e300}}},
+         "task.selectors.window_base"),
     ])
     def test_cost_over_cap_exits_two_at_once(self, tmp_path, capsys, command, doc, field):
         f = tmp_path / "job.json"
@@ -409,6 +416,20 @@ class TestMain:
         f.write_text(json.dumps(reeb_job(3, [1, 1], 2.2e9)))
         assert main(["selectors", str(f)]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["c_plus"] == 2.2e9
+
+    def test_window_base_bound_boundary(self, tmp_path, capsys):
+        # L_3(1,1), Reeb T = 1: the bound is 4u + 2u |window_base|, which
+        # passes DET_LIFT_TOL at 4.5e9 but not at 4.6e9
+        p = parse_job(reeb_job(3, [1, 1], 1.0)).path
+        assert (maslov.det_lift_roundoff(p, -4.5e9) <= maslov.DET_LIFT_TOL
+                < maslov.det_lift_roundoff(p, 4.6e9))
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0,
+                                         {"selectors": {"window_base": -4.5e9}})))
+        assert main(["selectors", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["c_plus"] == 1.0
+        assert main(["selectors", str(f), "--window-base", "4.6e9"]) == 2
+        assert capsys.readouterr().err.startswith("error: task.selectors.window_base:")
 
     def test_maslov_form_cap_boundary(self, tmp_path, capsys):
         # L_3(1): a generator 256 pi for time 1 gives N = 512 intervals and

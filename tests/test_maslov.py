@@ -4,8 +4,10 @@ import math
 import numpy as np
 import pytest
 
+from lenselect import jobs, maslov
 from lenselect.lens import new_lens
 from lenselect.maslov import (
+    DENSE_BELOW,
     BasedFamily,
     evaluate_step,
     maslov_index,
@@ -21,7 +23,14 @@ from lenselect.paths import (
     reeb_path,
     reeb_shift,
 )
-from lenselect.quadratic import InvariantQuadraticForm, cayley_gf, index, realify, sharp
+from lenselect.quadratic import (
+    CayleyDomainError,
+    InvariantQuadraticForm,
+    cayley_gf,
+    index,
+    realify,
+    sharp,
+)
 
 TWO_PI = 2 * math.pi
 
@@ -101,6 +110,78 @@ class TestBasedFamily:
         real = InvariantQuadraticForm(realify(F.matrix), F.base_dim, F.action_phases,
                                       F.k_prime)
         assert index(F) == index(real)
+
+
+ELIM_LENSES = DET_LIFT_LENSES[1:] + [(7, [1] * 8)]
+
+
+def elim_path(lens, path):
+    """A seeded random path, or the Reeb path of time 2 pi * path."""
+    if path == "random":
+        return random_path(lens, np.random.default_rng([lens.k, *lens.weights]),
+                           segments=3, norm_bound=6.0)
+    return reeb_path(lens, TWO_PI * path)
+
+
+def count_calls(monkeypatch, cls, name):
+    calls = []
+    orig = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+    return calls
+
+
+class TestIndexAt:
+    @pytest.mark.parametrize("k, weights", ELIM_LENSES)
+    @pytest.mark.parametrize("path", ["random", 1, -1, 2])
+    @pytest.mark.parametrize("t", [0.0, 1.0])
+    def test_elimination_matches_dense_index(self, k, weights, path, t):
+        # Reeb paths at multiples of 2 pi pass through -I (a singular 2n
+        # pivot) and end at the identity (exact null blocks in F_1)
+        fam = BasedFamily(elim_path(new_lens(k, weights), path))
+        dense = index(fam.form_at(t))
+        lo, hi = fam._bracket_counts(t)
+        assert lo == hi and 2 * lo == dense
+        assert fam.index_at(t) == dense
+
+    def test_lattice_reeb_carries_directions(self, monkeypatch):
+        # L_3(1,1), T = 2 pi: the second partial product is -I
+        fam = BasedFamily(reeb_path(L3, TWO_PI))
+        pivots = count_calls(monkeypatch, maslov.np.linalg, "eigh")
+        lo, hi = fam._bracket_counts(1.0)
+        assert max(P.shape[-1] for (P,) in pivots) > 2 * L3.n
+        # ind(F_1) = ind(F_0) - mu = 2nN - 2n
+        assert 2 * lo == 2 * hi == 2 * L3.n * (fam.N - 1) == index(fam.form_at(1.0))
+
+    def test_certified_job_builds_no_dense_form(self, monkeypatch):
+        lens = new_lens(3, [1, 1, 1, 1])
+        job = jobs.parse_job({"lens": {"k": 3, "weights": [1, 1, 1, 1]},
+                              "path": {"reeb": 25.0}, "task": {"maslov": {}}})
+        assert BasedFamily(job.path).total_dim >= DENSE_BELOW
+        built = count_calls(monkeypatch, BasedFamily, "form_at")
+        assert jobs.run_job(job)["results"]["mu"] == 2 * lens.n * math.ceil(25.0 / TWO_PI)
+        assert built == []
+
+    def test_bracket_disagreement_falls_back_to_dense(self, monkeypatch):
+        lens = new_lens(3, [1, 1, 1, 1])
+        p = reeb_path(lens, 25.0)
+        monkeypatch.setattr(BasedFamily, "_bracket_counts", lambda self, t: (0, 1))
+        built = count_calls(monkeypatch, BasedFamily, "form_at")
+        assert maslov_index(p) == 2 * lens.n * math.ceil(25.0 / TWO_PI)
+        assert [t for _, t in built] == [0.0, 1.0]
+
+    def test_cayley_guard_is_batched(self):
+        lens = new_lens(3, [1, 1, 1, 1])
+        fam = BasedFamily(reeb_path(lens, 25.0))
+        assert fam.total_dim >= DENSE_BELOW  # index_at eliminates
+        # the third transition at t = 1 becomes -I
+        fam._inv_at_start[2] = -fam._U[3].conj().T
+        with pytest.raises(CayleyDomainError, match="-1"):
+            fam.index_at(1.0)
 
 
 class TestMaslovIndex:
