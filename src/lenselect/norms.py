@@ -16,7 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lens import PERIOD_SNAP_TOL
-from .paths import _joint_eigendata, _restrict_pieces, is_embedded, reeb_path
+from .paths import (
+    _envelope_slopes,
+    _joint_eigendata,
+    _restrict_pieces,
+    is_embedded,
+    reeb_path,
+)
 from .selectors import c_minus, c_plus
 
 TWO_PI = 2.0 * math.pi
@@ -136,7 +142,9 @@ def _exact_prefix(pieces, slopes, k, t):
     """End q of the maximal embedded prefix [t, q] of a commuting path.
 
     pieces are the path's (generator, start, end) pieces and slopes[i, j]
-    the slope of the eigenline phase f_j on piece i.  Every deck weight is a
+    the slope of the eigenline phase f_j on piece i.  With one column of
+    envelope slopes (paths._envelope_slopes) the same walk gives the
+    prefix that rule (b) of is_embedded certifies.  Every deck weight is a
     unit mod k, so the deck targets of f_j(q) - f_j(s) are exactly the
     multiples of 2 pi / k, and [t, q] is embedded while every f_j is
     strictly monotone and travels less than 2 pi / k - 1e-12 (the threshold
@@ -166,65 +174,61 @@ def _exact_prefix(pieces, slopes, k, t):
     return 1.0
 
 
-def _bisect_prefix(path, t):
-    """The largest prefix end q such that is_embedded certifies [t, q],
-    found by bisection (q == t when there is none), or None at the first
-    indeterminate probe.  The reference for _exact_prefix, and the route
-    for non-commuting paths."""
-    lo, hi, probe = t, 1.0, 1.0
-    # invariant: (t, lo] certified embedded (or lo == t), hi not
-    for _ in range(61):
-        embedded = is_embedded(path, t, probe).embedded
-        if embedded is None:
-            return None
-        if embedded:
-            lo = probe
-        else:
-            hi = probe
-        if hi - lo <= 1e-12 * max(1.0, hi):
-            break
-        probe = (lo + hi) / 2.0
-    return lo
-
-
-def _next_cut(path, pieces, data, t):
+def _next_cut(path, pieces, slopes, commuting, t):
     """End of the certified piece that starts at t, or None when none can
-    be certified: an indeterminate probe, or no embedded prefix past t (e.g.
-    a stationary eigenline, which every U_t U_s^{-1} from t on fixes)."""
+    be certified: no embedded prefix past t (e.g. a stationary eigenline,
+    which every U_t U_s^{-1} from t on fixes) or a failed certificate.
+
+    A constant stretch is its own piece.  On a commuting path, slopes are
+    the joint eigenline slopes and the cut is the exact prefix end.  On a
+    non-commuting path, slopes hold each piece's envelope slope as one
+    eigenline (paths._envelope_slopes; 0 on a mixed-sign piece, which stops
+    the prefix), and the cut is the later of two closed forms: rule (a), the
+    exact prefix inside the one piece that holds t, capped at its end, and
+    rule (b), the envelope prefix across pieces.  Either way one is_embedded
+    call certifies [t, q].
+    """
     run = _constant_run_end(path, t)
     if run > t + 1e-12:
         return run  # an identity factor; embedded by convention
-    q = None if data is None else _exact_prefix(pieces, data[0], path.lens.k, t)
-    if q is None or (q > t and not is_embedded(path, t, q).embedded):
-        q = _bisect_prefix(path, t)  # non-commuting, or the certificate failed
-    return None if q is None or (q <= t + 1e-9 and q < 1.0) else q
+    k = path.lens.k
+    q = _exact_prefix(pieces, slopes, k, t)
+    if not commuting:
+        piece = _restrict_pieces(path, t, 1.0)[0]
+        inside = _exact_prefix([piece], np.linalg.eigvalsh(piece[0])[None, :], k, t)
+        q = max(q, min(inside, piece[2]))
+    if q <= t + 1e-9 and q < 1.0:
+        return None
+    return q if is_embedded(path, t, q).embedded else None
 
 
 def greedy_embedded_decomposition(path):
     """Upper bound for the discriminant length via maximal embedded prefixes.
 
-    When the path's pieces commute, each cut is the exact end of the
-    maximal embedded prefix (_exact_prefix), re-certified by one is_embedded
-    call; after a failed certificate, and on a non-commuting path, the cut
-    is bisected over is_embedded instead (_bisect_prefix, also the
-    reference in the tests).  Constant stretches form their own
+    Each cut comes in closed form from _next_cut and carries one
+    is_embedded certificate: on a commuting path it is the exact end of the
+    maximal embedded prefix (_exact_prefix), and on a non-commuting path the
+    later of rule (a) (exact within one segment) and rule (b) (the envelope
+    bound on sign-definite stretches).  Constant stretches form their own
     (identity-factor) segments.  The loop ends only when [t, 1] is itself a
     segment, so a closed piece whose phase travel reaches 2 pi / k is never
     counted as one: a Reeb flow for time T gets floor(kT / 2 pi) + 1
     segments, lattice T included.  The first cut that cannot be certified
-    (an indeterminate is_embedded probe, or no embedded prefix past t) ends
-    the decomposition: an uncertified decomposition is a certified prefix
-    [0, t] plus the one uncertified rest [t, 1], with a note saying where.
-    The count also bounds the oscillation length when every segment is
-    sign-definite.
+    (no embedded prefix past t, or a certificate that does not come back
+    embedded) ends the decomposition: an uncertified decomposition is a
+    certified prefix [0, t] plus the one uncertified rest [t, 1], with a
+    note saying where.  The count also bounds the oscillation length when
+    every segment is sign-definite.
     """
     pieces = _restrict_pieces(path, 0.0, 1.0)
     data = _joint_eigendata(pieces, path.lens)
+    commuting = data is not None
+    slopes = data[0] if commuting else _envelope_slopes(pieces)[:, None]
     cuts = [0.0]
     notes = []
     while cuts[-1] < 1.0:
         t = cuts[-1]
-        q = _next_cut(path, pieces, data, t)
+        q = _next_cut(path, pieces, slopes, commuting, t)
         if q is None:
             notes.append(f"cannot certify an embedded prefix at t = {t}")
             q = 1.0

@@ -31,8 +31,6 @@ PHASE_CLUSTER_TOL = 1e-9
 # A phase this close to 0 (mod 2 pi) counts as a discriminant crossing.
 PHASE_ZERO_TOL = 1e-9
 
-DEFAULT_EMBED_GRID = 512  # grid points per unit time for the sweep tier
-
 # Most lens-level phases (k n) a `spectrum` job lists; see `action_spectrum`.
 MAX_LENS_PHASES = 100_000
 
@@ -134,9 +132,6 @@ class UnitaryPath:
 
     def is_identity_endpoint(self, tol=1e-9):
         return _opnorm(self.endpoint - np.eye(self.lens.n)) <= tol
-
-    def is_constant(self, tol=1e-12):
-        return all(_opnorm(A) * d <= tol for A, d in self.segments)
 
 
 def identity_path(lens):
@@ -297,7 +292,7 @@ def action_spectrum(p):
     Sphere level: eigenphases of the endpoint U_1.  Lens level: union over
     deck powers m of the eigenphases of g^{-m} U_1; since U_1 is
     block-diagonal over weight classes this is the blockwise spectrum shifted
-    by -2 pi m w / k per class.
+    by -2 pi m w / k per class, built as one broadcast over m.
 
     The lens level lists k n phases, clustered in a Python loop, so the
     `spectrum` job refuses k n > MAX_LENS_PHASES: at k n = 1e5 the job took
@@ -308,11 +303,11 @@ def action_spectrum(p):
     classes = lens.weight_classes()
     blocks = [_block_phases(p.endpoint[np.ix_(idx, idx)]) for idx in classes]
     phases_sphere, mult_sphere = cluster_phases(np.concatenate(blocks))
-    lens_raw = []
-    for idx, block in zip(classes, blocks):
-        w = lens.weights[idx[0]]
-        for m in range(lens.k):
-            lens_raw.extend((block - TWO_PI * m * w / lens.k).tolist())
+    m = np.arange(lens.k)[:, None]
+    lens_raw = np.concatenate([
+        (block[None, :] - TWO_PI * m * lens.weights[idx[0]] / lens.k).ravel()
+        for idx, block in zip(classes, blocks)
+    ])
     phases_lens, mult_lens = cluster_phases(lens_raw)
     return SpectrumWindow(phases_sphere, mult_sphere, phases_lens, mult_lens)
 
@@ -351,7 +346,7 @@ class EmbeddednessReport:
     embedded: bool | None  # None = indeterminate
     status: str  # "embedded" | "not_embedded" | "indeterminate"
     witness: tuple | None  # (s, t, m) for a crossing
-    margin: float  # smallest phase distance to 0 mod 2 pi observed
+    margin: float  # an embedded verdict's slack below 2 pi / k (inf if constant), else 0
     method: str
 
     def __bool__(self):
@@ -400,7 +395,7 @@ def _joint_eigendata(pieces, lens):
     for A in mats:
         D = V.conj().T @ A @ V
         if _opnorm(D - np.diag(np.diag(D))) > 1e-8 * max(_opnorm(A), 1.0):
-            return None  # non-generic collision; caller falls back to the sweep
+            return None  # non-generic collision: not decided in closed form
         slopes.append(np.real(np.diag(D)))
     Dg = V.conj().T @ Gh @ V
     if _opnorm(Dg - np.diag(np.diag(Dg))) > 1e-8 * max(_opnorm(Gh), 1.0):
@@ -463,85 +458,64 @@ def _crossing_report(f, nodes, c, m, method):
     return EmbeddednessReport(False, "not_embedded", (nodes[0], nodes[-1], m), 0.0, method)
 
 
-def is_embedded(p, t0, t1, grid=DEFAULT_EMBED_GRID):
+def _envelope_slopes(pieces):
+    """Rule (b)'s phase speed bound per piece: lambda_max of a positive
+    definite generator, lambda_min of a negative definite one, and 0 for any
+    other (an eigenvalue within 1e-12 * max(|lambda|, 1) of 0 counts as 0)."""
+    out = []
+    for A, _, _ in pieces:
+        lam = np.linalg.eigvalsh(A)
+        tol = 1e-12 * max(np.abs(lam).max(), 1.0)
+        out.append(lam[-1] if lam[0] > tol else lam[0] if lam[-1] < -tol else 0.0)
+    return np.array(out)
+
+
+def is_embedded(p, t0, t1):
     """Certified check that {U_t}_{[t0,t1]} has no discriminant pair.
 
     True iff 1 is not an eigenvalue of g^{-m} U_t U_s^{-1} for any s < t in
-    [t0, t1] and any deck power m.  Commuting pieces (in particular every
-    Reeb segment) are decided exactly and in closed form: the stretch is
-    embedded iff every common-eigenline phase is strictly monotone on it
-    and travels less than 2 pi / k (up to 1e-12).  Otherwise a grid sweep
-    with a Lipschitz certificate is used, and an uncertifiable margin
-    yields an explicit indeterminate status.  A constant stretch is the
-    identity at every pair of times, which we count as embedded by
-    convention (it is an identity factor in any decomposition).  The greedy
-    decomposition calls this once per cut of a commuting path, as the
-    certificate of its exact prefix.
+    [t0, t1] and any deck power m.  Three closed forms, in order:
+
+    - constant: a constant stretch is the identity at every pair of times,
+      which counts as embedded by convention (an identity factor in any
+      decomposition);
+    - commuting-exact: when the pieces commute (in particular on every Reeb
+      segment, and inside any one segment) the stretch is embedded iff every
+      common-eigenline phase is strictly monotone on it and travels less
+      than 2 pi / k (up to 1e-12), and otherwise not embedded;
+    - definite (rule (b)): when every generator on the stretch is definite
+      of one sign, the stretch is embedded if its envelope travel
+      sum |lambda| * length stays below 2 pi / k - 1e-12, with lambda the
+      largest eigenvalue (the smallest for negative generators); the margin
+      is 2 pi / k minus the travel.
+
+    Everything else is indeterminate.  Proof of rule (b), for positive
+    generators (negative ones are the time reverse): for s < t, V = U_t
+    U_s^{-1} solves V' = i A V from V(s) = I and commutes with g.  On each
+    segment V is analytic in t, so its eigenphases, lifted from 0 at t = s,
+    have analytic branches, and a branch with unit eigenvector v moves at
+    speed <A v, v>, between lambda_min(A) > 0 and lambda_max(A) (the unitary
+    case of positive-path monotonicity; Lalonde-McDuff 1997, Eliashberg-
+    Polterovich 2000).  So every lifted phase lies in (0, travel], inside
+    (0, 2 pi / k).  On the weight class w, g^{-m} V has eigenvalue 1 iff a
+    phase of that block is 2 pi m w / k mod 2 pi, a multiple of 2 pi / k,
+    and none lies in (0, 2 pi / k).  Rule (b) is sufficient, not maximal.
     """
     if not (0.0 <= t0 < t1 <= 1.0):
         raise ValueError(f"need 0 <= t0 < t1 <= 1, got ({t0}, {t1})")
-    lens = p.lens
     pieces = _restrict_pieces(p, t0, t1)
     if all(_opnorm(A) * (b - a) <= 1e-12 for A, a, b in pieces):
         return EmbeddednessReport(True, "embedded", None, np.inf, "constant")
-    exact = _commuting_embedded(pieces, lens)
+    exact = _commuting_embedded(pieces, p.lens)
     if exact is not None:
         return exact
-    return _sweep_embedded(p, pieces, t0, t1, grid)
-
-
-def _sweep_embedded(p, pieces, t0, t1, grid):
-    lens = p.lens
-    classes = lens.weight_classes()
-    L = max(_opnorm(A) for A, _, _ in pieces)
-    lam_all = np.concatenate([np.linalg.eigvalsh(A) for A, _, _ in pieces])
-    eta = float(lam_all.min()) if lam_all.min() > 0 else (
-        float(-lam_all.max()) if lam_all.max() < 0 else 0.0
-    )
-    # near-diagonal window where sign-definiteness controls the m=0 phases
-    if eta > 0:
-        d_nd = min(eta / (2 * L * L), math.pi / (2 * lens.k * L), (t1 - t0) / 2)
-    else:
-        d_nd = 0.0
-    G = max(8, math.ceil((t1 - t0) * grid))
-    if d_nd > 0:
-        # step small enough that the smallest certified margin (about
-        # eta * d_nd, for pairs just past the near-diagonal window) beats
-        # the Lipschitz movement L * delta
-        G = max(G, math.ceil(4 * (t1 - t0) / d_nd),
-                math.ceil((t1 - t0) * 2 * (L + eta) / (eta * d_nd)))
-    G = min(G, 4096)  # cost cap; beyond this the verdict is indeterminate
-    ts = np.unique(
-        np.concatenate(
-            [np.linspace(t0, t1, G + 1), [a for _, a, _ in pieces], [t1]]
-        )
-    )
-    delta = float(np.diff(ts).max())
-    Us = [p.value(t) for t in ts]
-    margin = np.inf
-    witness = None
-    for i in range(len(ts)):
-        for j in range(i + 1, len(ts)):
-            if d_nd > 0 and ts[j] - ts[i] < d_nd - delta:
-                continue  # covered by the sign-definiteness argument
-            W = Us[j] @ Us[i].conj().T
-            for idx in classes:
-                block = _block_phases(W[np.ix_(idx, idx)])
-                w = lens.weights[idx[0]]
-                for m in range(lens.k):
-                    ph = block - TWO_PI * m * w / lens.k
-                    d0 = np.abs(np.mod(ph + math.pi, TWO_PI) - math.pi).min()
-                    if d0 < margin:
-                        margin = float(d0)
-                        witness = (float(ts[i]), float(ts[j]), m)
-    if margin <= PHASE_ZERO_TOL:
-        return EmbeddednessReport(False, "not_embedded", witness, margin, "grid")
-    if d_nd == 0.0:
-        # mixed-sign non-commuting generators: no near-diagonal control
-        return EmbeddednessReport(None, "indeterminate", None, margin, "grid")
-    if margin > L * delta:
-        return EmbeddednessReport(True, "embedded", None, margin, "grid")
-    return EmbeddednessReport(None, "indeterminate", None, margin, "grid")
+    slopes = _envelope_slopes(pieces)
+    step = TWO_PI / p.lens.k
+    if np.all(slopes > 0) or np.all(slopes < 0):
+        travel = float(np.abs(slopes) @ [b - a for _, a, b in pieces])
+        if travel < step - 1e-12:
+            return EmbeddednessReport(True, "embedded", None, step - travel, "definite")
+    return EmbeddednessReport(None, "indeterminate", None, 0.0, "definite")
 
 
 # --- random inputs (all randomness through a caller-provided Generator) ---

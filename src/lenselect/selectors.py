@@ -53,10 +53,6 @@ class SelectorReport:
     c_minus: float
     step: object  # the MaslovEvaluation the values came from
 
-    def ceil_multiple(self, j):
-        """ceil(c_j / T_w) as an exact lattice integer."""
-        return self.lens.period_multiple(self.values[j], "ceil")
-
 
 def selector_range(path, j_lo, j_hi, window_base=0.0):
     if j_lo > j_hi:

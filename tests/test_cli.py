@@ -558,6 +558,19 @@ class TestMain:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["dis_upper"] == res["osc_upper"] == 6
 
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_decompose_random_noncommuting(self, tmp_path, capsys, seed):
+        # mixed-sign generators that do not commute: each cut is exact
+        # within its segment, and the path gets 2 certified pieces
+        doc = {"lens": {"k": 3, "weights": [1, 1]},
+               "path": {"random": {"seed": seed, "segments": 2}},
+               "task": {"norms": {"decompose": True}}}
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        assert main(["norms", str(f)]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["dis_lower"] == 1 and res["dis_upper"] == 2
+
     def test_norms_huge_k(self, tmp_path, capsys):
         # nu* is closed-form, with no loop over the k / reeb_numerator periods
         f = tmp_path / "job.json"

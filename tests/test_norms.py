@@ -6,6 +6,7 @@ import pytest
 import lenselect.norms
 from lenselect.lens import new_lens
 from lenselect.norms import (
+    _constant_run_end,
     geodesic_report,
     greedy_embedded_decomposition,
     is_identity_class,
@@ -21,6 +22,7 @@ from lenselect.paths import (
     inverse_path,
     is_embedded,
     product_path,
+    random_hermitian,
     random_path,
     reeb_path,
 )
@@ -57,11 +59,49 @@ def diagonal_paths(count, seed):
     return paths
 
 
+def _bisect_prefix(path, t):
+    """The largest prefix end q such that is_embedded certifies [t, q],
+    found by bisection (q == t when there is none), or None at the first
+    indeterminate probe."""
+    lo, hi, probe = t, 1.0, 1.0
+    # invariant: (t, lo] certified embedded (or lo == t), hi not
+    for _ in range(61):
+        embedded = is_embedded(path, t, probe).embedded
+        if embedded is None:
+            return None
+        if embedded:
+            lo = probe
+        else:
+            hi = probe
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        probe = (lo + hi) / 2.0
+    return lo
+
+
+def _bisected_cut(path, pieces, slopes, commuting, t):
+    """norms._next_cut with the cut bisected over is_embedded."""
+    run = _constant_run_end(path, t)
+    if run > t + 1e-12:
+        return run
+    q = _bisect_prefix(path, t)
+    return None if q is None or (q <= t + 1e-9 and q < 1.0) else q
+
+
+def noncommuting_paths(count, seed):
+    """Seeded random paths of 2-4 segments with norm bound 1-8 on lenses
+    with a repeated weight class, so that the segments do not commute."""
+    rng = np.random.default_rng(seed)
+    lenses = [L3, new_lens(3, [1, 1, 1]), new_lens(5, [1, 1, 2]), new_lens(4, [1, 1, 3])]
+    return [random_path(lenses[i % len(lenses)], rng, segments=int(rng.integers(2, 5)),
+                        norm_bound=float(rng.uniform(1.0, 8.0))) for i in range(count)]
+
+
 def bisection_reference(path):
-    """The greedy decomposition with every cut bisected, as on a
-    non-commuting path: the reference for the exact cuts."""
+    """The greedy decomposition with every cut bisected: the reference for
+    the exact cuts."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lenselect.norms, "_joint_eigendata", lambda pieces, lens: None)
+        mp.setattr(lenselect.norms, "_next_cut", _bisected_cut)
         return greedy_embedded_decomposition(path)
 
 
@@ -255,11 +295,6 @@ class TestGreedy:
 
     def test_one_certificate_per_cut(self, monkeypatch):
         calls = count_is_embedded(monkeypatch)
-
-        def no_bisection(*args):
-            raise AssertionError("bisection on a commuting path")
-
-        monkeypatch.setattr(lenselect.norms, "_bisect_prefix", no_bisection)
         L7 = new_lens(7, [1, 1, 1])
         # slope 0.95 < 1: the cut must clear the 1e-12 threshold margin too
         for p in [reeb_path(L7, 20 * math.pi), reeb_path(L7, 0.95), SIGN_CHANGE,
@@ -283,15 +318,16 @@ class TestGreedy:
         assert rep.dis_upper is None and rep.osc_upper is None
 
     def test_indeterminate_probe_stops(self, monkeypatch):
-        # a non-commuting path bisects; its first probe, on [0, 1], comes back
+        # the certificate of a non-commuting path's first cut comes back
         # indeterminate, and that ends the decomposition with no further probe
         p = random_path(L3, np.random.default_rng(2))
         assert lenselect.norms._joint_eigendata(
             lenselect.norms._restrict_pieces(p, 0.0, 1.0), L3) is None
-        verdict = EmbeddednessReport(None, "indeterminate", None, 0.1, "grid")
+        first_cut = greedy_embedded_decomposition(p).breakpoints[1]
+        verdict = EmbeddednessReport(None, "indeterminate", None, 0.0, "definite")
         calls = count_is_embedded(monkeypatch, verdict)
         dec = greedy_embedded_decomposition(p)
-        assert calls == [(0.0, 1.0)]
+        assert calls == [(0.0, first_cut)]
         assert dec.breakpoints == [0.0, 1.0] and dec.count == 1
         assert not dec.certified
         assert dec.notes == ["cannot certify an embedded prefix at t = 0.0"]
@@ -300,23 +336,35 @@ class TestGreedy:
         assert len(calls) == 1
         assert rep.dis_upper is None and rep.osc_upper is None
 
-    def test_indeterminate_probe_mid_bisection_stops(self, monkeypatch):
-        # [0, 1] not embedded, [0, 1/2] embedded, [0, 3/4] indeterminate:
-        # the bisection stops at its first indeterminate probe, and the whole
-        # path is the one uncertified piece
-        p = random_path(L3, np.random.default_rng(2))
-        answers = {1.0: (False, "not_embedded"), 0.5: (True, "embedded"),
-                   0.75: (None, "indeterminate")}
-        calls = []
+    def test_noncommuting_pieces_certified(self):
+        # rules (a) and (b) cut every piece of a generic non-commuting path,
+        # and no count falls below the selector lower bound
+        for p in noncommuting_paths(20, seed=3):
+            assert lenselect.norms._joint_eigendata(
+                lenselect.norms._restrict_pieces(p, 0.0, 1.0), p.lens) is None
+            dec = greedy_embedded_decomposition(p)
+            assert dec.certified and not dec.notes
+            for a, b in zip(dec.breakpoints, dec.breakpoints[1:]):
+                assert is_embedded(p, a, b).embedded is True, (a, b)
+            assert dec.count >= selector_lower_bounds(p)["dis"]
 
-        def scripted(path, t0, t1, *args, **kwargs):
-            calls.append((t0, t1))
-            return EmbeddednessReport(*answers[t1], None, 0.1, "grid")
-
-        monkeypatch.setattr(lenselect.norms, "is_embedded", scripted)
-        dec = greedy_embedded_decomposition(p)
-        assert calls == [(0.0, 1.0), (0.0, 0.5), (0.0, 0.75)]
-        assert dec.breakpoints == [0.0, 1.0] and not dec.certified
+    def test_definite_noncommuting_osc_upper(self):
+        # three definite segments that do not commute: each piece is
+        # sign-definite, so the count bounds the oscillation length too, and
+        # some pieces cross a node on rule (b)'s certificate
+        rng = np.random.default_rng(11)
+        methods = set()
+        for sign in (1.0, -1.0):
+            segs = [(sign * (random_hermitian(L3, rng, 6.0, semidefinite="pos")
+                             + 0.1 * np.eye(2)), d) for d in (0.3, 0.3, 0.4)]
+            p = UnitaryPath(L3, segs)
+            rep = norm_report(p, decompose=True)
+            assert rep.osc_upper is not None
+            assert rep.osc_upper == rep.dis_upper >= max(rep.osc_lower, rep.dis_lower)
+            dec = greedy_embedded_decomposition(p)
+            for a, b in zip(dec.breakpoints, dec.breakpoints[1:]):
+                methods.add(is_embedded(p, a, b).method)
+        assert "definite" in methods
 
     def test_short_segment_not_stationary(self):
         # a 1e-13 segment with nonzero slopes is monotone, not stationary

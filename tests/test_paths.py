@@ -6,7 +6,9 @@ import scipy.linalg
 
 from lenselect.lens import new_lens
 from lenselect.maslov import maslov_index
+from lenselect.norms import greedy_embedded_decomposition
 from lenselect.paths import (
+    PHASE_ZERO_TOL,
     PathError,
     UnitaryPath,
     _eigenphases,
@@ -18,6 +20,7 @@ from lenselect.paths import (
     haar_unitary,
     is_embedded,
     product_path,
+    random_hermitian,
     random_path,
     reeb_path,
     reeb_shift,
@@ -33,6 +36,35 @@ L4 = new_lens(4, [1, 3])
 
 def diag_path(lens, phases):
     return UnitaryPath(lens, [(np.diag(np.array(phases, dtype=float)), 1.0)])
+
+
+def grid_pair_phases(p, t0, t1, G=32):
+    """Eigenphases (in (-pi, pi]) of g^{-m} U_t U_s^{-1} for every pair
+    s < t of a G-step grid on [t0, t1] and every deck power m, as an array
+    [m, pair, j]: a small-grid reference for rule (b) of is_embedded."""
+    ts = np.linspace(t0, t1, G + 1)
+    Us = [p.value(t) for t in ts]
+    pairs = [Us[j] @ Us[i].conj().T for i in range(G + 1) for j in range(i + 1, G + 1)]
+    return np.array([[np.angle(np.linalg.eigvals(p.lens.deck(-m) @ W)) for W in pairs]
+                     for m in range(p.lens.k)])
+
+
+def definite_paths(count, seed):
+    """Seeded non-commuting paths of 2-3 definite segments on lenses with a
+    repeated weight class; every other path is mixed-sign, alternating
+    positive and negative segments."""
+    rng = np.random.default_rng(seed)
+    lenses = [new_lens(3, [1, 1]), new_lens(5, [1, 1, 2]), new_lens(2, [1, 1, 1])]
+    paths = []
+    for i in range(count):
+        lens = lenses[i % len(lenses)]
+        segs = []
+        for j, d in enumerate(rng.dirichlet(np.ones(int(rng.integers(2, 4))))):
+            sign = (-1) ** (j * (i % 2))
+            A = random_hermitian(lens, rng, float(rng.uniform(1.0, 6.0)), semidefinite="pos")
+            segs.append((sign * (A + 0.1 * np.eye(lens.n)), float(d)))
+        paths.append(UnitaryPath(lens, segs))
+    return paths
 
 
 def schur_phases(U, classes):
@@ -72,7 +104,7 @@ class TestAlgebra:
     def test_reeb_zero_is_identity(self):
         p = reeb_path(L2, 0.0)
         assert np.allclose(p.endpoint, np.eye(2))
-        assert p.is_constant()
+        assert is_embedded(p, 0.0, 1.0).method == "constant"
 
     def test_reeb_two_pi_nontrivial_class(self):
         p = reeb_path(L2, TWO_PI)
@@ -134,7 +166,8 @@ class TestAlgebra:
     def test_shift_roundtrip(self):
         p = reeb_path(L2, 2.0)
         q = reeb_shift(p, 2.0)
-        assert q.is_constant()
+        assert is_embedded(q, 0.0, 1.0).method == "constant"
+        assert np.allclose(q.endpoint, np.eye(2), atol=1e-12)
 
     def test_append_preserves_prefix(self):
         p = random_path(L2, np.random.default_rng(6))
@@ -265,8 +298,8 @@ class TestEmbeddedness:
             is_embedded(identity_path(L2), 0.5, 0.5)
 
     def test_noncommuting_sweep(self):
-        # definite non-commuting generators: sweep tier with the Lipschitz
-        # certificate must reach a verdict on a short window
+        # definite non-commuting generators: rule (b) certifies a short
+        # window from the envelope travel 0.2 * 1.4 + 0.2 * 1.5 < pi
         rng = np.random.default_rng(9)
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         V, _ = np.linalg.qr(X)
@@ -275,12 +308,13 @@ class TestEmbeddedness:
         assert np.linalg.norm(A @ B - B @ A, 2) > 1e-6
         p = UnitaryPath(L2, [(A, 0.5), (B, 0.5)])
         # window spanning both segments: the commuting tier cannot apply
-        rep = is_embedded(p, 0.3, 0.7, grid=128)
-        assert rep.method == "grid"
+        rep = is_embedded(p, 0.3, 0.7)
+        assert rep.method == "definite"
         assert rep.embedded is True
+        assert rep.margin == pytest.approx(math.pi - 0.58, abs=1e-12)
 
     def test_mixed_sign_indeterminate_or_witness(self):
-        # mixed-sign non-commuting generators: no near-diagonal control, so
+        # mixed-sign non-commuting generators: no closed form decides, so
         # either an explicit crossing or an honest indeterminate
         rng = np.random.default_rng(10)
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
@@ -288,5 +322,36 @@ class TestEmbeddedness:
         A = A - np.trace(A) / 2 * np.eye(2)  # traceless: mixed signs
         B = np.diag([1.0, -1.0])
         p = UnitaryPath(L2, [(A, 0.5), (B, 0.5)])
-        rep = is_embedded(p, 0.0, 1.0, grid=64)
+        rep = is_embedded(p, 0.0, 1.0)
         assert rep.embedded in (False, None)
+
+    def test_definite_rule_against_grid(self):
+        # rule (b) never certifies a stretch on which a small grid finds a
+        # discriminant pair, and on every stretch it certifies the phases
+        # of U_t U_s^{-1} lie strictly between 0 and the envelope travel;
+        # greedy pieces are the stretches whose travel is nearest 2 pi / k
+        rng = np.random.default_rng(12)
+        certified = refused = 0
+        for p in definite_paths(12, seed=11):
+            cuts = greedy_embedded_decomposition(p).breakpoints
+            windows = list(zip(cuts, cuts[1:]))
+            for _ in range(6):
+                t0 = float(rng.uniform(0.0, 0.9))
+                windows.append((t0, float(rng.uniform(t0, 1.0))))
+            for t0, t1 in windows:
+                rep = is_embedded(p, t0, t1)
+                if rep.method == "commuting-exact":
+                    continue  # inside one segment
+                assert rep.method == "definite", (t0, t1)
+                if not rep.embedded:
+                    refused += 1
+                    continue
+                certified += 1
+                ph = grid_pair_phases(p, t0, t1)
+                assert np.abs(ph).min() > PHASE_ZERO_TOL, (t0, t1)
+                travel = TWO_PI / p.lens.k - rep.margin
+                sign = np.sign(np.trace(p.segments[p.segment_of(t0)][0]).real)
+                signed = sign * ph[0]  # m = 0: the phases of U_t U_s^{-1}
+                assert signed.min() > 0 and signed.max() <= travel + 1e-12, (t0, t1)
+                assert signed.max() < TWO_PI / p.lens.k, (t0, t1)
+        assert certified >= 5 and refused >= 5

@@ -104,7 +104,7 @@ class TestSelectorRange:
         rep = selector_range(identity_path(L2), -3, 2)
         assert rep.values[0] == pytest.approx(0.0, abs=1e-12)
         assert rep.c_plus == rep.values[0]
-        assert rep.ceil_multiple(2) == 2  # c_2 = 2 pi = 2 T_w on L_2
+        assert L2.period_multiple(rep.values[2], "ceil") == 2  # c_2 = 2 pi = 2 T_w on L_2
 
     def test_bad_range(self):
         with pytest.raises(ValueError):
