@@ -16,17 +16,20 @@ task parameters.  Tolerances are fixed, and every report lists them under
 import argparse
 import sys
 
-from . import jobs
+from . import jobs, verify
 
-
-def _add_common(sp):
-    sp.add_argument("--table", action="store_true",
-                    help="also print an aligned results table to stderr")
-
-
-def _add_job_arg(sp):
-    sp.add_argument("job", nargs="?", default="-",
-                    help="job JSON file, or - for stdin (default)")
+# The flag of each task parameter (`jobs.TASK_PARAMS`) that has one: its
+# spelling, type and help.  Every default is None, so a flag left out takes
+# the job file's value, or the task's own default in `jobs`.
+FLAGS = {
+    "j_lo": ("--j-lo", int, None),
+    "j_hi": ("--j-hi", int, None),
+    "window_base": ("--window-base", float, None),
+    "T": ("-T", float, "Reeb time"),
+    "suite": ("--suite", str, " | ".join(verify.SUITES)),
+    "trials": ("--trials", int, None),
+    "seed": ("--seed", int, None),
+}
 
 
 def build_parser():
@@ -36,31 +39,17 @@ def build_parser():
                     "unitary contact isotopies of lens spaces",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    for name in ("maslov", "spectrum", "norms"):
-        sp = sub.add_parser(name)
-        _add_job_arg(sp)
-        _add_common(sp)
-
-    sp = sub.add_parser("selectors")
-    _add_job_arg(sp)
-    _add_common(sp)
-    sp.add_argument("--j-lo", type=int, default=None)
-    sp.add_argument("--j-hi", type=int, default=None)
-    sp.add_argument("--window-base", type=float, default=None)
-
-    sp = sub.add_parser("geodesic")
-    _add_job_arg(sp)
-    _add_common(sp)
-    sp.add_argument("-T", type=float, default=None, help="Reeb time")
-
-    sp = sub.add_parser("verify")
-    _add_common(sp)
-    sp.add_argument("--suite", default="thm1",
-                    help="thm1 | maslov_props | norms | geodesic | quadratic_core")
-    sp.add_argument("--trials", type=int, default=25)
-    sp.add_argument("--seed", type=int, default=0)
-
+    for task, params in jobs.TASK_PARAMS.items():
+        sp = sub.add_parser(task)
+        if task != "verify":
+            sp.add_argument("job", nargs="?", default="-",
+                            help="job JSON file, or - for stdin (default)")
+        sp.add_argument("--table", action="store_true",
+                        help="also print an aligned results table to stderr")
+        for p in params:
+            if p in FLAGS:
+                flag, kind, text = FLAGS[p]
+                sp.add_argument(flag, dest=p, type=kind, default=None, help=text)
     return ap
 
 
@@ -75,23 +64,15 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
-            document = {"lens": {"k": 2, "weights": [1, 1]},
-                        "task": {"verify": {}}}
-            job = jobs.parse_job(document)
-            overrides = {"suite": args.suite, "trials": args.trials,
-                         "seed": args.seed}
+            job = jobs.parse_job({"lens": {"k": 2, "weights": [1, 1]},
+                                  "task": {"verify": {}}})
         else:
             job = jobs.parse_job(_read_job(args.job))
             if job.task != args.command:
                 if job.task is not None:
                     job.params = {}  # params belong to the file's own task
                 job.task = args.command
-            overrides = {}
-            if args.command == "selectors":
-                overrides = {"j_lo": args.j_lo, "j_hi": args.j_hi,
-                             "window_base": args.window_base}
-            elif args.command == "geodesic":
-                overrides = {"T": args.T}
+        overrides = {p: getattr(args, p, None) for p in jobs.TASK_PARAMS[args.command]}
         report = jobs.run_job(job, overrides=overrides)
     except (jobs.JobError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

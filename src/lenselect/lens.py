@@ -81,8 +81,10 @@ class LensSpace:
         return self.n == 1
 
     def deck(self, m=1):
-        """Deck transformation g^m as a complex diagonal matrix."""
-        return np.diag(np.exp(2j * math.pi * m * np.array(self.weights) / self.k))
+        """Deck transformation g^m as a complex diagonal matrix.  Each weight
+        enters reduced mod k, so weights equal mod k give equal phases."""
+        w = np.array([w % self.k for w in self.weights])
+        return np.diag(np.exp(2j * math.pi * m * w / self.k))
 
     def weight_classes(self):
         """Indices grouped by w_j mod k (the blocks preserved by ad-g)."""

@@ -26,7 +26,7 @@ null cut NULL_TOL * max |lambda(H)| is matched exactly by counting the
 nonpositive inertia of H - cI at two cuts c that bracket it: equal counts
 certify the dense count.  `BasedFamily.form_at` assembles H itself; with
 `quadratic.index` it is the reference, and the fallback when the bracket
-does not certify a count or the form is small.
+does not certify a count or N = 1.
 
 Closed form (the step function).  On the universal cover of U(n) a path class
 is fixed by its endpoint together with the lift of arg det, and for a
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paths import reeb_shift, cluster_phases, _eigenphases, _opnorm
+from .paths import reeb_shift, cluster_phases, _eigenphases, _restrict_pieces, _speed
 from .quadratic import (
     NULL_TOL,
     InvariantQuadraticForm,
@@ -124,15 +124,6 @@ MAX_FORM_DIM = 2048
 ELIM_PIVOT = 1e-3
 NULL_BRACKET = 2.0
 
-# Below this real dimension D the dense count is as fast or faster: the
-# elimination costs about 40 us per level.  Medians of 61 alternating runs
-# at t = 1 on Reeb paths, one BLAS thread (2 vCPU, OpenBLAS 0.3.31), as
-# elimination against dense: n = 1, D = 126: 1.08 against 0.79 ms; n = 2,
-# D = 124: 0.53 against 0.45 ms and D = 156: 0.74 against 0.75 ms; n = 4,
-# D = 120: 0.68 against 0.67 ms and D = 152: 0.85 against 0.95 ms; n = 8
-# crosses earlier (D = 112: 0.47 against 0.54 ms).
-DENSE_BELOW = 128
-
 
 class BasedFamily:
     """Clamped-factor family F_t over a fixed subdivision of the path."""
@@ -154,9 +145,11 @@ class BasedFamily:
         s = self.breakpoints
         if not (s[0] == 0.0 and s[-1] == 1.0 and np.all(np.diff(s) > 0)):
             raise ValueError("breakpoints must be strictly increasing from 0 to 1")
-        norms = [_opnorm(A) for A, _ in self.path.segments]
         for a, b in zip(s[:-1], s[1:]):
-            if _travel(self.path, norms, a, b) > MAX_TRAVEL * (1 + 1e-9):
+            # an upper bound on the phase travel of U_t U_a^{-1} on [a, b]
+            pieces = _restrict_pieces(self.path, a, b)
+            travel = sum(_speed(lam) * (hi - lo) for _, lam, lo, hi in pieces)
+            if travel > MAX_TRAVEL * (1 + 1e-9):
                 raise ValueError(
                     f"interval [{a}, {b}] exceeds the pi/2 phase-travel bound"
                 )
@@ -215,10 +208,10 @@ class BasedFamily:
         eigenvalues lam <= c = NULL_TOL * max |lam(H)|, i.e. the nonpositive
         inertia of H - cI.  `_bracket_counts` takes it at two cuts that
         bracket c; equal counts are the dense count, and otherwise the dense
-        form decides.  Forms of real dimension below DENSE_BELOW, and N = 1,
-        where H is C_1 itself, are counted dense.
+        form decides.  N = 1, where H is C_1 itself and has no q slot for the
+        bracket's max |lam(H)| >= 2 bound, is counted dense.
         """
-        if self.N > 1 and self.total_dim >= DENSE_BELOW:
+        if self.N > 1:
             lo, hi = self._bracket_counts(t)
             if lo == hi:
                 return 2 * lo
@@ -320,21 +313,11 @@ def _with_carry(X, W, mu):
     return M
 
 
-def _travel(path, norms, a, b):
-    """Upper bound on the phase travel of U_t U_a^{-1} for t in [a, b], with
-    norms[i] the operator norm of segment i's generator."""
-    total = 0.0
-    for i, norm in enumerate(norms):
-        lo = max(path._starts[i], a)
-        hi = min(path._starts[i + 1], b)
-        if hi > lo:
-            total += norm * (hi - lo)
-    return total
-
-
-def _segment_parts(A, d):
-    """ceil(||A|| d / (pi/2)), at least 1; `UnitaryPath` keeps ||A|| d finite."""
-    return max(1, math.ceil(_opnorm(A) * d / MAX_TRAVEL - 1e-12))
+def _segment_parts(lam, d):
+    """ceil(||A|| d / (pi/2)), at least 1, for a segment of duration d whose
+    generator A has eigenvalues lam, so ||A|| = max |lam|; `UnitaryPath`
+    keeps ||A|| d finite."""
+    return max(1, math.ceil(_speed(lam) * d / MAX_TRAVEL - 1e-12))
 
 
 def subdivision_count(path):
@@ -343,7 +326,7 @@ def subdivision_count(path):
     The based family's form has dimension D = (2N - 1) * 2n, so this prices a
     `maslov_index` call before any form is built.
     """
-    return sum(_segment_parts(A, d) for A, d in path.segments)
+    return sum(_segment_parts(lam, d) for (lam, _), (_, d) in zip(path._eig, path.segments))
 
 
 def subdivide(path):
@@ -353,9 +336,9 @@ def subdivide(path):
     into ceil(||A|| d / (pi/2)) parts.
     """
     pts = [0.0]
-    for i, (A, d) in enumerate(path.segments):
+    for i, ((lam, _), (_, d)) in enumerate(zip(path._eig, path.segments)):
         a, b = path._starts[i], path._starts[i + 1]
-        parts = _segment_parts(A, d)
+        parts = _segment_parts(lam, d)
         for j in range(1, parts + 1):
             pts.append(a + (b - a) * j / parts)
     pts[-1] = 1.0
@@ -368,7 +351,7 @@ def maslov_index(path, breakpoints=None):
     Both indices come from `BasedFamily.index_at`: block elimination along
     the # chain with a carried front, counted at two cuts that bracket the
     dense null cut, and the dense `form_at` form where the cuts disagree or
-    the form is small.
+    N = 1.
     """
     fam = BasedFamily(path, breakpoints)
     n2 = 2 * path.lens.n

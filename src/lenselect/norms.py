@@ -20,6 +20,7 @@ from .paths import (
     _envelope_slopes,
     _joint_eigendata,
     _restrict_pieces,
+    _stationary,
     is_embedded,
     reeb_path,
 )
@@ -117,23 +118,22 @@ class DecompositionReport:
 
 
 def _constant_run_end(path, t):
-    """End of the maximal constant stretch starting at t (== t if none)."""
+    """End of the maximal run of stationary pieces from t (== t if none)."""
     end = t
-    for i, (lam, _) in enumerate(path._eig):
-        a, b = path._starts[i], path._starts[i + 1]
-        if b <= end + 1e-15:
-            continue
-        if a > end + 1e-12 or np.abs(lam).max() * (b - max(a, end)) > 1e-12:
+    for _, lam, a, b in _restrict_pieces(path, t, 1.0):
+        if not _stationary(lam, b - a):
             break
         end = b
     return end
 
 
 def _segment_sign_definite(path, a, b):
-    # the extra 0 changes neither test and covers a stretch with no segment
+    """The generators on [a, b] are all positive or all negative
+    semidefinite, up to 1e-12.  A sliver [a, b], whose one piece is at most
+    1e-15 long, is constant and counts as both: the extra 0 covers it and
+    changes neither test otherwise."""
     lam = np.concatenate([np.zeros(1)] + [
-        lam for i, (lam, _) in enumerate(path._eig)
-        if min(path._starts[i + 1], b) - max(path._starts[i], a) > 1e-15
+        lam for _, lam, lo, hi in _restrict_pieces(path, a, b) if hi - lo > 1e-15
     ])
     return bool(lam.min() >= -1e-12 or lam.max() <= 1e-12)
 
@@ -141,7 +141,7 @@ def _segment_sign_definite(path, a, b):
 def _exact_prefix(pieces, slopes, k, t):
     """End q of the maximal embedded prefix [t, q] of a commuting path.
 
-    pieces are the path's (generator, start, end) pieces and slopes[i, j]
+    pieces are the path's `_restrict_pieces` and slopes[i, j]
     the slope of the eigenline phase f_j on piece i.  With one column of
     envelope slopes (paths._envelope_slopes) the same walk gives the
     prefix that rule (b) of is_embedded certifies.  Every deck weight is a
@@ -157,7 +157,7 @@ def _exact_prefix(pieces, slopes, k, t):
     scale = np.maximum(np.abs(slopes).max(axis=0), 1.0)
     travel = np.zeros(slopes.shape[1])
     sign = None
-    for (_, a, b), sl in zip(pieces, slopes):
+    for (_, _, a, b), sl in zip(pieces, slopes):
         if b <= t:
             continue
         a = max(a, t)
@@ -195,8 +195,8 @@ def _next_cut(path, pieces, slopes, commuting, t):
     q = _exact_prefix(pieces, slopes, k, t)
     if not commuting:
         piece = _restrict_pieces(path, t, 1.0)[0]
-        inside = _exact_prefix([piece], np.linalg.eigvalsh(piece[0])[None, :], k, t)
-        q = max(q, min(inside, piece[2]))
+        inside = _exact_prefix([piece], piece[1][None, :], k, t)
+        q = max(q, min(inside, piece[3]))
     if q <= t + 1e-9 and q < 1.0:
         return None
     return q if is_embedded(path, t, q).embedded else None

@@ -39,6 +39,17 @@ def _opnorm(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
+def _speed(lam):
+    """max |lambda|, the fastest phase speed of a generator with eigenvalues
+    lam, which is its operator norm (the generator is Hermitian)."""
+    return float(np.abs(lam).max()) if lam.size else 0.0
+
+
+def _stationary(lam, length):
+    """A piece whose phases move by at most 1e-12: constant up to roundoff."""
+    return _speed(lam) * length <= 1e-12
+
+
 class PathError(ValueError):
     """Invalid path data.  `segment` is the index of the offending segment
     (None when the error concerns the whole path) and `part` says which of
@@ -212,8 +223,8 @@ def product_path(p, q):
     for a, b in zip(knots[:-1], knots[1:]):
         if b - a <= 1e-15:
             continue
-        La = _opnorm(p.segments[p.segment_of((a + b) / 2)][0])
-        Lb = _opnorm(q.segments[q.segment_of((a + b) / 2)][0])
+        La = _speed(p._eig[p.segment_of((a + b) / 2)][0])
+        Lb = _speed(q._eig[q.segment_of((a + b) / 2)][0])
         parts = max(1, math.ceil((La + Lb) * (b - a) / (math.pi / 3)))
         for j in range(1, parts + 1):
             nodes.append(a + (b - a) * j / parts)
@@ -305,7 +316,7 @@ def action_spectrum(p):
     phases_sphere, mult_sphere = cluster_phases(np.concatenate(blocks))
     m = np.arange(lens.k)[:, None]
     lens_raw = np.concatenate([
-        (block[None, :] - TWO_PI * m * lens.weights[idx[0]] / lens.k).ravel()
+        (block[None, :] - TWO_PI * m * (lens.weights[idx[0]] % lens.k) / lens.k).ravel()
         for idx, block in zip(classes, blocks)
     ])
     phases_lens, mult_lens = cluster_phases(lens_raw)
@@ -349,21 +360,24 @@ class EmbeddednessReport:
     margin: float  # an embedded verdict's slack below 2 pi / k (inf if constant), else 0
     method: str
 
-    def __bool__(self):
-        return self.embedded is True
-
 
 def _restrict_pieces(p, t0, t1):
-    """(generator, length) pieces of p covering [t0, t1]."""
+    """The pieces (A, lam, a, b) of p on [t0, t1]: each segment that overlaps
+    [t0, t1] by more than 1e-15, clipped to [a, b], with its generator A and
+    A's eigenvalues lam from `UnitaryPath._eig`.  A sliver stretch, which no
+    segment overlaps by that much, is one piece of the segment that holds its
+    midpoint.  This is the only place that clips a path to a stretch, and
+    lam is the only record of a generator's spectrum that stretch decisions
+    read."""
     pieces = []
-    for i, (A, _) in enumerate(p.segments):
+    for i, ((A, _), (lam, _)) in enumerate(zip(p.segments, p._eig)):
         a = max(p._starts[i], t0)
         b = min(p._starts[i + 1], t1)
         if b - a > 1e-15:
-            pieces.append((A, a, b))
-    if not pieces:  # degenerate sliver: treat as constant
+            pieces.append((A, lam, a, b))
+    if not pieces:
         i = p.segment_of((t0 + t1) / 2)
-        pieces = [(p.segments[i][0], t0, t1)]
+        pieces = [(p.segments[i][0], p._eig[i][0], t0, t1)]
     return pieces
 
 
@@ -375,14 +389,15 @@ def _joint_eigendata(pieces, lens):
     None when the pieces do not commute (with each other or with the deck
     phases' diagonal).
     """
-    mats = [A for A, _, _ in pieces]
-    Gh = np.diag(np.array(lens.weights, dtype=float) % lens.k)
-    for i, A in enumerate(mats):
-        sa = max(_opnorm(A), 1.0)
-        if _opnorm(A @ Gh - Gh @ A) > 1e-10 * sa * max(_opnorm(Gh), 1.0):
+    mats = [A for A, _, _, _ in pieces]
+    scales = [max(_speed(lam), 1.0) for _, lam, _, _ in pieces]
+    h = np.array([w % lens.k for w in lens.weights], dtype=float)
+    Gh = np.diag(h)
+    sg = max(float(h.max()), 1.0)  # ||Gh||: its entries are the weights mod k
+    for i, (A, sa) in enumerate(zip(mats, scales)):
+        if _opnorm(A @ Gh - Gh @ A) > 1e-10 * sa * sg:
             return None
-        for B in mats[i + 1 :]:
-            sb = max(_opnorm(B), 1.0)
+        for B, sb in zip(mats[i + 1 :], scales[i + 1 :]):
             if _opnorm(A @ B - B @ A) > 1e-10 * sa * sb:
                 return None
     rng = np.random.default_rng(0)
@@ -392,13 +407,13 @@ def _joint_eigendata(pieces, lens):
         C = C + rng.uniform(1, 2) * A
     _, V = np.linalg.eigh(C)
     slopes = []
-    for A in mats:
+    for A, sa in zip(mats, scales):
         D = V.conj().T @ A @ V
-        if _opnorm(D - np.diag(np.diag(D))) > 1e-8 * max(_opnorm(A), 1.0):
+        if _opnorm(D - np.diag(np.diag(D))) > 1e-8 * sa:
             return None  # non-generic collision: not decided in closed form
         slopes.append(np.real(np.diag(D)))
     Dg = V.conj().T @ Gh @ V
-    if _opnorm(Dg - np.diag(np.diag(Dg))) > 1e-8 * max(_opnorm(Gh), 1.0):
+    if _opnorm(Dg - np.diag(np.diag(Dg))) > 1e-8 * sg:
         return None
     weights = np.rint(np.real(np.diag(Dg))).astype(int)
     return np.array(slopes), weights
@@ -410,12 +425,14 @@ def _commuting_embedded(pieces, lens):
     On a common eigenline with deck weight w, the phase of U_t U_s^{-1} is
     f(t) - f(s) with f piecewise linear; a discriminant crossing at deck power
     m means f(t) - f(s) = 2 pi (m w mod k)/k mod 2 pi for some s < t.  w is a
-    unit mod k, so the targets are all the multiples of 2 pi / k.  The
-    attainable forward differences fill [min drawdown, max drawup], an
-    interval around 0 computed exactly at the nodes, so there is a crossing
-    iff f is not strictly monotone (target 0, m = 0) or the interval reaches
-    +-2 pi / k (m = +-w^{-1} mod k), up to 1e-12.  A slope is zero when it
-    is at most 1e-12 * max(|slopes|, 1), however short its piece.
+    unit mod k, so the targets are all the multiples of 2 pi / k.  There is
+    a crossing at target 0 (m = 0) iff f is not strictly monotone: some
+    slope is zero or two slopes differ in sign.  A slope is zero when it is
+    at most 1e-12 * max(|slopes|, 1), however short its piece.  Otherwise f
+    is strictly monotone from f(t0) = 0, so the forward differences fill
+    (0, f(t1)] or [f(t1), 0), and there is a crossing iff |f(t1)| reaches
+    2 pi / k (m = +-w^{-1} mod k), up to 1e-12; the margin is 2 pi / k
+    minus |f(t1)|.
     """
     data = _joint_eigendata(pieces, lens)
     if data is None:
@@ -423,18 +440,18 @@ def _commuting_embedded(pieces, lens):
     slopes, weights = data
     k = lens.k
     step = TWO_PI / k
-    nodes = [pieces[0][1]] + [b for _, _, b in pieces]
-    lengths = np.array([b - a for _, a, b in pieces])
+    nodes = [pieces[0][2]] + [b for *_, b in pieces]
+    lengths = np.array([b - a for *_, a, b in pieces])
     best_margin = np.inf
     for j in range(slopes.shape[1]):
         sl = slopes[:, j]
         f = np.concatenate([[0.0], np.cumsum(sl * lengths)])
-        drawup = float(np.max(f - np.minimum.accumulate(f)))
-        drawdown = float(np.min(f - np.maximum.accumulate(f)))
         scale = max(np.abs(sl).max(), 1.0)
         # zero crossing: some s < t with f(t) = f(s)
         if np.any(np.abs(sl) <= 1e-12 * scale) or (sl.max() > 0 and sl.min() < 0):
             return _crossing_report(f, nodes, 0.0, 0, "commuting-exact")
+        # f is strictly monotone from f(t0) = 0: it only rises or only falls
+        drawup, drawdown = (float(f[-1]), 0.0) if sl[0] > 0 else (0.0, float(f[-1]))
         m = pow(int(weights[j]), -1, k)
         if drawup >= step - 1e-12:
             return _crossing_report(f, nodes, step, m, "commuting-exact")
@@ -463,9 +480,8 @@ def _envelope_slopes(pieces):
     definite generator, lambda_min of a negative definite one, and 0 for any
     other (an eigenvalue within 1e-12 * max(|lambda|, 1) of 0 counts as 0)."""
     out = []
-    for A, _, _ in pieces:
-        lam = np.linalg.eigvalsh(A)
-        tol = 1e-12 * max(np.abs(lam).max(), 1.0)
+    for _, lam, _, _ in pieces:
+        tol = 1e-12 * max(_speed(lam), 1.0)
         out.append(lam[-1] if lam[0] > tol else lam[0] if lam[-1] < -tol else 0.0)
     return np.array(out)
 
@@ -504,7 +520,7 @@ def is_embedded(p, t0, t1):
     if not (0.0 <= t0 < t1 <= 1.0):
         raise ValueError(f"need 0 <= t0 < t1 <= 1, got ({t0}, {t1})")
     pieces = _restrict_pieces(p, t0, t1)
-    if all(_opnorm(A) * (b - a) <= 1e-12 for A, a, b in pieces):
+    if all(_stationary(lam, b - a) for _, lam, a, b in pieces):
         return EmbeddednessReport(True, "embedded", None, np.inf, "constant")
     exact = _commuting_embedded(pieces, p.lens)
     if exact is not None:
@@ -512,7 +528,7 @@ def is_embedded(p, t0, t1):
     slopes = _envelope_slopes(pieces)
     step = TWO_PI / p.lens.k
     if np.all(slopes > 0) or np.all(slopes < 0):
-        travel = float(np.abs(slopes) @ [b - a for _, a, b in pieces])
+        travel = float(np.abs(slopes) @ [b - a for *_, a, b in pieces])
         if travel < step - 1e-12:
             return EmbeddednessReport(True, "embedded", None, step - travel, "definite")
     return EmbeddednessReport(None, "indeterminate", None, 0.0, "definite")

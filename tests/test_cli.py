@@ -579,6 +579,22 @@ class TestMain:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["nu_star"]["num"] == 1 and res["nu_star"]["den"] == 10**8
 
+    def test_weights_reduced_mod_k(self, tmp_path, capsys):
+        # weights equal mod k give the same deck action: L_3(1, 10^6) and
+        # L_3(10^6, 1) are L_3(1, 1), on a random path the program builds
+        def results(task, weights):
+            f = tmp_path / "job.json"
+            f.write_text(json.dumps({"lens": {"k": 3, "weights": weights},
+                                     "path": {"random": {"seed": 1, "segments": 2}},
+                                     "task": {task: {}}}))
+            assert main([task, str(f)]) == 0, capsys.readouterr().err
+            return json.loads(capsys.readouterr().out)["results"]
+
+        for task in ("maslov", "selectors", "norms", "spectrum"):
+            expected = results(task, [1, 1])
+            assert results(task, [1, 1000000]) == expected, task
+            assert results(task, [1000000, 1]) == expected, task
+
     def test_geodesic_just_below_lattice(self, tmp_path, capsys):
         # T = 2 pi (1 - 1e-11) snaps to 2 pi for all three counts
         f = tmp_path / "job.json"

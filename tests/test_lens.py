@@ -78,6 +78,12 @@ class TestNewLens:
         assert new_lens(2, [1]).degenerate
         assert not new_lens(2, [1, 1]).degenerate
 
+    def test_deck_reduces_weights_mod_k(self):
+        # a weight far above k gives the phase of its residue, bit for bit
+        far, near = new_lens(3, [1, 1000000]), new_lens(3, [1, 1])
+        for m in (-2, 1, 5):
+            assert (far.deck(m) == near.deck(m)).all()
+
 
 class TestReebPeriod:
     def test_equal_weights_formula(self):

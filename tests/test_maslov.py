@@ -7,7 +7,6 @@ import pytest
 from lenselect import jobs, maslov
 from lenselect.lens import new_lens
 from lenselect.maslov import (
-    DENSE_BELOW,
     BasedFamily,
     evaluate_step,
     maslov_index,
@@ -79,6 +78,27 @@ class TestSubdivide:
     ])
     def test_count_matches_breakpoints(self, p):
         assert subdivision_count(p) == len(subdivide(p)) - 1
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 8])
+    def test_reeb_quarter_turns(self, n):
+        # ||A|| d = |m| pi/2 sits on an integer boundary of the ceiling
+        lens = new_lens(3, [1] * n)
+        for m in range(-40, 41):
+            assert subdivision_count(reeb_path(lens, m * math.pi / 2)) == max(abs(m), 1), m
+
+    def test_count_matches_operator_norm(self):
+        # the counts read the eigenvalues of UnitaryPath; the reference takes
+        # ||A|| from an SVD of each generator
+        rng = np.random.default_rng(13)
+        lenses = [L2, L3, new_lens(3, [1, 1, 1]), new_lens(5, [1, 2, 3])]
+        for i in range(200):
+            p = random_path(lenses[i % len(lenses)], rng, segments=int(rng.integers(1, 5)),
+                            norm_bound=float(rng.uniform(0.5, 20.0)))
+            expected = sum(
+                max(1, math.ceil(np.linalg.norm(A, 2) * d / (math.pi / 2) - 1e-12))
+                for A, d in p.segments
+            )
+            assert subdivision_count(p) == expected, i
 
 
 class TestBasedFamily:
@@ -161,7 +181,7 @@ class TestIndexAt:
         lens = new_lens(3, [1, 1, 1, 1])
         job = jobs.parse_job({"lens": {"k": 3, "weights": [1, 1, 1, 1]},
                               "path": {"reeb": 25.0}, "task": {"maslov": {}}})
-        assert BasedFamily(job.path).total_dim >= DENSE_BELOW
+        assert BasedFamily(job.path).N > 1
         built = count_calls(monkeypatch, BasedFamily, "form_at")
         assert jobs.run_job(job)["results"]["mu"] == 2 * lens.n * math.ceil(25.0 / TWO_PI)
         assert built == []
@@ -177,7 +197,7 @@ class TestIndexAt:
     def test_cayley_guard_is_batched(self):
         lens = new_lens(3, [1, 1, 1, 1])
         fam = BasedFamily(reeb_path(lens, 25.0))
-        assert fam.total_dim >= DENSE_BELOW  # index_at eliminates
+        assert fam.N > 1  # index_at eliminates
         # the third transition at t = 1 becomes -I
         fam._inv_at_start[2] = -fam._U[3].conj().T
         with pytest.raises(CayleyDomainError, match="-1"):

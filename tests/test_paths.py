@@ -12,6 +12,7 @@ from lenselect.paths import (
     PathError,
     UnitaryPath,
     _eigenphases,
+    _restrict_pieces,
     action_spectrum,
     append_segment,
     cluster_phases,
@@ -262,7 +263,35 @@ class TestSpectra:
         assert [m for m, _, _ in out] == [1]
 
 
+class TestRestrictPieces:
+    def test_pieces_carry_their_segment_eigenvalues(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            p = random_path(new_lens(5, [1, 2, 3]), rng, segments=4, norm_bound=5.0)
+            t0, t1 = sorted(rng.uniform(0.0, 1.0, 2))
+            pieces = _restrict_pieces(p, t0, t1)
+            assert pieces[0][2] == t0 and pieces[-1][3] == t1
+            starts = [a for _, _, a, _ in pieces[1:]] + [t1]
+            for (A, lam, a, b), following in zip(pieces, starts):
+                assert b == following  # the pieces tile [t0, t1]
+                i = p.segment_of((a + b) / 2)
+                assert A is p.segments[i][0] and lam is p._eig[i][0]
+                assert np.allclose(lam, np.linalg.eigvalsh(A), rtol=0, atol=1e-12)
+
+    def test_sliver_is_its_midpoint_segment(self):
+        p = UnitaryPath(L2, [(np.eye(2), 0.5), (np.diag([1.0, -1.0]), 0.5)])
+        [(A, lam, a, b)] = _restrict_pieces(p, 0.75, 0.75 + 1e-16)
+        assert (a, b) == (0.75, 0.75 + 1e-16)
+        assert A is p.segments[1][0] and lam is p._eig[1][0]
+
+
 class TestEmbeddedness:
+    def test_witness_reads_weights_mod_k(self):
+        # 10^17 + 1 = 2 mod 3, but rounds to 10^17 = 1 mod 3 as a float
+        near = UnitaryPath(new_lens(3, [1, 2]), [(np.diag([0.5, -5.0]), 1.0)])
+        far = UnitaryPath(new_lens(3, [1, 10**17 + 1]), [(np.diag([0.5, -5.0]), 1.0)])
+        assert is_embedded(far, 0.0, 1.0) == is_embedded(near, 0.0, 1.0)
+
     def test_short_reeb_embedded(self):
         for k in (2, 3, 5):
             lens = new_lens(k, [1, 1])
