@@ -219,7 +219,13 @@ def _selector_params(params, lens):
     _require(_is_int(j_hi), "task.selectors.j_hi", "j_hi must be an integer")
     _require(_is_number(base), "task.selectors.window_base",
              "window_base must be a finite number")
+    for name, j in (("j_lo", j_lo), ("j_hi", j_hi)):
+        _require(abs(j) <= 2**53, f"task.selectors.{name}",
+                 f"|{name}| must be at most 2**53, the integers a float holds exactly")
     _require(j_lo <= j_hi, "task.selectors", f"need j_lo <= j_hi, got {j_lo} > {j_hi}")
+    cap = selectors.MAX_SELECTORS
+    _require(j_hi - j_lo < cap, "task.selectors",
+             f"j_lo..j_hi lists {j_hi - j_lo + 1} selectors, more than {cap}")
     return j_lo, j_hi, float(base)
 
 
@@ -346,6 +352,11 @@ def run_job(job, overrides=None):
         decompose = params.get("decompose", False)
         _require(isinstance(decompose, bool), "task.norms.decompose",
                  "decompose must be true or false")
+        if decompose:
+            pieces, cap = norms.max_pieces(p), norms.MAX_GEODESIC_ORBITS
+            _require(pieces <= cap, "path",
+                     f"the embedded decomposition may need up to {pieces} pieces, "
+                     f"more than {cap}")
         rep = norms.norm_report(p, decompose=decompose)
         res.update(rep.as_dict())
         report["provenance"].append(

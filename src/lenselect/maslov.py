@@ -9,10 +9,10 @@ The total dimension of F_t is constant in t, so
     mu = ind(F_0) - ind(F_1)
 
 is a difference of indices on one fixed space, with ind(F_0) = 2nN asserted
-as a per-run self-check.  Every block of F_t is complex-linear, so F_t is
-the realification of a Hermitian matrix H of size (2N - 1) n: each Cayley
-block is the Hermitian A of the factor and each +-2J coupling is +-2i I, and
-each eigenvalue of H counts twice in the real form of dimension
+as a per-run self-check.  Every block of F_t is complex-linear, so `sharp`
+and `cayley_gf` hold F_t as a Hermitian matrix H of size (2N - 1) n: each
+Cayley block is the Hermitian A of the factor and each coupling is +-2i I,
+and each eigenvalue of H counts twice in the real form of dimension
 D = (2N - 1) 2n.
 
 `BasedFamily.index_at` counts ind(F_t) in O(N n^3) without assembling H.
@@ -24,9 +24,10 @@ well-conditioned directions are eliminated onto q_m and the near-null ones
 are carried into the next front instead of being divided by.  The dense
 null cut NULL_TOL * max |lambda(H)| is matched exactly by counting the
 nonpositive inertia of H - cI at two cuts c that bracket it: equal counts
-certify the dense count.  `BasedFamily.form_at` assembles H itself; with
-`quadratic.index` it is the reference, and the fallback when the bracket
-does not certify a count or N = 1.
+certify the dense count.  `BasedFamily.form_at` builds H as the paper
+does, by `sharp` over the `cayley_gf` factors; with `quadratic.index` it is
+the reference, and the fallback when the bracket does not certify a count
+or N = 1.
 
 Closed form (the step function).  On the universal cover of U(n) a path class
 is fixed by its endpoint together with the lift of arg det, and for a
@@ -44,19 +45,14 @@ reference, and the verify suite `maslov_props` (check `step-shape`) compares
 the two on seeded random paths at runtime.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .paths import reeb_shift, cluster_phases, _eigenphases, _restrict_pieces, _speed
-from .quadratic import (
-    NULL_TOL,
-    InvariantQuadraticForm,
-    base_phases,
-    cayley_hermitian,
-    index,
-)
+from .quadratic import NULL_TOL, cayley_gf, cayley_hermitian, index, sharp
 
 TWO_PI = 2.0 * math.pi
 
@@ -165,41 +161,13 @@ class BasedFamily:
         return ends @ self._inv_at_start
 
     def form_at(self, t):
-        """F_t = (..((C_1 # C_2) # C_3) ..) # C_N, assembled in one block.
+        """F_t = (..((C_1 # C_2) # C_3) ..) # C_N, C_m = `cayley_gf(V_m(t))`.
 
-        The dense reference for `index_at`, which falls back to it when its
-        bracket cannot certify a count.  Every block of the chain is
-        complex-linear, so F_t is held as the Hermitian matrix it realifies,
-        of size (2N-1) n: the Cayley factor C_m is `cayley_hermitian(V_m)`
-        and each +-2J coupling is +-2i I.  The chain lays out its 2N-1 blocks
-        of size n as
-        [q_N, q_{N-1}, C_N, q_{N-2}, C_{N-1}, ..., q_2, C_3, C_1, C_2], where
-        q_m is the base added by the m-th # and C_1 doubles as the base of
-        the first factor.  Level m couples (q_m, base of level m-1, C_m) as
-        `sharp` does; every entry is written once, so `realify` of the matrix
-        equals the chain's entry for entry.
+        The paper's construction, and the dense reference for `index_at`,
+        which falls back to it when its bracket cannot certify a count.
         """
-        C = cayley_hermitian(self.transitions(t))
-        N, n = self.N, self.lens.n
-        H = np.zeros(((2 * N - 1) * n,) * 2, dtype=complex)
-
-        def blk(p):
-            return slice(p * n, (p + 1) * n)
-
-        def base(m):  # slot of the base of the level-m composite
-            return 0 if m == N else 2 * (N - m) - 1
-
-        H[blk(base(1)), blk(base(1))] = C[0]
-        I2 = 2j * np.eye(n)
-        for m in range(2, N + 1):
-            q, z1, z2 = blk(base(m)), blk(base(m - 1)), blk(2 * (N - m) + 2)
-            H[z2, z2] = C[m - 1]
-            # -2<z2 - q, i(z1 - q)>, as in `sharp`
-            for a, b, M in ((z2, z1, -I2), (z2, q, I2), (q, z1, I2)):
-                H[a, b] = M
-                H[b, a] = M.conj().T
-        phases = np.tile(base_phases(self.lens), 2 * N - 1)
-        return InvariantQuadraticForm(H, 2 * n, phases, self.lens.k_prime)
+        factors = [cayley_gf(V, self.lens) for V in self.transitions(t)]
+        return functools.reduce(sharp, factors)
 
     def index_at(self, t):
         """ind(F_t), the count `index(self.form_at(t))` makes, in O(N n^3).
@@ -245,6 +213,11 @@ def _shifted_counts(C, cuts):
     """Nonpositive inertia of H - cI for each c in cuts, H the `form_at`
     matrix of the Cayley blocks C (stacked (N, n, n), N >= 2).
 
+    `sharp` lays each level out as [q, z1, z2, fibers of F, fibers of G], so
+    H has the 2N - 1 blocks [q_N, q_{N-1}, C_N, q_{N-2}, C_{N-1}, ..., q_2,
+    C_3, C_1, C_2] of size n: q_m is the base of level m (its z1 the base of
+    level m - 1, its z2 the C_m slot), and C_1 is the first factor's base.
+
     Level m of the chain (m = 2..N) couples its fiber, which is the front
     (the base of level m - 1, with everything before it eliminated into its
     block), the C_m slot and the directions carried from earlier levels, to
@@ -266,7 +239,7 @@ def _shifted_counts(C, cuts):
     I = np.eye(n)
     cI = cuts[:, None, None] * I  # (K, n, n)
     P0 = np.zeros((K, 2 * n, 2 * n), dtype=complex)
-    P0[:, :n, n:] = 2j * I  # H[base(m-1), C_m slot], as `form_at` writes it
+    P0[:, :n, n:] = 2j * I  # H[z1, z2] of level m, as `sharp` writes it
     P0[:, n:, :n] = -2j * I
     S = C[:, None] - cI  # (N, K, n, n): the diagonal blocks of H - cI
     front, W, mu = S[0], None, None

@@ -20,11 +20,12 @@ from .paths import (
     _envelope_slopes,
     _joint_eigendata,
     _restrict_pieces,
+    _speed,
     _stationary,
     is_embedded,
     reeb_path,
 )
-from .selectors import c_minus, c_plus
+from .maslov import evaluate_step
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,7 +36,7 @@ IDENTITY_CLASS_TOL = 1e-9
 # 0.5-0.75 ms per piece, one is_embedded certificate each (geodesic_report
 # with 1000 pieces, k in {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so
 # this cap bounds the decomposition of a geodesic job below a second; larger
-# T is refused.
+# T is refused, and so is a `norms` decomposition priced (max_pieces) above.
 MAX_GEODESIC_ORBITS = 1000
 
 
@@ -57,20 +58,28 @@ class LatticeValue:
         return {"num": self.num, "den": self.den, "approx": self.value}
 
 
-def is_identity_class(path):
-    """Non-degeneracy criterion: c_- = c_+ = 0 and endpoint U_1 = I."""
+def _selector_pair(path):
+    """(c_+, c_-) = (c_0, c_{-2n+1}) from one evaluation of the step function."""
+    ev = evaluate_step(path)
+    return ev.selector(0), ev.selector(-2 * path.lens.n + 1)
+
+
+def _identity_class(path, cp, cm):
     return (
-        abs(c_plus(path)) <= IDENTITY_CLASS_TOL
-        and abs(c_minus(path)) <= IDENTITY_CLASS_TOL
+        abs(cp) <= IDENTITY_CLASS_TOL
+        and abs(cm) <= IDENTITY_CLASS_TOL
         and path.is_identity_endpoint()
     )
 
 
-def _lattice_pair(path):
-    lens = path.lens
-    C = lens.period_multiple(c_plus(path), "ceil")
-    F = lens.period_multiple(c_minus(path), "floor")
-    return C, F
+def is_identity_class(path):
+    """Non-degeneracy criterion: c_- = c_+ = 0 and endpoint U_1 = I."""
+    return _identity_class(path, *_selector_pair(path))
+
+
+def _lattice_pair(lens, cp, cm):
+    """(C, F): c_+ rounded up and c_- rounded down to the period lattice."""
+    return lens.period_multiple(cp, "ceil"), lens.period_multiple(cm, "floor")
 
 
 def nu(path, variant="plain"):
@@ -78,10 +87,11 @@ def nu(path, variant="plain"):
     if variant not in ("plain", "prime"):
         raise ValueError(f"variant must be 'plain' or 'prime', got {variant!r}")
     lens = path.lens
-    C, F = _lattice_pair(path)
+    cp, cm = _selector_pair(path)
+    C, F = _lattice_pair(lens, cp, cm)
     m = max(C, -F)
     if variant == "prime":
-        m = 0 if is_identity_class(path) else max(m, 1)
+        m = 0 if _identity_class(path, cp, cm) else max(m, 1)
     return LatticeValue.of(lens, m)
 
 
@@ -95,7 +105,7 @@ def nu_star(path):
     value is asserted <= 2 pi + T_w.
     """
     lens = path.lens
-    C, F = _lattice_pair(path)
+    C, F = _lattice_pair(lens, *_selector_pair(path))
     m = -((F - C) // 2)
     bound = TWO_PI + lens.reeb_period
     if lens.period_value(m) > bound + 1e-9:
@@ -202,6 +212,16 @@ def _next_cut(path, pieces, slopes, commuting, t):
     return q if is_embedded(path, t, q).embedded else None
 
 
+def max_pieces(path):
+    """floor(k sum_i ||A_i|| d_i / 2 pi) + S + 1 (inf on overflow) bounds the
+    pieces of greedy_embedded_decomposition over S segments: each cut ends
+    at a node or uses up 2 pi / k of the fastest eigenline's travel."""
+    travel = path.lens.k * sum(
+        _speed(lam) * d for (lam, _), (_, d) in zip(path._eig, path.segments)
+    ) / TWO_PI
+    return math.floor(travel) + len(path.segments) + 1 if math.isfinite(travel) else math.inf
+
+
 def greedy_embedded_decomposition(path):
     """Upper bound for the discriminant length via maximal embedded prefixes.
 
@@ -252,13 +272,13 @@ def selector_lower_bounds(path):
     path, N > -c_-/T_w); the oscillation length is at least nu/T_w.
     """
     lens = path.lens
-    cp, cm = c_plus(path), c_minus(path)
+    cp, cm = _selector_pair(path)
     candidates = [0]
     if cp > IDENTITY_CLASS_TOL:
         candidates.append(lens.period_multiple(cp, "floor") + 1)
     if cm < -IDENTITY_CLASS_TOL:  # the inverse path's c_+ is -c_- (duality)
         candidates.append(lens.period_multiple(-cm, "floor") + 1)
-    C, F = _lattice_pair(path)
+    C, F = _lattice_pair(lens, cp, cm)
     return {"dis": max(candidates), "osc": max(C, -F)}
 
 

@@ -28,9 +28,6 @@ COMMUTATION_TOL = 1e-10
 # one point of the action spectrum with summed multiplicity.
 PHASE_CLUSTER_TOL = 1e-9
 
-# A phase this close to 0 (mod 2 pi) counts as a discriminant crossing.
-PHASE_ZERO_TOL = 1e-9
-
 # Most lens-level phases (k n) a `spectrum` job lists; see `action_spectrum`.
 MAX_LENS_PHASES = 100_000
 
@@ -85,7 +82,6 @@ class UnitaryPath:
             step = (V * np.exp(1j * lam * d)) @ V.conj().T
             self._prefix.append(step @ self._prefix[-1])
         self.endpoint = self._prefix[-1]
-        self._step_cache = {}  # window_base -> MaslovEvaluation, filled by selectors
 
     @staticmethod
     def _finite_eigh(i, A, total):
@@ -141,8 +137,9 @@ class UnitaryPath:
         s = t - self._starts[i]
         return (V * np.exp(1j * lam * s)) @ V.conj().T @ self._prefix[i]
 
-    def is_identity_endpoint(self, tol=1e-9):
-        return _opnorm(self.endpoint - np.eye(self.lens.n)) <= tol
+    def is_identity_endpoint(self):
+        """||U_1 - I|| <= 1e-9."""
+        return _opnorm(self.endpoint - np.eye(self.lens.n)) <= 1e-9
 
 
 def identity_path(lens):
@@ -247,8 +244,9 @@ def conjugate_path(psi, p):
 # --- action spectra ---
 
 
-def cluster_phases(phases, tol=PHASE_CLUSTER_TOL):
-    """Canonicalize to [0, 2 pi), sort, and merge clusters of width <= tol.
+def cluster_phases(phases):
+    """Canonicalize to [0, 2 pi), sort, and merge clusters of width <=
+    PHASE_CLUSTER_TOL.
 
     Returns (representatives, multiplicities); the cluster wrapping across
     0 ~ 2 pi is merged into the representative near 0.
@@ -259,12 +257,12 @@ def cluster_phases(phases, tol=PHASE_CLUSTER_TOL):
     ph = ph[order]
     reps, mults = [], []
     for x in ph:
-        if reps and x - reps[-1] <= tol:
+        if reps and x - reps[-1] <= PHASE_CLUSTER_TOL:
             mults[-1] += 1
         else:
             reps.append(x)
             mults.append(1)
-    if len(reps) > 1 and (reps[0] + TWO_PI) - reps[-1] <= tol:
+    if len(reps) > 1 and (reps[0] + TWO_PI) - reps[-1] <= PHASE_CLUSTER_TOL:
         mults[0] += mults.pop()
         reps.pop()
     return np.array(reps), np.array(mults, dtype=int)
@@ -323,7 +321,7 @@ def action_spectrum(p):
     return SpectrumWindow(phases_sphere, mult_sphere, phases_lens, mult_lens)
 
 
-def translated_points(p, T, level="sphere", tol=1e-9):
+def translated_points(p, T, level="sphere"):
     """Eigenspace data of translated points with translation T.
 
     Sphere: orthonormal basis of ker(U_1 - e^{iT}).  Lens: list of
@@ -335,7 +333,7 @@ def translated_points(p, T, level="sphere", tol=1e-9):
 
     def kernel_basis(M):
         _, s, Vh = np.linalg.svd(M)
-        d = int(np.sum(s <= tol * max(1.0, s.max() if s.size else 1.0)))
+        d = int(np.sum(s <= 1e-9 * max(1.0, s.max() if s.size else 1.0)))
         return d, Vh[n - d :].conj().T if d else np.zeros((n, 0))
 
     if level == "sphere":

@@ -6,9 +6,10 @@ action_phases[j]; every constructor below produces exactly invariant forms, and
 validation checks invariance rather than projecting onto it (silent
 symmetrization would mask assembly bugs).
 
-A form whose every block is complex-linear (the based families of `maslov`)
-is held as the complex Hermitian M x M matrix A it realifies: the real form is
-`realify(A)`, whose spectrum is that of A with every eigenvalue twice.
+Forms built from unitaries (`cayley_gf`, `zero_form`, `sharp`) are
+complex-linear and held as the Hermitian M x M matrix A they realify: the
+real form is `realify(A)`, with the spectrum of A, every eigenvalue twice.
+Only a form given as a real symmetric matrix is held as one.
 
 The cohomological index of the sublevel set cut out by an invariant form
 equals nullity + (number of negative eigenvalues); `index` computes that count
@@ -29,8 +30,6 @@ NULL_TOL = 1e-8
 # within pi/2 of 0 so this guard only trips on contract violations.
 CAYLEY_GUARD = 1e-6
 
-J2 = np.array([[0.0, -1.0], [1.0, 0.0]])
-
 
 class CayleyDomainError(ValueError):
     pass
@@ -45,11 +44,6 @@ def realify(A):
     S[0::2, 1::2] = -A.imag
     S[1::2, 0::2] = A.imag
     return S
-
-
-def complex_structure(m):
-    """Multiplication by i on R^{2m} in interleaved coordinates."""
-    return np.kron(np.eye(m), J2)
 
 
 def rotation_matrix(phases):
@@ -67,8 +61,8 @@ def rotation_matrix(phases):
 @dataclass(frozen=True)
 class InvariantQuadraticForm:
     # real symmetric S, 2M x 2M, with W(v) = 1/2 v^T S v; or complex Hermitian
-    # A, M x M, standing for S = realify(A).  `sharp` and `direct_sum` take
-    # real forms only.
+    # A, M x M, standing for S = realify(A).  `sharp` takes Hermitian forms,
+    # `direct_sum` two forms of the same kind.
     matrix: np.ndarray
     base_dim: int  # 2n, the first n complex coordinates
     action_phases: np.ndarray  # M angles, multiples of 2*pi/k_prime
@@ -111,7 +105,7 @@ def base_phases(lens):
 def zero_form(lens):
     n = lens.n
     return InvariantQuadraticForm(
-        np.zeros((2 * n, 2 * n)), 2 * n, base_phases(lens), lens.k_prime
+        np.zeros((n, n), dtype=complex), 2 * n, base_phases(lens), lens.k_prime
     )
 
 
@@ -131,10 +125,13 @@ def index(Q):
 
 
 def direct_sum(Q1, Q2):
+    """Block direct sum of two real or two Hermitian forms."""
     if Q1.k_prime != Q2.k_prime:
         raise ValueError(f"k' mismatch: {Q1.k_prime} vs {Q2.k_prime}")
-    d1, d2 = Q1.total_dim, Q2.total_dim
-    S = np.zeros((d1 + d2, d1 + d2))
+    if np.iscomplexobj(Q1.matrix) != np.iscomplexobj(Q2.matrix):
+        raise ValueError("direct sum of a real and a Hermitian form")
+    d1, d2 = len(Q1.matrix), len(Q2.matrix)
+    S = np.zeros((d1 + d2, d1 + d2), dtype=Q1.matrix.dtype)
     S[:d1, :d1] = Q1.matrix
     S[d1:, d1:] = Q2.matrix
     return InvariantQuadraticForm(
@@ -145,56 +142,48 @@ def direct_sum(Q1, Q2):
     )
 
 
-def sharp(F, G, lens=None):
+def sharp(F, G):
     """Generating function of the composite map.
 
     (F # G)(q; z1, z2, nu1, nu2) = F(z1, nu1) + G(z2, nu2)
                                    - 2<z2 - q, i(z1 - q)>
-    with q the new base and everything else fiber.  Total dimension grows by
-    2n + 2n: the old bases become fibers alongside the old fibers.
+    with q the new base and everything else fiber, laid out in that order.
+    Total dimension grows by 2n + 2n: the old bases become fibers alongside
+    the old fibers.  F and G are Hermitian forms, and so is the result.
     """
+    if not (np.iscomplexobj(F.matrix) and np.iscomplexobj(G.matrix)):
+        raise ValueError("sharp composes Hermitian forms")
     if F.base_dim != G.base_dim:
         raise ValueError(f"base dimension mismatch: {F.base_dim} vs {G.base_dim}")
     if F.k_prime != G.k_prime:
         raise ValueError(f"k' mismatch: {F.k_prime} vs {G.k_prime}")
-    n2 = F.base_dim
-    if not np.allclose(F.action_phases[: n2 // 2], G.action_phases[: n2 // 2], atol=1e-12):
+    n = F.base_dim // 2
+    if not np.allclose(F.action_phases[:n], G.action_phases[:n], atol=1e-12):
         raise ValueError("base action phases differ")
-    fF = F.fiber_dim
-    fG = G.fiber_dim
-    D = 3 * n2 + fF + fG
-    H = np.zeros((D, D))
-    q = slice(0, n2)
-    z1 = slice(n2, 2 * n2)
-    z2 = slice(2 * n2, 3 * n2)
-    v1 = slice(3 * n2, 3 * n2 + fF)
-    v2 = slice(3 * n2 + fF, D)
-    H[z1, z1] += F.matrix[:n2, :n2]
-    H[z1, v1] += F.matrix[:n2, n2:]
-    H[v1, z1] += F.matrix[n2:, :n2]
-    H[v1, v1] += F.matrix[n2:, n2:]
-    H[z2, z2] += G.matrix[:n2, :n2]
-    H[z2, v2] += G.matrix[:n2, n2:]
-    H[v2, z2] += G.matrix[n2:, :n2]
-    H[v2, v2] += G.matrix[n2:, n2:]
-    J = complex_structure(n2 // 2)
+    mF, mG = len(F.matrix), len(G.matrix)
+    D = n + mF + mG
+    H = np.zeros((D, D), dtype=complex)
+    q, z1, z2 = slice(0, n), slice(n, 2 * n), slice(2 * n, 3 * n)
+    for M, z, nu in ((F.matrix, z1, slice(3 * n, 2 * n + mF)),
+                     (G.matrix, z2, slice(2 * n + mF, D))):
+        H[z, z] = M[:n, :n]
+        H[z, nu] = M[:n, n:]
+        H[nu, z] = M[n:, :n]
+        H[nu, nu] = M[n:, n:]
 
-    # -2<z2 - q, i(z1 - q)> expands to -2 z2.J z1 + 2 z2.J q + 2 q.J z1
-    # (the q.J q term vanishes since J is antisymmetric); W = 1/2 u^T H u,
-    # so each bilinear c * a^T M b contributes c*M at (a,b) and c*M^T at (b,a).
-    def couple(sa, sb, M):
-        H[sa, sb] += M
-        H[sb, sa] += M.T
+    # <a, b> = Re(a* b), so -2<z2 - q, i(z1 - q)> is the real part of
+    # -2i z2* z1 + 2i z2* q + 2i q* z1 (the q* q term is imaginary); with
+    # W = 1/2 u* H u, a term Re(c a* b) is c I at (a, b) and its conjugate
+    # at (b, a).
+    for a, b, c in ((z2, z1, -2j), (z2, q, 2j), (q, z1, 2j)):
+        H[a, b] = c * np.eye(n)
+        H[b, a] = np.conj(c) * np.eye(n)
 
-    couple(z2, z1, -2.0 * J)
-    couple(z2, q, 2.0 * J)
-    couple(q, z1, 2.0 * J)
-
-    base_ph = F.action_phases[: n2 // 2]
+    base_ph = F.action_phases[:n]
     phases = np.concatenate(
-        [base_ph, base_ph, base_ph, F.action_phases[n2 // 2 :], G.action_phases[n2 // 2 :]]
+        [base_ph, base_ph, base_ph, F.action_phases[n:], G.action_phases[n:]]
     )
-    return InvariantQuadraticForm(H, n2, phases, F.k_prime)
+    return InvariantQuadraticForm(H, 2 * n, phases, F.k_prime)
 
 
 def cayley_hermitian(U):
@@ -219,9 +208,10 @@ def cayley_hermitian(U):
 def cayley_gf(U, lens):
     """Fiberless generating function of the unitary U via the Cayley transform.
 
-    W(q) = 1/2 q^T realify(A) q with A = `cayley_hermitian(U)`.
+    W(q) = 1/2 q* A q with A = `cayley_hermitian(U)`, held as A.
     Contract: for q = (z + Uz)/2 the differential dW(q) is the covector
     i(z - Uz), i.e. the form generates the graph of U.
     """
-    S = realify(cayley_hermitian(U))
-    return InvariantQuadraticForm(S, 2 * U.shape[0], base_phases(lens), lens.k_prime)
+    return InvariantQuadraticForm(
+        cayley_hermitian(U), 2 * U.shape[0], base_phases(lens), lens.k_prime
+    )

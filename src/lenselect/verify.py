@@ -169,7 +169,7 @@ def suite_quadratic_core(trials, seed):
         for _ in range(20):
             z = rng.normal(size=n) + 1j * rng.normal(size=n)
             q = (z + U @ z) / 2.0
-            resid = np.linalg.norm(Q.matrix @ _vec(q) - _vec(1j * (z - U @ z)))
+            resid = np.linalg.norm(realify(Q.matrix) @ _vec(q) - _vec(1j * (z - U @ z)))
             worst = max(worst, resid)
         ck.record(1e-9 * (1 + np.linalg.norm(U, 2)) - worst)
     checks.append(ck)
@@ -181,7 +181,8 @@ def suite_quadratic_core(trials, seed):
     for _ in range(trials):
         theta = rng.uniform(-math.pi + 0.3, math.pi - 0.3)
         Q = cayley_gf(np.exp(1j * theta) * np.eye(lens.n), lens)
-        err = np.linalg.norm(Q.matrix - 2 * math.tan(theta / 2) * np.eye(2 * lens.n))
+        err = np.linalg.norm(realify(Q.matrix)
+                             - 2 * math.tan(theta / 2) * np.eye(2 * lens.n))
         ck.record(1e-9 * (1 + abs(math.tan(theta / 2))) - err)
     eps = 0.01
     ck.record(0 if index(cayley_gf(np.exp(1j * eps) * np.eye(lens.n), lens)) == 0
@@ -224,20 +225,21 @@ def suite_quadratic_core(trials, seed):
         iota[2 * n2:3 * n2, 0:n2] = np.eye(n2)  # z2 = z
         iota[3 * n2:3 * n2 + fF, n2:n2 + fF] = np.eye(fF)
         iota[3 * n2 + fF:, n2 + fF:] = np.eye(fG)
-        pulled = iota.T @ sh.matrix @ iota
+        pulled = iota.T @ realify(sh.matrix) @ iota
         # same form assembled directly: F(z, nu1) + G(z, nu2); the coupling
         # term vanishes on the diagonal z1 = z2 = q
         direct = np.zeros_like(pulled)
         z = slice(0, n2)
         v1 = slice(n2, n2 + fF)
         v2 = slice(n2 + fF, n2 + fF + fG)
-        direct[z, z] += F.matrix[:n2, :n2] + G.matrix[:n2, :n2]
-        direct[z, v1] += F.matrix[:n2, n2:]
-        direct[v1, z] += F.matrix[n2:, :n2]
-        direct[v1, v1] += F.matrix[n2:, n2:]
-        direct[z, v2] += G.matrix[:n2, n2:]
-        direct[v2, z] += G.matrix[n2:, :n2]
-        direct[v2, v2] += G.matrix[n2:, n2:]
+        SF, SG = realify(F.matrix), realify(G.matrix)
+        direct[z, z] += SF[:n2, :n2] + SG[:n2, :n2]
+        direct[z, v1] += SF[:n2, n2:]
+        direct[v1, z] += SF[n2:, :n2]
+        direct[v1, v1] += SF[n2:, n2:]
+        direct[z, v2] += SG[:n2, n2:]
+        direct[v2, z] += SG[n2:, :n2]
+        direct[v2, v2] += SG[n2:, n2:]
         err = np.linalg.norm(pulled - direct)
         ok_pull = err <= 1e-10 * max(1.0, np.linalg.norm(direct))
         shared = InvariantQuadraticForm(

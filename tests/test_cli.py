@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lenselect
-from lenselect import maslov
+from lenselect import maslov, norms, selectors
 from lenselect.cli import main
 from lenselect.jobs import TASK_PARAMS, JobError, parse_job, render_table, run_job, serialize
 from lenselect.paths import MAX_LENS_PHASES
@@ -395,6 +395,19 @@ class TestMain:
          "task.selectors.window_base"),
         ("selectors", {"task": {"selectors": {"window_base": 1e300}}},
          "task.selectors.window_base"),
+        # 10^6 + 1 selectors; |j| past 2^53
+        ("selectors", {"task": {"selectors": {"j_lo": 0, "j_hi": 10**6}}},
+         "task.selectors"),
+        ("selectors", {"task": {"selectors": {"j_lo": 10**400, "j_hi": 10**400}}},
+         "task.selectors.j_lo"),
+        ("selectors", {"task": {"selectors": {"j_lo": -(10**400)}}}, "task.selectors.j_lo"),
+        ("selectors", {"task": {"selectors": {"j_hi": 2**53 + 1}}}, "task.selectors.j_hi"),
+        # L_3(1,1), Reeb T: up to floor(3T / 2 pi) + 2 pieces, 4776 at T = 10^4
+        ("norms", {"path": {"reeb": 1e4}, "task": {"norms": {"decompose": True}}}, "path"),
+        ("norms", {"path": {"reeb": 1e9}, "task": {"norms": {"decompose": True}}}, "path"),
+        # trace 0, so the det-lift check passes; k ||A|| overflows the price
+        ("norms", {"path": hermitian_path([[0.0, 1e308], [1e308, 0.0]]),
+                   "task": {"norms": {"decompose": True}}}, "path"),
     ])
     def test_cost_over_cap_exits_two_at_once(self, tmp_path, capsys, command, doc, field):
         f = tmp_path / "job.json"
@@ -430,6 +443,29 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["results"]["c_plus"] == 1.0
         assert main(["selectors", str(f), "--window-base", "4.6e9"]) == 2
         assert capsys.readouterr().err.startswith("error: task.selectors.window_base:")
+
+    def test_selector_range_boundary(self, tmp_path, capsys):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0)))
+        cap = selectors.MAX_SELECTORS
+        assert main(["selectors", str(f), "--j-lo", "1", "--j-hi", str(cap)]) == 0
+        assert len(json.loads(capsys.readouterr().out)["results"]["selectors"]) == cap
+        assert main(["selectors", str(f), "--j-lo", "0", "--j-hi", str(cap)]) == 2
+        assert capsys.readouterr().err.startswith("error: task.selectors:")
+        # |j| = 2^53 runs: c_j = 1 + 2 pi ceil(j / 4) (spectrum {1}, n = 2)
+        j = -(2**53)
+        assert main(["selectors", str(f), "--j-lo", str(j), "--j-hi", str(j)]) == 0
+        got = json.loads(capsys.readouterr().out)["results"]["selectors"][str(j)]
+        assert got == 1.0 + TWO_PI * (j // 4)
+
+    def test_decompose_price_boundary(self, tmp_path, capsys):
+        # L_3(1,1), Reeb T = 2000: the price floor(3T / 2 pi) + 2 = 956 is
+        # under the cap, and the greedy makes floor(3T / 2 pi) + 1 pieces
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 2000.0, {"norms": {"decompose": True}})))
+        assert norms.max_pieces(parse_job(f.read_text()).path) == 956
+        assert main(["norms", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["dis_upper"] == 955
 
     def test_maslov_form_cap_boundary(self, tmp_path, capsys):
         # L_3(1): a generator 256 pi for time 1 gives N = 512 intervals and

@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -25,10 +24,8 @@ from lenselect.paths import (
 from lenselect.quadratic import (
     CayleyDomainError,
     InvariantQuadraticForm,
-    cayley_gf,
     index,
     realify,
-    sharp,
 )
 
 TWO_PI = 2 * math.pi
@@ -102,17 +99,6 @@ class TestSubdivide:
 
 
 class TestBasedFamily:
-    @pytest.mark.parametrize("N", [1, 2, 3, 7])
-    @pytest.mark.parametrize("t", [0.0, 0.37, 1.0])
-    def test_form_at_is_the_sharp_chain(self, N, t):
-        p = random_path(new_lens(5, [1, 2, 3]), np.random.default_rng(N), norm_bound=1.0)
-        fam = BasedFamily(p, np.linspace(0.0, 1.0, N + 1))
-        F = fam.form_at(t)
-        chain = functools.reduce(sharp, [cayley_gf(V, fam.lens) for V in fam.transitions(t)])
-        assert np.array_equal(realify(F.matrix), chain.matrix)
-        assert np.array_equal(F.action_phases, chain.action_phases)
-        assert F.total_dim == fam.total_dim
-
     @pytest.mark.parametrize("k, weights", DET_LIFT_LENSES)
     @pytest.mark.parametrize("path", ["random", 1, 2])
     @pytest.mark.parametrize("t", [0.0, 1.0])

@@ -208,7 +208,7 @@ class TestNuStar:
             for C in range(-15, 16):
                 for F in range(-15, C + 1):
                     monkeypatch.setattr(lenselect.norms, "_lattice_pair",
-                                        lambda path, C=C, F=F: (C, F))
+                                        lambda lens, cp, cm, C=C, F=F: (C, F))
                     m, N = nu_star_loop(C, F, per)
                     if lens.period_value(m) > TWO_PI + lens.reeb_period + 1e-9:
                         with pytest.raises(AssertionError):

@@ -8,7 +8,6 @@ from lenselect.lens import new_lens
 from lenselect.maslov import maslov_index
 from lenselect.norms import greedy_embedded_decomposition
 from lenselect.paths import (
-    PHASE_ZERO_TOL,
     PathError,
     UnitaryPath,
     _eigenphases,
@@ -30,6 +29,9 @@ from lenselect.paths import (
 from lenselect.selectors import selector
 
 TWO_PI = 2 * math.pi
+
+# A phase this close to 0 (mod 2 pi) counts as a discriminant crossing.
+PHASE_ZERO_TOL = 1e-9
 
 L2 = new_lens(2, [1, 1])
 L4 = new_lens(4, [1, 3])

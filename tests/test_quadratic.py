@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lenselect.lens import new_lens
+from lenselect.paths import haar_unitary
 from lenselect.quadratic import (
     CayleyDomainError,
     InvariantQuadraticForm,
     cayley_gf,
-    complex_structure,
     direct_sum,
     index,
     realify,
@@ -20,6 +20,13 @@ from lenselect.quadratic import (
 
 L2 = new_lens(2, [1, 1])
 L3 = new_lens(3, [1, 1])
+
+
+def vec(z):
+    """Real coordinates of a complex vector, (x, y) interleaved."""
+    v = np.empty(2 * len(z))
+    v[0::2], v[1::2] = z.real, z.imag
+    return v
 
 
 def random_invariant(rng, k_prime, M):
@@ -52,8 +59,10 @@ class TestRealify:
         assert v @ S @ v == pytest.approx((z.conj() @ A @ z).real, rel=1e-12)
 
     def test_multiplication_by_i(self):
-        J = complex_structure(2)
+        J = realify(1j * np.eye(2))
         assert np.allclose(J @ J, -np.eye(4))
+        z = np.array([1.0 + 2.0j, -0.5 + 0.25j])
+        assert np.array_equal(J @ vec(z), vec(1j * z))
 
 
 class TestIndex:
@@ -112,6 +121,12 @@ class TestDirectSum:
         with pytest.raises(ValueError, match="mismatch"):
             direct_sum(random_invariant(rng, 2, 2), random_invariant(rng, 3, 2))
 
+    def test_mixed_kinds_refused(self):
+        real = random_invariant(np.random.default_rng(5), 2, 2)
+        for Q1, Q2 in ((real, zero_form(L2)), (zero_form(L2), real)):
+            with pytest.raises(ValueError, match="real and a Hermitian"):
+                direct_sum(Q1, Q2)
+
 
 class TestCayley:
     def test_identity_is_zero_form(self):
@@ -123,7 +138,7 @@ class TestCayley:
     def test_scalar_rotation_is_tan_half(self):
         for theta in (-2.0, -0.5, 0.3, 1.2, 2.5):
             Q = cayley_gf(np.exp(1j * theta) * np.eye(2), L2)
-            assert np.allclose(Q.matrix, 2 * math.tan(theta / 2) * np.eye(4),
+            assert np.allclose(realify(Q.matrix), 2 * math.tan(theta / 2) * np.eye(4),
                                atol=1e-12)
 
     def test_index_sign_near_identity(self):
@@ -149,14 +164,8 @@ class TestCayley:
             for _ in range(20):
                 z = rng.normal(size=2) + 1j * rng.normal(size=2)
                 q = (z + U @ z) / 2
-                v = np.empty(4)
-                v[0::2], v[1::2] = q.real, q.imag
-                w = 1j * (z - U @ z)
-                target = np.empty(4)
-                target[0::2], target[1::2] = w.real, w.imag
-                assert np.linalg.norm(Q.matrix @ v - target) <= 1e-9 * (
-                    1 + np.linalg.norm(U, 2)
-                )
+                residual = realify(Q.matrix) @ vec(q) - vec(1j * (z - U @ z))
+                assert np.linalg.norm(residual) <= 1e-9 * (1 + np.linalg.norm(U, 2))
 
 
 class TestSharp:
@@ -180,6 +189,39 @@ class TestSharp:
         rng = np.random.default_rng(12)
         F = cayley_gf(np.diag(np.exp(1j * rng.uniform(-1, 1, 2))), L3)
         sharp(F, F).validate()
+
+    def test_composite_formula(self):
+        # 1/2 u^T S u = F(z1, nu1) + G(z2, nu2) - 2 <z2 - q, i(z1 - q)> for the
+        # realification S of F # G, on forms with fibers and u in the layout
+        # [q, z1, z2, nu1, nu2]; <a, b> = Re(a* b) is the real inner product
+        rng = np.random.default_rng(13)
+        n = L2.n
+
+        def cayley():
+            while True:
+                U = haar_unitary(n, rng)
+                if np.abs(np.linalg.eigvals(U) + 1).min() > 0.1:
+                    return cayley_gf(U, L2)
+
+        def value(Q, w):
+            return 0.5 * vec(w) @ realify(Q.matrix) @ vec(w)
+
+        F = sharp(cayley(), cayley())
+        G = sharp(sharp(cayley(), cayley()), cayley())
+        H = sharp(F, G)
+        fF, fG = len(F.matrix) - n, len(G.matrix) - n
+        assert len(H.matrix) == 3 * n + fF + fG
+        for _ in range(10):
+            u = rng.normal(size=len(H.matrix)) + 1j * rng.normal(size=len(H.matrix))
+            q, z1, z2, nu1, nu2 = np.split(u, np.cumsum([n, n, n, fF]))
+            want = (value(F, np.concatenate([z1, nu1])) + value(G, np.concatenate([z2, nu2]))
+                    - 2 * np.vdot(z2 - q, 1j * (z1 - q)).real)
+            assert value(H, u) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    def test_real_forms_refused(self):
+        rng = np.random.default_rng(14)
+        with pytest.raises(ValueError, match="Hermitian"):
+            sharp(random_invariant(rng, 2, 2), zero_form(L2))
 
     def test_base_mismatch_rejected(self):
         with pytest.raises(ValueError):
