@@ -1,6 +1,11 @@
 """Spectral selectors, Maslov-type indices and conjugation-invariant norms
 for contact isotopies of lens spaces generated by weight-compatible unitary
-paths."""
+paths.
+
+Submodules load on first use, so a CLI job compiles and runs only the
+modules its task calls: a `selectors` job never runs `norms` or `verify`.
+Each public name below is read from its submodule on first access.
+"""
 
 import os
 
@@ -14,71 +19,50 @@ import os
 # (D = 1656: 0.30 s on 2 threads, 0.45 s on 1).
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .lens import LensSpace, LensSpaceError, new_lens, round_to_period
-from .maslov import evaluate_step, maslov_index, maslov_shifted, subdivide
-from .norms import (
-    geodesic_report,
-    greedy_embedded_decomposition,
-    norm_report,
-    nu,
-    nu_star,
-    selector_lower_bounds,
-)
-from .paths import (
-    UnitaryPath,
-    action_spectrum,
-    append_segment,
-    conjugate_path,
-    identity_path,
-    inverse_path,
-    is_embedded,
-    product_path,
-    random_path,
-    reeb_path,
-    reeb_shift,
-    translated_points,
-)
-from .quadratic import InvariantQuadraticForm, cayley_gf, direct_sum, index, sharp
-from .selectors import selector, selector_range, time_function
-from .verify import verify_suite
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "LensSpace",
-    "LensSpaceError",
-    "new_lens",
-    "round_to_period",
-    "InvariantQuadraticForm",
-    "cayley_gf",
-    "direct_sum",
-    "index",
-    "sharp",
-    "UnitaryPath",
-    "identity_path",
-    "reeb_path",
-    "reeb_shift",
-    "inverse_path",
-    "product_path",
-    "conjugate_path",
-    "append_segment",
-    "random_path",
-    "action_spectrum",
-    "translated_points",
-    "is_embedded",
-    "maslov_index",
-    "maslov_shifted",
-    "evaluate_step",
-    "subdivide",
-    "selector",
-    "selector_range",
-    "time_function",
-    "nu",
-    "nu_star",
-    "norm_report",
-    "greedy_embedded_decomposition",
-    "selector_lower_bounds",
-    "geodesic_report",
-    "verify_suite",
-    "__version__",
-]
+# Each public name and the submodule that defines it.
+_PUBLIC = {
+    **dict.fromkeys(("LensSpace", "LensSpaceError", "new_lens", "round_to_period"), "lens"),
+    **dict.fromkeys(("InvariantQuadraticForm", "cayley_gf", "direct_sum", "index",
+                     "sharp"), "quadratic"),
+    **dict.fromkeys(("UnitaryPath", "identity_path", "reeb_path", "reeb_shift",
+                     "inverse_path", "product_path", "conjugate_path", "append_segment",
+                     "random_path", "action_spectrum", "translated_points",
+                     "is_embedded"), "paths"),
+    **dict.fromkeys(("maslov_index", "maslov_shifted", "evaluate_step", "subdivide"),
+                    "maslov"),
+    **dict.fromkeys(("selector", "selector_range", "time_function"), "selectors"),
+    **dict.fromkeys(("nu", "nu_star", "norm_report", "greedy_embedded_decomposition",
+                     "selector_lower_bounds", "geodesic_report"), "norms"),
+    "verify_suite": "verify",
+}
+
+__all__ = [*_PUBLIC, "__version__"]
+
+
+def _register_lazily(name):
+    """importlib's lazy-import recipe: the module is in `sys.modules` and is
+    a package attribute, and its code runs on first attribute access.  `cli`
+    is left out: runpy warns when `python -m lenselect.cli` finds it already
+    in `sys.modules`."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    globals()[name] = module
+
+
+for _name in ("lens", "quadratic", "paths", "maslov", "selectors", "norms", "jobs", "verify"):
+    _register_lazily(_name)
+del _name
+
+
+def __getattr__(name):
+    if name in _PUBLIC:
+        return getattr(globals()[_PUBLIC[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

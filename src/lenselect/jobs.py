@@ -260,8 +260,9 @@ def _verify_params(params):
     seed = params.get("seed", 0)
     _require(suite in verify.SUITES, "task.verify.suite",
              f"unknown suite {suite!r}; choose from {', '.join(verify.SUITES)}")
-    _require(_is_int(trials) and trials >= 1, "task.verify.trials",
-             "trials must be an integer >= 1")
+    cap = verify.MAX_VERIFY_TRIALS
+    _require(_is_int(trials) and 1 <= trials <= cap, "task.verify.trials",
+             f"trials must be an integer from 1 to {cap}")
     _require(_is_int(seed) and seed >= 0, "task.verify.seed",
              "seed must be an integer >= 0")
     return suite, trials, seed

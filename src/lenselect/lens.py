@@ -9,7 +9,6 @@ the lattice T_w * Z.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -108,8 +107,9 @@ class LensSpace:
 
     def period_fraction(self, m):
         """m*T_w as an exact fraction of 2*pi: (num, den)."""
-        f = Fraction(m * self.reeb_numerator, self.k)
-        return f.numerator, f.denominator
+        num = m * self.reeb_numerator
+        g = math.gcd(num, self.k)
+        return num // g, self.k // g
 
 
 def new_lens(k, weights):

@@ -52,6 +52,12 @@ TWO_PI = 2.0 * math.pi
 
 SUITES = ("thm1", "maslov_props", "norms", "geodesic", "quadratic_core")
 
+# Most trials a verify job runs.  Cost grows linearly in them; thm1, the
+# slowest suite, takes about 15 ms a trial (1.5 s at 100 trials; maslov_props
+# 1.1 s, norms 0.9 s, on a 2-vCPU x86 VM), so a job at the cap stays below
+# about 20 s.
+MAX_VERIFY_TRIALS = 1000
+
 
 def _lens_set():
     return [new_lens(2, [1, 1]), new_lens(3, [1, 1]), new_lens(4, [1, 3])]

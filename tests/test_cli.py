@@ -13,12 +13,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lenselect
-from lenselect import maslov, norms, selectors
+from lenselect import maslov, norms, selectors, verify
 from lenselect.cli import main
 from lenselect.jobs import TASK_PARAMS, JobError, parse_job, render_table, run_job, serialize
 from lenselect.paths import MAX_LENS_PHASES
 
 TWO_PI = 2 * math.pi
+
+# The submodules `import lenselect` registers lazily: all but cli.
+LAZY_SUBMODULES = ["lens", "quadratic", "paths", "maslov", "selectors", "norms", "jobs",
+                   "verify"]
 
 
 # Arbitrary JSON values for a field that wants a number; valid geodesic T
@@ -540,12 +544,73 @@ class TestMain:
         run = run_python(["-c", script, json.dumps(argvs)])
         assert run.returncode == 0, run.stderr
 
+    def test_import_loads_no_submodule(self):
+        # every submodule but cli is registered, unexecuted, so that
+        # sys.modules["lenselect.<name>"] resolves before any is used
+        script = (
+            "import sys, types, lenselect\n"
+            "assert 'numpy' not in sys.modules\n"
+            "assert 'lenselect.cli' not in sys.modules\n"
+            "for name in SUBMODULES:\n"
+            "    mod = sys.modules['lenselect.' + name]\n"
+            "    assert getattr(lenselect, name) is mod, name\n"
+            "    assert type(mod) is not types.ModuleType, name\n"
+        ).replace("SUBMODULES", repr(LAZY_SUBMODULES))
+        run = run_python(["-c", script])
+        assert run.returncode == 0, run.stderr
+
+    @pytest.mark.parametrize("command, doc, code, unrun", [
+        ("selectors", reeb_job(3, [1, 1], 1.0), 0, ["norms", "verify"]),
+        ("spectrum", reeb_job(3, [1, 1], 1.0), 0, ["maslov", "selectors", "norms", "verify"]),
+        # an input error stops in parse_job
+        ("maslov", {"lens": {"k": 4, "weights": [1, 2]}}, 2,
+         ["maslov", "selectors", "norms", "verify"]),
+    ])
+    def test_job_runs_only_the_modules_it_calls(self, tmp_path, command, doc, code, unrun):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        script = (
+            "import contextlib, io, sys, types\n"
+            "import lenselect.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = lenselect.cli.main(sys.argv[1:3])\n"
+            "print(code, [name for name in sys.argv[3:]\n"
+            "             if type(sys.modules['lenselect.' + name]) is types.ModuleType])\n"
+        )
+        run = run_python(["-c", script, command, str(f), *unrun])
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == f"{code} []"
+
+    def test_run_as_module_without_runtime_warning(self):
+        # runpy warns when lenselect.cli is already in sys.modules
+        run = run_python(["-W", "error::RuntimeWarning", "-m", "lenselect.cli", "maslov", "-"],
+                         input=json.dumps(reeb_job(2, [1, 1], TWO_PI)))
+        assert run.returncode == 0, run.stderr
+        assert json.loads(run.stdout)["results"]["mu"] == 4
+
+    def test_star_import_binds_all(self):
+        script = (
+            "import lenselect\n"
+            "ns = {}\n"
+            "exec('from lenselect import *', ns)\n"
+            "missing = [name for name in lenselect.__all__ if name not in ns]\n"
+            "assert not missing, missing\n"
+            "assert ns['verify_suite'] is lenselect.verify.verify_suite\n"
+            "assert ns['LensSpace'] is lenselect.lens.LensSpace\n"
+        )
+        run = run_python(["-c", script])
+        assert run.returncode == 0, run.stderr
+
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                         reason="needs /proc/self/task to count threads")
     def test_import_pins_one_blas_thread(self):
         # an idle OpenBLAS helper thread spins for ~0.1 s after numpy's import
         # and after each threaded call; every job is too small to repay it
-        script = ("import os, lenselect\n"
+        # numpy loads with the first lenselect module that needs it
+        script = ("import os, sys, lenselect\n"
+                  "lenselect.paths.UnitaryPath\n"
+                  "assert 'numpy' in sys.modules\n"
                   "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir('/proc/self/task')))")
         run = run_python(["-c", script])
         assert run.returncode == 0, run.stderr
@@ -640,6 +705,16 @@ class TestMain:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["verdict"] == "certified"
         assert res["lower"] == res["upper"] == res["greedy_count"] == 4
+
+    def test_verify_trials_cap_refused_at_once(self, capsys):
+        cap = verify.MAX_VERIFY_TRIALS
+        assert cap == 1000
+        for suite in verify.SUITES:
+            start = time.perf_counter()
+            assert main(["verify", "--suite", suite, "--trials", str(cap + 1)]) == 2
+            assert time.perf_counter() - start < 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: task.verify.trials:") and str(cap) in err
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--suite", "quadratic_core", "--trials", "3"]) == 0

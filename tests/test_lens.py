@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +13,15 @@ from lenselect.lens import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# Every valid lens of the bench corpora, plus a huge k.
+CORPUS_LENSES = [
+    (2, (1, 1)), (2, (1, 1, 1)), (2, (1, 1, 1, 1)), (3, (1,)), (3, (1, 1)),
+    (3, (1, 1, 1)), (3, (1, 1, 1, 1)), (3, (1, 2)), (4, (1, 3)), (4, (1, 1, 3, 3)),
+    (5, (1, 1)), (5, (1, 1, 1)), (5, (1, 1, 1, 1)), (5, (1, 2)), (5, (1, 2, 3)),
+    (7, (1, 1)), (7, (1, 1, 1)), (7, (1, 1, 1, 1)), (7, (1,) * 8), (7, (1, 2, 3, 4)),
+    (10**8, (1, 1)),
+]
 
 
 def brute_force_period(k, weights):
@@ -187,3 +197,11 @@ class TestRoundToPeriod:
         lens = new_lens(4, [1, 3])  # T_w = pi = 2 pi * 2/4
         num, den = lens.period_fraction(3)
         assert (num, den) == (3, 2)  # 3 T_w = 2 pi * 3/2
+
+    @pytest.mark.parametrize("k, weights", CORPUS_LENSES)
+    def test_fraction_in_lowest_terms(self, k, weights):
+        lens = new_lens(k, weights)
+        for m in range(-50, 51):
+            f = Fraction(m * lens.reeb_numerator, k)
+            assert lens.period_fraction(m) == (f.numerator, f.denominator), m
+        assert lens.period_fraction(0) == (0, 1)
