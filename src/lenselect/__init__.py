@@ -57,7 +57,8 @@ def _register_lazily(name):
     globals()[name] = module
 
 
-for _name in ("lens", "quadratic", "paths", "maslov", "selectors", "norms", "jobs", "verify"):
+for _name in ("tolerances", "lens", "quadratic", "paths", "maslov", "selectors", "norms", "jobs",
+              "verify"):
     _register_lazily(_name)
 del _name
 

@@ -9,27 +9,37 @@
 
 Reports go to stdout as JSON (deterministic for a fixed job and seed); pass
 --table for an aligned summary on stderr.  The flags override the job file's
-task parameters.  Tolerances are fixed, and every report lists them under
+task parameters; each flag's value is read and checked as a JSON value of the
+job file.  Tolerances are fixed, and every report lists them under
 `tolerances`.  Exit codes: 0 success, 1 a verify check failed, 2 input error.
 """
 
 import argparse
+import json
 import sys
 
 from . import jobs
 
 # The flag of each task parameter (`jobs.TASK_PARAMS`) that has one: its
-# spelling, type and help.  Every default is None, so a flag left out takes
-# the job file's value, or the task's own default in `jobs`.
+# spelling and help.  A flag left out is absent, so the parameter takes the
+# job file's value, or the task's own default in `jobs`.
 FLAGS = {
-    "j_lo": ("--j-lo", int, None),
-    "j_hi": ("--j-hi", int, None),
-    "window_base": ("--window-base", float, None),
-    "T": ("-T", float, "Reeb time"),
-    "suite": ("--suite", str, "verify suite (default thm1)"),
-    "trials": ("--trials", int, None),
-    "seed": ("--seed", int, None),
+    "j_lo": ("--j-lo", None),
+    "j_hi": ("--j-hi", None),
+    "window_base": ("--window-base", None),
+    "T": ("-T", "Reeb time"),
+    "suite": ("--suite", "verify suite (default thm1)"),
+    "trials": ("--trials", None),
+    "seed": ("--seed", None),
 }
+
+
+def _json_value(text):
+    """A flag's value as JSON, or the text itself when it is not JSON."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError):
+        return text
 
 
 def build_parser():
@@ -48,8 +58,9 @@ def build_parser():
                         help="also print an aligned results table to stderr")
         for p in params:
             if p in FLAGS:
-                flag, kind, text = FLAGS[p]
-                sp.add_argument(flag, dest=p, type=kind, default=None, help=text)
+                flag, text = FLAGS[p]
+                sp.add_argument(flag, dest=p, type=_json_value,
+                                default=argparse.SUPPRESS, help=text)
     return ap
 
 
@@ -62,18 +73,11 @@ def _read_job(source):
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    flags = {p: v for p, v in vars(args).items() if p in jobs.TASK_PARAMS[args.command]}
     try:
-        if args.command == "verify":
-            job = jobs.parse_job({"lens": {"k": 2, "weights": [1, 1]},
-                                  "task": {"verify": {}}})
-        else:
-            job = jobs.parse_job(_read_job(args.job))
-            if job.task != args.command:
-                if job.task is not None:
-                    job.params = {}  # params belong to the file's own task
-                job.task = args.command
-        overrides = {p: getattr(args, p, None) for p in jobs.TASK_PARAMS[args.command]}
-        report = jobs.run_job(job, overrides=overrides)
+        document = ({"lens": {"k": 2, "weights": [1, 1]}} if args.command == "verify"
+                    else _read_job(args.job))  # verify reads no job file
+        report = jobs.run_job(jobs.parse_job(document, args.command, flags))
     except (jobs.JobError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ generators, positive durations, finite phase travel).  Their errors say
 which input is at fault, and `parse_job` prefixes the JSON path, so every
 input error leaves the CLI as exit 2 naming the field.  `parse_job` rejects a
 task parameter the task does not read; the values are validated where
-`run_job` reads them, after the CLI flags are merged in.
+`run_job` reads them, also when a CLI flag gives them as JSON values.
 """
 
 import json
@@ -24,17 +24,16 @@ import math
 import numpy as np
 
 from . import maslov, norms, selectors, verify
-from .quadratic import NULL_TOL
-from .lens import PERIOD_SNAP_TOL, LensSpaceError, _is_int, new_lens
+from .lens import LensSpaceError, _is_int, new_lens
 from .paths import (
     MAX_LENS_PHASES,
-    PHASE_CLUSTER_TOL,
     PathError,
     UnitaryPath,
     action_spectrum,
     random_path,
     reeb_path,
 )
+from .tolerances import NULL_TOL, PERIOD_SNAP_TOL, PHASE_CLUSTER_TOL
 
 # Each task and the parameters it reads.
 TASK_PARAMS = {
@@ -54,17 +53,26 @@ class JobError(ValueError):
 
 
 class Job:
-    def __init__(self, lens, path_spec, path, task, params):
+    def __init__(self, lens, path_spec, path, task, params, flags):
         self.lens = lens
         self.path_spec = path_spec  # as given, for the report echo
         self.path = path  # the validated UnitaryPath, or None
         self.task = task
-        self.params = params
+        self.params = params  # the job file's, for the report echo
+        self.flags = flags  # the CLI's, overriding params in the run only
 
 
 def _require(cond, field, message):
     if not cond:
         raise JobError(field, message)
+
+
+def _lens_value(read):
+    """read(), with its LensSpaceError reported at the field under `lens`."""
+    try:
+        return read()
+    except LensSpaceError as e:
+        raise JobError(f"lens.{e.field}", str(e)) from None
 
 
 def _is_number(x):
@@ -145,48 +153,48 @@ def _parse_path(lens, path_spec):
         raise JobError(field, str(e)) from None
 
 
-def parse_job(document):
-    """Validate a JSON job document (bytes, str, or already-parsed dict)."""
+def parse_job(document, task=None, flags=None):
+    """Validate a JSON job document (bytes, str, or already-parsed dict).
+    `task` runs in place of the document's task, whose parameters are then
+    dropped; `flags` override the parameters of the run, not of the echo."""
     if isinstance(document, (bytes, str)):
-        try:
+        try:  # ValueError also covers an integer past Python's 4300 digits
             document = json.loads(document)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise JobError("$", f"malformed JSON: {e}") from None
     _require(isinstance(document, dict), "$", "job must be a JSON object")
 
     lens_spec = document.get("lens")
     _require(isinstance(lens_spec, dict), "lens", "missing lens object")
-    weights = lens_spec.get("weights")
-    _require(isinstance(weights, list), "lens.weights",
-             "weights must be a list of integers")
-    try:
-        lens = new_lens(lens_spec.get("k"), weights)
-    except LensSpaceError as e:
-        raise JobError(f"lens.{e.field}", str(e)) from None
+    lens = _lens_value(lambda: new_lens(lens_spec.get("k"), lens_spec.get("weights")))
 
     path_spec = document.get("path")
     path = None if path_spec is None else _parse_path(lens, path_spec)
 
     task_spec = document.get("task")
-    task, params = None, {}
+    file_task, params = None, {}
     if task_spec is not None:
         _require(isinstance(task_spec, dict) and len(task_spec) == 1, "task",
                  f"task must be an object with exactly one of {tuple(TASK_PARAMS)}")
-        task = next(iter(task_spec))
-        _require(task in TASK_PARAMS, "task", f"unknown task {task!r}")
-        params = task_spec[task]
-        _require(isinstance(params, dict), f"task.{task}", "expected an object")
-        for key in params:
-            _require(key in TASK_PARAMS[task], f"task.{task}.{key}",
-                     f"unknown parameter; {task} reads "
-                     f"{', '.join(TASK_PARAMS[task]) or 'no parameters'}")
+        file_task = next(iter(task_spec))
+        _require(file_task in TASK_PARAMS, "task", f"unknown task {file_task!r}")
+        params = task_spec[file_task]
+        _require(isinstance(params, dict), f"task.{file_task}", "expected an object")
+    task, flags = task or file_task, dict(flags or {})
+    for owner, keys in ((file_task, params), (task, flags)):
+        reads = TASK_PARAMS.get(owner, ())
+        for key in keys:
+            _require(key in reads, f"task.{owner}.{key}",
+                     f"unknown parameter; {owner} reads {', '.join(reads) or 'no parameters'}")
+    if task != file_task:
+        params = {}  # params belong to the file's own task
 
     tolerances = document.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances", "expected an object")
     if tolerances:
         raise JobError(f"tolerances.{next(iter(tolerances))}",
                        "tolerances are fixed; every report lists them under tolerances")
-    return Job(lens, path_spec, path, task, dict(params))
+    return Job(lens, path_spec, path, task, dict(params), flags)
 
 
 def _require_path(job):
@@ -211,7 +219,7 @@ def _det_lift_path(job, window_base=0.0):
 
 
 def _selector_params(params, lens):
-    """(j_lo, j_hi, window_base) of a selectors task, after the CLI merge."""
+    """(j_lo, j_hi, window_base) of a selectors task."""
     j_lo = params.get("j_lo", -2 * lens.n + 1)
     j_hi = params.get("j_hi", 0)
     base = params.get("window_base", 0.0)
@@ -230,7 +238,7 @@ def _selector_params(params, lens):
 
 
 def _geodesic_params(params, lens):
-    """T of a geodesic task, after the CLI merge; its cost is capped."""
+    """T of a geodesic task; its cost is capped."""
     T = params.get("T")
     _require(_is_number(T) and T >= 0, "task.geodesic.T",
              "T must be a finite number >= 0")
@@ -254,11 +262,11 @@ def _maslov_intervals(path):
 
 
 def _verify_params(params):
-    """(suite, trials, seed) of a verify task, after the CLI merge."""
+    """(suite, trials, seed) of a verify task."""
     suite = params.get("suite", "thm1")
     trials = params.get("trials", 25)
     seed = params.get("seed", 0)
-    _require(suite in verify.SUITES, "task.verify.suite",
+    _require(isinstance(suite, str) and suite in verify.SUITES, "task.verify.suite",
              f"unknown suite {suite!r}; choose from {', '.join(verify.SUITES)}")
     cap = verify.MAX_VERIFY_TRIALS
     _require(_is_int(trials) and 1 <= trials <= cap, "task.verify.trials",
@@ -279,11 +287,9 @@ def _echo(job):
     return out
 
 
-def run_job(job, overrides=None):
+def run_job(job):
     """Dispatch a parsed job; returns the report as a JSON-ready dict."""
-    params = dict(job.params)
-    if overrides:
-        params.update({k: v for k, v in overrides.items() if v is not None})
+    params = {**job.params, **job.flags}
     task = job.task
     if task is None:
         raise JobError("task", "no task given (on the CLI the subcommand sets it)")
@@ -307,6 +313,7 @@ def run_job(job, overrides=None):
 
     if task == "maslov":
         p = _require_path(job)
+        _lens_value(lambda: lens.k_prime)  # refused up front when trial division cannot find it
         res["subdivision_intervals"] = _maslov_intervals(p)
         res["mu"] = maslov.maslov_index(p)
         report["provenance"].append(

@@ -7,18 +7,19 @@ collected here: the deck phases, the Reeb period T_w, and exact arithmetic on
 the lattice T_w * Z.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import PERIOD_SNAP_TOL
+
 TWO_PI = 2.0 * math.pi
 
-# Relative tolerance for "x is a multiple of T_w".  Selector values are
-# eigenphases accurate to ~1e-12, so snapping at 1e-9*max(1,|x|) absorbs
-# representation noise without ever confusing distinct lattice points
-# (neighbouring multiples are >= 2*pi/k apart).
-PERIOD_SNAP_TOL = 1e-9
+# Trial division for k' stops at this divisor (about 0.2 s of divisions): it
+# decides every k up to 2**40, and a larger k only with a factor up to here.
+MAX_TRIAL_DIVISOR = 2**20
 
 
 class LensSpaceError(ValueError):
@@ -32,15 +33,6 @@ class LensSpaceError(ValueError):
 
 def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _smallest_prime_divisor(k):
-    d = 2
-    while d * d <= k:
-        if k % d == 0:
-            return d
-        d += 1
-    return k
 
 
 def _reeb_numerator(k, weights):
@@ -61,8 +53,22 @@ class LensSpace:
     k: int
     weights: tuple
     n: int
-    k_prime: int
     reeb_numerator: int  # T_w = 2*pi * reeb_numerator / k, exact
+
+    @functools.cached_property
+    def k_prime(self):
+        """k', the smallest prime factor of k: the order of the group Z_{k'}
+        acting on the generating functions (only they read it).  Found on
+        first read by trial division, which stops at MAX_TRIAL_DIVISOR."""
+        d = 2
+        while d * d <= self.k:
+            if self.k % d == 0:
+                return d
+            if d == MAX_TRIAL_DIVISOR:
+                raise LensSpaceError("k", f"k = {self.k} has no prime factor up to {d}, "
+                                          f"where trial division for k' stops")
+            d += 1
+        return self.k
 
     @property
     def reeb_period(self):
@@ -96,6 +102,8 @@ class LensSpace:
 
     def period_multiple(self, x, mode):
         """Integer m with m*T_w = ceil/floor of x in the lattice, snapped."""
+        if mode not in ("ceil", "floor"):
+            raise ValueError(f"mode must be 'ceil' or 'floor', got {mode!r}")
         q = x / self.reeb_period
         r = round(q)
         if abs(x - r * self.reeb_period) <= PERIOD_SNAP_TOL * max(1.0, abs(x)):
@@ -113,8 +121,10 @@ class LensSpace:
 
 
 def new_lens(k, weights):
-    """L_k(weights), validated: k an integer >= 2, weights positive integers
-    coprime to k (bools are not integers here)."""
+    """L_k(weights), validated: weights a list of positive integers coprime to
+    k, k an integer >= 2 (bools are not integers here)."""
+    if not isinstance(weights, (list, tuple)):
+        raise LensSpaceError("weights", "weights must be a list of integers")
     if not _is_int(k) or k < 2:
         raise LensSpaceError("k", f"k must be an integer >= 2, got {k!r}")
     weights = tuple(weights)
@@ -133,13 +143,10 @@ def new_lens(k, weights):
         k=k,
         weights=weights,
         n=len(weights),
-        k_prime=_smallest_prime_divisor(k),
         reeb_numerator=_reeb_numerator(k, weights),
     )
 
 
 def round_to_period(lens, x, mode):
     """T_w * ceil(x/T_w) or T_w * floor(x/T_w) with snap-to-lattice."""
-    if mode not in ("ceil", "floor"):
-        raise ValueError(f"mode must be 'ceil' or 'floor', got {mode!r}")
     return lens.period_value(lens.period_multiple(x, mode))

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lens import PERIOD_SNAP_TOL
 from .paths import (
     _envelope_slopes,
     _joint_eigendata,
@@ -26,6 +25,7 @@ from .paths import (
     reeb_path,
 )
 from .maslov import evaluate_step
+from .tolerances import PERIOD_SNAP_TOL
 
 TWO_PI = 2.0 * math.pi
 
@@ -298,22 +298,12 @@ class NormReport:
     osc_upper: int | None
     equal_weights: bool
     verdict: str
-    degenerate: bool
+    degenerate_circle_case: bool
 
     def as_dict(self):
-        return {
-            "nu": self.nu.as_dict(),
-            "nu_prime": self.nu_prime.as_dict(),
-            "nu_star": self.nu_star.as_dict(),
-            "nu_star_shift": self.nu_star_shift.as_dict(),
-            "dis_lower": self.dis_lower,
-            "dis_upper": self.dis_upper,
-            "osc_lower": self.osc_lower,
-            "osc_upper": self.osc_upper,
-            "equal_weights": self.equal_weights,
-            "verdict": self.verdict,
-            "degenerate_circle_case": self.degenerate,
-        }
+        """Every field but the lens, lattice values as {num, den, approx}."""
+        return {key: value.as_dict() if isinstance(value, LatticeValue) else value
+                for key, value in vars(self).items() if key != "lens"}
 
 
 def norm_report(path, decompose=False):
@@ -339,7 +329,7 @@ def norm_report(path, decompose=False):
         osc_upper=osc_upper,
         equal_weights=lens.equal_weights,
         verdict="not-applicable",
-        degenerate=lens.degenerate,
+        degenerate_circle_case=lens.degenerate,
     )
 
 
@@ -354,14 +344,8 @@ class GeodesicReport:
     equal_weights: bool
 
     def as_dict(self):
-        return {
-            "T": self.T,
-            "verdict": self.verdict,
-            "lower": self.lower,
-            "upper": self.upper,
-            "greedy_count": self.greedy_count,
-            "equal_weights": self.equal_weights,
-        }
+        """Every field but the lens."""
+        return {key: value for key, value in vars(self).items() if key != "lens"}
 
 
 def _snapped_orbits(lens, T):

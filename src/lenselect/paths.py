@@ -19,14 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .tolerances import PHASE_CLUSTER_TOL
+
 TWO_PI = 2.0 * math.pi
 
 HERMITIAN_TOL = 1e-10
 COMMUTATION_TOL = 1e-10
-
-# Clustering tolerance for eigenphases: spectrum members closer than this are
-# one point of the action spectrum with summed multiplicity.
-PHASE_CLUSTER_TOL = 1e-9
 
 # Most lens-level phases (k n) a `spectrum` job lists; see `action_spectrum`.
 MAX_LENS_PHASES = 100_000
@@ -321,30 +319,15 @@ def action_spectrum(p):
     return SpectrumWindow(phases_sphere, mult_sphere, phases_lens, mult_lens)
 
 
-def translated_points(p, T, level="sphere"):
-    """Eigenspace data of translated points with translation T.
-
-    Sphere: orthonormal basis of ker(U_1 - e^{iT}).  Lens: list of
-    (m, dimension, basis) over deck powers with nonempty kernel of
-    g^{-m} U_1 - e^{iT}.  Empty results are values, not errors.
+def translated_points(p, T):
+    """Translated points with translation T, at sphere level: the dimension d
+    and an orthonormal basis (n x d) of ker(U_1 - e^{iT}).  An empty kernel is
+    a value, not an error.
     """
-    U = p.endpoint
     n = p.lens.n
-
-    def kernel_basis(M):
-        _, s, Vh = np.linalg.svd(M)
-        d = int(np.sum(s <= 1e-9 * max(1.0, s.max() if s.size else 1.0)))
-        return d, Vh[n - d :].conj().T if d else np.zeros((n, 0))
-
-    if level == "sphere":
-        return kernel_basis(U - np.exp(1j * T) * np.eye(n))
-    out = []
-    for m in range(p.lens.k):
-        gm = p.lens.deck(-m)
-        d, basis = kernel_basis(gm @ U - np.exp(1j * T) * np.eye(n))
-        if d:
-            out.append((m, d, basis))
-    return out
+    _, s, Vh = np.linalg.svd(p.endpoint - np.exp(1j * T) * np.eye(n))
+    d = int(np.sum(s <= 1e-9 * max(1.0, s.max() if s.size else 1.0)))
+    return d, Vh[n - d :].conj().T if d else np.zeros((n, 0))
 
 
 # --- embeddedness ---

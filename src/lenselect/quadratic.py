@@ -21,10 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Eigenvalue lambda counts as <= 0 when lambda <= NULL_TOL * max |lambda|.
-# Based families contain exactly-zero blocks whose eigenvalues are polluted at machine-eps
-# scale by the sharp coupling, hence a relative rather than absolute cut.
-NULL_TOL = 1e-8
+from .tolerances import NULL_TOL
 
 # Cayley transform needs -1 away from spec(U); subdivision keeps eigenphases
 # within pi/2 of 0 so this guard only trips on contract violations.

@@ -50,8 +50,6 @@ from .selectors import c_minus, c_plus, selector, selector_range, time_function
 
 TWO_PI = 2.0 * math.pi
 
-SUITES = ("thm1", "maslov_props", "norms", "geodesic", "quadratic_core")
-
 # Most trials a verify job runs.  Cost grows linearly in them; thm1, the
 # slowest suite, takes about 15 ms a trial (1.5 s at 100 trials; maslov_props
 # 1.1 s, norms 0.9 s, on a 2-vCPU x86 VM), so a job at the cap stays below
@@ -398,12 +396,12 @@ def suite_maslov_props(trials, seed):
         sw = action_spectrum(p)
         ok = True
         for ph, mult in zip(sw.phases_sphere, sw.mult_sphere):
-            d, basis = translated_points(p, ph, "sphere")
+            d, basis = translated_points(p, ph)
             ok = ok and d == int(mult) and basis.shape == (lens.n, d)
         # a generic off-spectrum phase has no translated points
         off = sw.phases_sphere[0] + 0.05
         if np.abs(np.mod(off - sw.phases_sphere + math.pi, TWO_PI) - math.pi).min() > 1e-3:
-            ok = ok and translated_points(p, off, "sphere")[0] == 0
+            ok = ok and translated_points(p, off)[0] == 0
         ck.record(0 if ok else -1)
     checks.append(ck)
 
@@ -716,20 +714,20 @@ def suite_geodesic(trials, seed):
     return checks
 
 
-_SUITE_FUNCS = {
-    "quadratic_core": suite_quadratic_core,
-    "maslov_props": suite_maslov_props,
+SUITES = {
     "thm1": suite_thm1,
+    "maslov_props": suite_maslov_props,
     "norms": suite_norms,
     "geodesic": suite_geodesic,
+    "quadratic_core": suite_quadratic_core,
 }
 
 
 def verify_suite(suite, trials=25, seed=0):
     """Run one suite; returns a JSON-ready summary (no wall-clock data)."""
-    if suite not in _SUITE_FUNCS:
-        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(_SUITE_FUNCS)}")
-    checks = [c.as_dict() for c in _SUITE_FUNCS[suite](trials, seed)]
+    if suite not in SUITES:
+        raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    checks = [c.as_dict() for c in SUITES[suite](trials, seed)]
     failures = sum(c["failures"] for c in checks)
     return {
         "suite": suite,

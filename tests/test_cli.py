@@ -21,8 +21,22 @@ from lenselect.paths import MAX_LENS_PHASES
 TWO_PI = 2 * math.pi
 
 # The submodules `import lenselect` registers lazily: all but cli.
-LAZY_SUBMODULES = ["lens", "quadratic", "paths", "maslov", "selectors", "norms", "jobs",
-                   "verify"]
+LAZY_SUBMODULES = ["tolerances", "lens", "quadratic", "paths", "maslov", "selectors",
+                   "norms", "jobs", "verify"]
+
+# Each CLI flag: its parameter and the subcommand that reads it.
+FLAG_PARAMS = {
+    "--j-lo": ("selectors", "j_lo"),
+    "--j-hi": ("selectors", "j_hi"),
+    "--window-base": ("selectors", "window_base"),
+    "-T": ("geodesic", "T"),
+    "--suite": ("verify", "suite"),
+    "--trials": ("verify", "trials"),
+    "--seed": ("verify", "seed"),
+}
+
+# A prime k far above 2**40: trial division cannot find k' = k.
+HUGE_PRIME_K = 1000000000000037
 
 
 # Arbitrary JSON values for a field that wants a number; valid geodesic T
@@ -77,6 +91,18 @@ class TestParseJob:
     def test_malformed_json(self):
         with pytest.raises(JobError, match=r"\$: malformed"):
             parse_job("{not json")
+
+    @pytest.mark.parametrize("value", ["1" * 5000, "[" * 10**5 + "]" * 10**5])
+    def test_json_decoder_limits_are_input_errors(self, value, tmp_path, capsys):
+        # an integer past Python's 4300-digit limit, or nesting past the
+        # recursion limit, in the job file or in a flag
+        doc = '{"lens": {"k": 3, "weights": [1, 1]}, "path": {"reeb": 1.0}, "x": VALUE}'
+        with pytest.raises(JobError, match=r"^\$: malformed JSON"):
+            parse_job(doc.replace("VALUE", value))
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0)))
+        assert main(["selectors", str(f), "--j-lo", value]) == 2
+        assert capsys.readouterr().err.startswith("error: task.selectors.j_lo:")
 
     def test_non_coprime_weight_field(self):
         with pytest.raises(JobError, match=r"lens\.weights\[0\]"):
@@ -179,10 +205,25 @@ class TestRunJob:
         ({"trails": 3}, "task.verify.trails"),
     ])
     def test_bad_verify_params(self, params, field):
-        # the CLI flags are typed by argparse; a job built as JSON is not
-        with pytest.raises(JobError, match=rf"^{field}:"):
-            run_job(parse_job({"lens": {"k": 2, "weights": [1, 1]},
-                               "task": {"verify": params}}))
+        # values are checked where run_job reads them, whether the job file
+        # holds them or the CLI's flags, which arrive as JSON values
+        lens = {"lens": {"k": 2, "weights": [1, 1]}}
+        for args in (({**lens, "task": {"verify": params}},), (lens, "verify", params)):
+            with pytest.raises(JobError, match=rf"^{field}:"):
+                run_job(parse_job(*args))
+
+    def test_flags_override_params_but_are_not_echoed(self):
+        doc = reeb_job(3, [1, 1], 1.0, {"selectors": {"j_lo": -1, "j_hi": 0}})
+        rep = run_job(parse_job(doc, "selectors", {"j_hi": 1}))
+        assert rep["job"]["params"] == {"j_lo": -1, "j_hi": 0}
+        assert set(rep["results"]["selectors"]) == {"-1", "0", "1"}
+
+    def test_subcommand_drops_other_tasks_params_after_checking_keys(self):
+        doc = reeb_job(3, [1, 1], 1.0, {"geodesic": {"T": 1.0}})
+        rep = run_job(parse_job(doc, "maslov"))
+        assert rep["job"]["task"] == "maslov" and rep["job"]["params"] == {}
+        with pytest.raises(JobError, match=r"^task\.geodesic\.j_lo:"):
+            parse_job(reeb_job(3, [1, 1], 1.0, {"geodesic": {"j_lo": 0}}), "selectors")
 
     def test_deterministic_serialization(self):
         doc = reeb_job(2, [1, 1], 1.5, {"selectors": {}})
@@ -561,10 +602,11 @@ class TestMain:
 
     @pytest.mark.parametrize("command, doc, code, unrun", [
         ("selectors", reeb_job(3, [1, 1], 1.0), 0, ["norms", "verify"]),
-        ("spectrum", reeb_job(3, [1, 1], 1.0), 0, ["maslov", "selectors", "norms", "verify"]),
+        ("spectrum", reeb_job(3, [1, 1], 1.0), 0,
+         ["quadratic", "maslov", "selectors", "norms", "verify"]),
         # an input error stops in parse_job
         ("maslov", {"lens": {"k": 4, "weights": [1, 2]}}, 2,
-         ["maslov", "selectors", "norms", "verify"]),
+         ["quadratic", "maslov", "selectors", "norms", "verify"]),
     ])
     def test_job_runs_only_the_modules_it_calls(self, tmp_path, command, doc, code, unrun):
         f = tmp_path / "job.json"
@@ -715,6 +757,74 @@ class TestMain:
             assert time.perf_counter() - start < 1
             err = capsys.readouterr().err
             assert err.startswith("error: task.verify.trials:") and str(cap) in err
+
+    @pytest.mark.parametrize("flag, text", [
+        *((flag, text) for flag in FLAG_PARAMS for text in ("x", "null", "true", "[1]")),
+        *((flag, "1.5") for flag in ("--j-lo", "--j-hi", "--trials", "--seed")),
+    ])
+    def test_bad_flag_value_fails_as_in_job_file(self, tmp_path, capsys, flag, text):
+        # a flag's value is the JSON value it would have in the job file
+        command, param = FLAG_PARAMS[flag]
+        value = {"x": "x", "null": None, "true": True, "[1]": [1], "1.5": 1.5}[text]
+        doc = reeb_job(3, [1, 1], 1.0)
+        if command == "verify":
+            # verify reads no job file; its job is parsed with the value in it
+            with pytest.raises(JobError) as e:
+                run_job(parse_job({"lens": doc["lens"], "task": {"verify": {param: value}}}))
+            want = f"error: {e.value}"
+            assert main(["verify", flag, text]) == 2
+        else:
+            f, g = tmp_path / "file.json", tmp_path / "flag.json"
+            f.write_text(json.dumps({**doc, "task": {command: {param: value}}}))
+            g.write_text(json.dumps(doc))
+            assert main([command, str(f)]) == 2
+            want = capsys.readouterr().err.splitlines()[0]
+            assert main([command, str(g), flag, text]) == 2
+        got = capsys.readouterr().err.splitlines()[0]
+        assert got == want and got.startswith(f"error: task.{command}.{param}:")
+
+    @pytest.mark.parametrize("text", ["05", "+5", "1_000"])
+    def test_flag_numbers_use_json_syntax(self, tmp_path, capsys, text):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0)))
+        assert main(["selectors", str(f), "--j-lo", text]) == 2
+        assert capsys.readouterr().err.startswith("error: task.selectors.j_lo:")
+
+    def test_null_flag_is_a_value_not_an_absent_flag(self, tmp_path, capsys):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0, {"selectors": {"j_lo": -1}})))
+        assert main(["selectors", str(f), "--j-lo", "null"]) == 2
+        assert capsys.readouterr().err.startswith("error: task.selectors.j_lo:")
+
+    @pytest.mark.parametrize("flag, command, doc", [
+        ("-T", "geodesic", {"lens": {"k": 3, "weights": [1, 1]}}),
+        ("--window-base", "selectors", reeb_job(3, [1, 1], 1.0)),
+    ])
+    def test_integer_flag_value_same_as_float(self, tmp_path, capsys, flag, command, doc):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        results = []
+        for text in ("1", "1.0"):
+            assert main([command, str(f), flag, text]) == 0
+            results.append(json.loads(capsys.readouterr().out)["results"])
+        assert results[0] == results[1]
+
+    def test_suite_list_exits_two(self, capsys):
+        # a list is unhashable: the suite check must not look it up
+        assert main(["verify", "--suite", '["thm1"]']) == 2
+        assert capsys.readouterr().err.startswith("error: task.verify.suite:")
+
+    def test_huge_prime_k_selectors_fast_maslov_refused(self, tmp_path, capsys):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(HUGE_PRIME_K, [1, 2], 1.0)))
+        start = time.perf_counter()
+        assert main(["selectors", str(f)]) == 0
+        assert time.perf_counter() - start < 1
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert main(["maslov", str(f)]) == 2
+        assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err.startswith("error: lens.k:")
 
     def test_verify_exit_zero(self, capsys):
         assert main(["verify", "--suite", "quadratic_core", "--trials", "3"]) == 0

@@ -84,6 +84,20 @@ class TestNewLens:
         assert new_lens(9, [1, 2]).k_prime == 3
         assert new_lens(6, [1, 5]).k_prime == 2
 
+    def test_k_prime_of_huge_k(self):
+        # factored on first read, by trial division up to 2**20
+        assert new_lens(2**40 - 87, [1, 2]).k_prime == 2**40 - 87  # prime
+        assert new_lens(1000003 * 1100009, [1, 2]).k_prime == 1000003  # above 2**40
+        lens = new_lens(1000000000000037, [1, 2])  # prime, above 2**40
+        with pytest.raises(LensSpaceError) as e:
+            lens.k_prime
+        assert e.value.field == "k"
+
+    def test_rejects_weights_not_a_list(self):
+        with pytest.raises(LensSpaceError) as e:
+            new_lens(3, 5)
+        assert e.value.field == "weights"
+
     def test_degenerate_flag(self):
         assert new_lens(2, [1]).degenerate
         assert not new_lens(2, [1, 1]).degenerate
@@ -174,6 +188,8 @@ class TestRoundToPeriod:
     def test_bad_mode(self):
         with pytest.raises(ValueError):
             round_to_period(new_lens(2, [1, 1]), 1.0, "round")
+        with pytest.raises(ValueError):
+            new_lens(3, [1, 1]).period_multiple(1.0, "Ceil")
 
     @given(st.floats(min_value=-1e4, max_value=1e4),
            st.sampled_from([(2, (1, 1)), (3, (1, 1)), (5, (1, 2)), (4, (1, 3))]))

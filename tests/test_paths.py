@@ -257,12 +257,6 @@ class TestSpectra:
     def test_translated_points_empty(self):
         p = diag_path(L2, [0.5, 1.5])
         assert translated_points(p, 1.0)[0] == 0
-        assert translated_points(p, 1.0, "lens") == []
-
-    def test_translated_points_lens_level(self):
-        out = translated_points(reeb_path(L2, math.pi), 0.0, "lens")
-        # r_pi equals the deck map, so m = 1 translates by 0
-        assert [m for m, _, _ in out] == [1]
 
 
 class TestRestrictPieces:
