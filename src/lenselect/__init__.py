@@ -3,7 +3,8 @@ for contact isotopies of lens spaces generated by weight-compatible unitary
 paths.
 
 Submodules load on first use, so a CLI job compiles and runs only the
-modules its task calls: a `selectors` job never runs `norms` or `verify`.
+modules its task calls: a `selectors` job never runs `norms` or `verify`,
+and a `geodesic` job runs neither numpy nor `paths`.
 Each public name below is read from its submodule on first access.
 """
 
@@ -37,7 +38,8 @@ _PUBLIC = {
                     "maslov"),
     **dict.fromkeys(("selector", "selector_range", "time_function"), "selectors"),
     **dict.fromkeys(("nu", "nu_star", "norm_report", "greedy_embedded_decomposition",
-                     "selector_lower_bounds", "geodesic_report"), "norms"),
+                     "selector_lower_bounds"), "norms"),
+    "geodesic_report": "geodesic",
     "verify_suite": "verify",
 }
 
@@ -57,8 +59,8 @@ def _register_lazily(name):
     globals()[name] = module
 
 
-for _name in ("tolerances", "lens", "quadratic", "paths", "maslov", "selectors", "norms", "jobs",
-              "verify"):
+for _name in ("tolerances", "lens", "quadratic", "paths", "maslov", "selectors", "geodesic",
+              "norms", "jobs", "verify"):
     _register_lazily(_name)
 del _name
 

@@ -16,23 +16,18 @@ which input is at fault, and `parse_job` prefixes the JSON path, so every
 input error leaves the CLI as exit 2 naming the field.  `parse_job` rejects a
 task parameter the task does not read; the values are validated where
 `run_job` reads them, also when a CLI flag gives them as JSON values.
+
+The checks run in this order: JSON, lens, task keys, tolerances, path, then
+each task's values.  numpy and `paths` load only where a path is decoded or
+read, so a `geodesic` job without a path (lattice arithmetic, in `geodesic`)
+and every input error found before the path run without numpy.
 """
 
 import json
 import math
 
-import numpy as np
-
-from . import maslov, norms, selectors, verify
+from . import geodesic, maslov, norms, paths, selectors, verify
 from .lens import LensSpaceError, _is_int, new_lens
-from .paths import (
-    MAX_LENS_PHASES,
-    PathError,
-    UnitaryPath,
-    action_spectrum,
-    random_path,
-    reeb_path,
-)
 from .tolerances import NULL_TOL, PERIOD_SNAP_TOL, PHASE_CLUSTER_TOL
 
 # Each task and the parameters it reads.
@@ -87,6 +82,8 @@ def _is_number(x):
 
 
 def _parse_complex_matrix(data, field):
+    import numpy as np
+
     _require(isinstance(data, list) and data, field, "expected a non-empty matrix")
     try:
         arr = np.array(data, dtype=float)
@@ -118,7 +115,7 @@ def _parse_path(lens, path_spec):
     try:
         if kind == "reeb":
             _require(_is_number(spec), "path.reeb", "expected a finite number")
-            return reeb_path(lens, float(spec))
+            return paths.reeb_path(lens, float(spec))
         if kind == "piecewise_hermitian":
             segs = spec.get("segments") if isinstance(spec, dict) else None
             _require(isinstance(segs, list) and segs,
@@ -133,7 +130,7 @@ def _parse_path(lens, path_spec):
                 _require(_is_number(d), fld + ".duration",
                          "duration must be a finite number")
                 segments.append((A, d))
-            return UnitaryPath(lens, segments)
+            return paths.UnitaryPath(lens, segments)
         _require(isinstance(spec, dict), "path.random", "expected an object")
         seed = spec.get("seed", 0)
         _require(_is_int(seed) and 0 <= seed < 2**64,
@@ -144,9 +141,11 @@ def _parse_path(lens, path_spec):
         bound = spec.get("norm_bound", 2.0)
         _require(_is_number(bound) and bound > 0,
                  "path.random.norm_bound", "norm_bound must be a finite number > 0")
-        return random_path(lens, np.random.default_rng(seed), segments=segments,
-                           norm_bound=float(bound))
-    except PathError as e:
+        import numpy as np
+
+        return paths.random_path(lens, np.random.default_rng(seed), segments=segments,
+                                 norm_bound=float(bound))
+    except paths.PathError as e:
         field = f"path.{kind}"
         if kind == "piecewise_hermitian" and e.segment is not None:
             field += f".segments[{e.segment}].{e.part}"
@@ -167,9 +166,6 @@ def parse_job(document, task=None, flags=None):
     lens_spec = document.get("lens")
     _require(isinstance(lens_spec, dict), "lens", "missing lens object")
     lens = _lens_value(lambda: new_lens(lens_spec.get("k"), lens_spec.get("weights")))
-
-    path_spec = document.get("path")
-    path = None if path_spec is None else _parse_path(lens, path_spec)
 
     task_spec = document.get("task")
     file_task, params = None, {}
@@ -194,6 +190,9 @@ def parse_job(document, task=None, flags=None):
     if tolerances:
         raise JobError(f"tolerances.{next(iter(tolerances))}",
                        "tolerances are fixed; every report lists them under tolerances")
+
+    path_spec = document.get("path")  # last: only decoding a matrix loads numpy
+    path = None if path_spec is None else _parse_path(lens, path_spec)
     return Job(lens, path_spec, path, task, dict(params), flags)
 
 
@@ -238,17 +237,17 @@ def _selector_params(params, lens):
 
 
 def _geodesic_params(params, lens):
-    """T of a geodesic task; its cost is capped."""
+    """T of a geodesic task, refused where a float T no longer resolves the
+    lattice of multiples of 2 pi / k (geodesic.MAX_ORBITS)."""
     T = params.get("T")
     _require(_is_number(T) and T >= 0, "task.geodesic.T",
              "T must be a finite number >= 0")
-    cap = norms.MAX_GEODESIC_ORBITS
-    # k T overflows to inf for T near the largest float
-    _require(math.isfinite(lens.k * T) and norms.orbit_count(lens, T) <= cap,
-             "task.geodesic.T",
-             f"T = {T!r} needs more than {cap} embedded pieces "
-             f"(floor(kT/2pi) + 1 with k = {lens.k})")
-    return float(T)
+    T = float(T)  # an integer T near the largest float: k T is then inf, not an error
+    orbits = lens.k * T / geodesic.TWO_PI
+    _require(orbits < geodesic.MAX_ORBITS, "task.geodesic.T",
+             f"T = {T!r} puts kT/2pi at or above 2**52 (k = {lens.k}), where a "
+             f"float T no longer tells neighbouring multiples of 2pi/k apart")
+    return T
 
 
 def _maslov_intervals(path):
@@ -339,10 +338,11 @@ def run_job(job):
         )
     elif task == "spectrum":
         p = _require_path(job)
-        _require(lens.k * lens.n <= MAX_LENS_PHASES, "lens.k",
+        cap = paths.MAX_LENS_PHASES
+        _require(lens.k * lens.n <= cap, "lens.k",
                  f"the lens-level spectrum lists k n = {lens.k * lens.n} phases, "
-                 f"more than {MAX_LENS_PHASES}")
-        sw = action_spectrum(p)
+                 f"more than {cap}")
+        sw = paths.action_spectrum(p)
         res["sphere"] = {
             "phases": sw.phases_sphere.tolist(),
             "multiplicities": sw.mult_sphere.tolist(),
@@ -361,7 +361,7 @@ def run_job(job):
         _require(isinstance(decompose, bool), "task.norms.decompose",
                  "decompose must be true or false")
         if decompose:
-            pieces, cap = norms.max_pieces(p), norms.MAX_GEODESIC_ORBITS
+            pieces, cap = norms.max_pieces(p), norms.MAX_PIECES
             _require(pieces <= cap, "path",
                      f"the embedded decomposition may need up to {pieces} pieces, "
                      f"more than {cap}")
@@ -373,7 +373,7 @@ def run_job(job):
         )
     elif task == "geodesic":
         T = _geodesic_params(params, lens)
-        rep = norms.geodesic_report(lens, T)
+        rep = geodesic.geodesic_report(lens, T)
         res.update(rep.as_dict())
         report["provenance"].append(
             "equal weights: greedy embedded count = selector lower bound = "

@@ -11,8 +11,6 @@ import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .tolerances import PERIOD_SNAP_TOL
 
 TWO_PI = 2.0 * math.pi
@@ -87,7 +85,11 @@ class LensSpace:
 
     def deck(self, m=1):
         """Deck transformation g^m as a complex diagonal matrix.  Each weight
-        enters reduced mod k, so weights equal mod k give equal phases."""
+        enters reduced mod k, so weights equal mod k give equal phases.  The
+        only matrix here: numpy loads on the first call, so a job that builds
+        no path never loads it."""
+        import numpy as np
+
         w = np.array([w % self.k for w in self.weights])
         return np.diag(np.exp(2j * math.pi * m * w / self.k))
 

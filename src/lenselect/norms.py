@@ -8,6 +8,9 @@ search happens on integers.
 
 Word-norm machinery is exposed through two certified bounds only: greedy
 embedded decompositions (upper bounds) and the selector chain (lower bounds).
+On Reeb paths both are lattice arithmetic, which the `geodesic` task reads
+from the numpy-free `geodesic` module (`geodesic_report` is re-exported
+here); the two bounds stay its reference.
 """
 
 import math
@@ -22,22 +25,20 @@ from .paths import (
     _speed,
     _stationary,
     is_embedded,
-    reeb_path,
 )
 from .maslov import evaluate_step
-from .tolerances import PERIOD_SNAP_TOL
+from .geodesic import geodesic_report  # the name stays readable from norms
 
 TWO_PI = 2.0 * math.pi
 
 IDENTITY_CLASS_TOL = 1e-9
 
-# The geodesic task decomposes the Reeb flow into floor(kT / 2 pi) + 1
-# embedded pieces; with exact cuts the greedy decomposition costs about
-# 0.5-0.75 ms per piece, one is_embedded certificate each (geodesic_report
-# with 1000 pieces, k in {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so
-# this cap bounds the decomposition of a geodesic job below a second; larger
-# T is refused, and so is a `norms` decomposition priced (max_pieces) above.
-MAX_GEODESIC_ORBITS = 1000
+# With exact cuts the greedy decomposition costs about 0.5-0.75 ms per piece,
+# one is_embedded certificate each (Reeb paths with 1000 pieces, k in
+# {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so this cap bounds a
+# `norms` decomposition below a second: one priced (max_pieces) above it is
+# refused.
+MAX_PIECES = 1000
 
 
 @dataclass(frozen=True)
@@ -331,59 +332,3 @@ def norm_report(path, decompose=False):
         verdict="not-applicable",
         degenerate_circle_case=lens.degenerate,
     )
-
-
-@dataclass
-class GeodesicReport:
-    lens: object
-    T: float
-    verdict: str  # "certified" | "gap"
-    lower: int
-    upper: int
-    greedy_count: int | None
-    equal_weights: bool
-
-    def as_dict(self):
-        """Every field but the lens."""
-        return {key: value for key, value in vars(self).items() if key != "lens"}
-
-
-def _snapped_orbits(lens, T):
-    """(r, T_r): r = floor(k T / 2 pi), where T within the period lattice's
-    snap tolerance of a multiple of 2 pi / k counts as that multiple, and
-    the time T_r = r * 2 pi / k it snaps to (T itself when it does not)."""
-    step = TWO_PI / lens.k
-    r = round(T / step)
-    if abs(T - r * step) <= PERIOD_SNAP_TOL * max(1.0, abs(T)):
-        return r, r * step
-    return math.floor(T / step), T
-
-
-def orbit_count(lens, T):
-    """floor(k T / 2 pi) + 1, with T snapped as in _snapped_orbits."""
-    return _snapped_orbits(lens, T)[0] + 1
-
-
-def geodesic_report(lens, T):
-    """Reeb-flow geodesic verdict: certified equality for equal weights,
-    lower/upper gap for general weights.  The greedy count, the selector
-    bound and the orbit count all see T snapped as in _snapped_orbits; the
-    report echoes T as given."""
-    if T < 0:
-        raise ValueError("T must be >= 0")
-    r, Ts = _snapped_orbits(lens, T)
-    if lens.equal_weights and Ts == 0:
-        return GeodesicReport(lens, T, "certified", 1, 1, 1, True)
-    path = reeb_path(lens, Ts)
-    dec = greedy_embedded_decomposition(path)
-    if not lens.equal_weights:
-        lower = lens.period_multiple(Ts, "floor") + 1
-        greedy = dec.count if dec.certified else None
-        return GeodesicReport(lens, T, "gap", lower, r + 1, greedy, False)
-    lower = selector_lower_bounds(path)["dis"]
-    if not (dec.certified and dec.count == lower == r + 1):
-        raise AssertionError(
-            f"geodesic certificate failed: greedy {dec.count}, "
-            f"selector lower {lower}, orbit count {r + 1}"
-        )
-    return GeodesicReport(lens, T, "certified", lower, r + 1, dec.count, True)

@@ -12,10 +12,10 @@ import zlib
 import numpy as np
 
 from . import quadratic
+from .geodesic import geodesic_report
 from .lens import new_lens
 from .maslov import evaluate_step, maslov_index, maslov_shifted, subdivide
 from .norms import (
-    geodesic_report,
     greedy_embedded_decomposition,
     nu,
     nu_star,

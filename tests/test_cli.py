@@ -22,7 +22,7 @@ TWO_PI = 2 * math.pi
 
 # The submodules `import lenselect` registers lazily: all but cli.
 LAZY_SUBMODULES = ["tolerances", "lens", "quadratic", "paths", "maslov", "selectors",
-                   "norms", "jobs", "verify"]
+                   "geodesic", "norms", "jobs", "verify"]
 
 # Each CLI flag: its parameter and the subcommand that reads it.
 FLAG_PARAMS = {
@@ -39,8 +39,8 @@ FLAG_PARAMS = {
 HUGE_PRIME_K = 1000000000000037
 
 
-# Arbitrary JSON values for a field that wants a number; valid geodesic T
-# stays small (the cost grows with kT) and the rest is out of range.
+# Arbitrary JSON values for a field that wants a number; geodesic T from 1e4
+# up runs in lattice arithmetic below kT/2pi = 2**52 and is refused above.
 GEODESIC_T = st.one_of(
     st.floats(min_value=0.0, max_value=8.0), st.integers(0, 8),
     st.floats(max_value=0.0, exclude_max=True), st.integers(max_value=-1),
@@ -313,18 +313,20 @@ class TestMain:
     @pytest.mark.parametrize("command, doc, flags, field", [
         ("geodesic", {}, ["-T", "1e308"], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": 1e308}}}, [], "task.geodesic.T"),
-        ("geodesic", {"task": {"geodesic": {"T": 1e5}}}, [], "task.geodesic.T"),
+        # kT/2pi = 2**52 exactly on L_2: a float T no longer resolves the lattice
+        ("geodesic", {"lens": {"k": 2, "weights": [1, 1]},
+                      "task": {"geodesic": {"T": 2**52 * math.pi}}}, [], "task.geodesic.T"),
         ("geodesic", {}, ["-T", "inf"], "task.geodesic.T"),
         ("geodesic", {}, ["-T", "-1"], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": True}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": "4"}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": 10**400}}}, [], "task.geodesic.T"),
-        # floor(kT/2pi) + 1 = 1001 pieces on L_3, one past the cap
-        ("geodesic", {}, ["-T", repr(2000 * math.pi / 3)], "task.geodesic.T"),
+        # kT/2pi = 2**53 on L_3, past the lattice limit
+        ("geodesic", {}, ["-T", repr(2**53 * TWO_PI / 3)], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": 1.0}}}, ["-T", "nan"], "task.geodesic.T"),
         ("geodesic", {"lens": {"k": 7, "weights": [1, 2]},
-                      "task": {"geodesic": {"T": 900.0}}}, [], "task.geodesic.T"),
+                      "task": {"geodesic": {"T": 1e16}}}, [], "task.geodesic.T"),
         ("maslov", {"tolerances": {"null": "x"}}, [], "tolerances.null"),
         ("maslov", {"tolerances": {"null": True}}, [], "tolerances.null"),
         ("maslov", {"tolerances": {"null": None}}, [], "tolerances.null"),
@@ -361,6 +363,8 @@ class TestMain:
         ("maslov", {"task": {"maslov": {"null": 1e-8}}}, [], "task.maslov.null"),
         ("spectrum", {"task": {"spectrum": {"level": "lens"}}}, [], "task.spectrum.level"),
         ("geodesic", {"task": {"geodesic": {"T": 1.0, "k": 3}}}, [], "task.geodesic.k"),
+        # an integer T whose k T overflows a float
+        ("geodesic", {"task": {"geodesic": {"T": 10**308}}}, [], "task.geodesic.T"),
     ])
     def test_bad_geodesic_or_tolerance_exit_two(self, tmp_path, capsys, command, doc,
                                                 flags, field):
@@ -601,12 +605,12 @@ class TestMain:
         assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("command, doc, code, unrun", [
-        ("selectors", reeb_job(3, [1, 1], 1.0), 0, ["norms", "verify"]),
+        ("selectors", reeb_job(3, [1, 1], 1.0), 0, ["geodesic", "norms", "verify"]),
         ("spectrum", reeb_job(3, [1, 1], 1.0), 0,
-         ["quadratic", "maslov", "selectors", "norms", "verify"]),
+         ["quadratic", "maslov", "selectors", "geodesic", "norms", "verify"]),
         # an input error stops in parse_job
         ("maslov", {"lens": {"k": 4, "weights": [1, 2]}}, 2,
-         ["quadratic", "maslov", "selectors", "norms", "verify"]),
+         ["quadratic", "paths", "maslov", "selectors", "geodesic", "norms", "verify"]),
     ])
     def test_job_runs_only_the_modules_it_calls(self, tmp_path, command, doc, code, unrun):
         f = tmp_path / "job.json"
@@ -623,6 +627,36 @@ class TestMain:
         run = run_python(["-c", script, command, str(f), *unrun])
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == f"{code} []"
+
+    @pytest.mark.parametrize("argv, doc, code", [
+        (["geodesic"], {"lens": {"k": 3, "weights": [1, 1]},
+                        "task": {"geodesic": {"T": 7.0}}}, 0),
+        (["geodesic", "-T", "20"], {"lens": {"k": 5, "weights": [1, 2, 3]}}, 0),
+        (["maslov"], {"lens": {"k": 4, "weights": [1, 2]}}, 2),
+        (["maslov"], '{"lens": {"k": 3, "weights": [1, 1]', 2),
+        (["geodesic", "-T", "1e308"], {"lens": {"k": 3, "weights": [1, 1]}}, 2),
+        # task keys and tolerances are checked before the path is decoded
+        (["norms"], reeb_job(3, [1, 1], 1.0, {"norms": {"bogus": 1}}), 2),
+        (["maslov"], {**reeb_job(3, [1, 1], 1.0), "tolerances": {"null": 0}}, 2),
+    ], ids=["geodesic-file-T", "geodesic-flag-T", "lens-error", "malformed-json", "huge-T",
+            "task-key-error", "tolerance-error"])
+    def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, code):
+        # a geodesic job is lattice arithmetic, and these input errors stop
+        # before any matrix is decoded
+        f = tmp_path / "job.json"
+        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        script = (
+            "import contextlib, io, json, sys, types\n"
+            "import lenselect.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()), "
+            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "    code = lenselect.cli.main(json.loads(sys.argv[1]))\n"
+            "print(code, 'numpy' in sys.modules, [name for name in ('paths', 'maslov', 'norms')\n"
+            "      if type(sys.modules['lenselect.' + name]) is types.ModuleType])\n"
+        )
+        run = run_python(["-c", script, json.dumps([argv[0], str(f), *argv[1:]])])
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == f"{code} False []"
 
     def test_run_as_module_without_runtime_warning(self):
         # runpy warns when lenselect.cli is already in sys.modules
@@ -747,6 +781,26 @@ class TestMain:
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["verdict"] == "certified"
         assert res["lower"] == res["upper"] == res["greedy_count"] == 4
+
+    def test_geodesic_just_below_lattice_limit(self, tmp_path, capsys):
+        # on L_2, kT/2pi = T/pi: the largest float below 2**52 pi runs
+        # (2**52 pi itself exits 2, in test_bad_geodesic_or_tolerance_exit_two)
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({"lens": {"k": 2, "weights": [1, 1]},
+                                 "task": {"geodesic": {"T": math.nextafter(2**52 * math.pi, 0)}}}))
+        assert main(["geodesic", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "certified"
+
+    def test_geodesic_million_orbits_fast(self, tmp_path, capsys):
+        # the count is arithmetic, so 10**6 orbits cost no more than one
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({"lens": {"k": 2, "weights": [1, 1]}}))
+        start = time.perf_counter()
+        assert main(["geodesic", str(f), "-T", "3141592.7"]) == 0
+        assert time.perf_counter() - start < 1.0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["verdict"] == "certified"
+        assert res["lower"] == res["upper"] == res["greedy_count"] == 10**6 + 1
 
     def test_verify_trials_cap_refused_at_once(self, capsys):
         cap = verify.MAX_VERIFY_TRIALS

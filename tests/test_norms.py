@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from lenselect.paths import (
     random_path,
     reeb_path,
 )
+from lenselect.tolerances import PERIOD_SNAP_TOL
 
 TWO_PI = 2 * math.pi
 
@@ -449,3 +451,47 @@ class TestReports:
                     assert rep.T == T
                     assert rep.verdict == "certified", (k, m, offset)
                     assert rep.lower == rep.upper == rep.greedy_count == m + 1, (k, m, offset)
+
+    def test_geodesic_certificate_checks_the_selector_bound(self):
+        # a lens whose period lattice is not 2 pi / k although its weights are
+        # equal breaks lower = r + 1, and the report refuses to certify
+        lens = dataclasses.replace(new_lens(4, [1, 1]), reeb_numerator=2)
+        with pytest.raises(AssertionError, match="geodesic certificate failed"):
+            geodesic_report(lens, 3 * math.pi / 2)
+
+
+# The lenses and relative T offsets of the greedy cross-check.  0 and +-1e-11
+# lie within the snap, 1e-9 max(1, T), of m 2 pi / k, and +-1e-6 outside it;
+# +-3e-9 lies outside it unless m 2 pi / k < 1/3 (e.g. k = 1000, m = 1).
+GREEDY_LENSES = [new_lens(k, [1] * n) for k in (2, 3, 5, 7, 1000) for n in (1, 2, 4)] + [
+    new_lens(4, [1, 3]), new_lens(5, [1, 2, 3])]
+GREEDY_OFFSETS = (0.0, 1e-11, -1e-11, 3e-9, -3e-9, 1e-6, -1e-6)
+
+
+def _greedy_cases(m):
+    """Every lens and offset at m <= 10.  A greedy run costs about 0.3 ms
+    per piece, so at m = 500 and m = 999 a few cases run: both general-
+    weights lenses, and k = 1000, the finest lattice, just outside the snap."""
+    if m <= 10:
+        return [(lens, off) for lens in GREEDY_LENSES for off in GREEDY_OFFSETS]
+    if m == 500:
+        return [(new_lens(4, [1, 3]), 0.0), (new_lens(5, [1, 2, 3]), -1e-11),
+                (new_lens(7, [1, 1]), -1e-6)]
+    return [(new_lens(1000, [1, 1]), 3e-9), (new_lens(1000, [1, 1, 1, 1]), -3e-9)]
+
+
+@pytest.mark.parametrize("m", [1, 10, 500, 999])
+def test_geodesic_report_matches_greedy_and_selector_bound(m):
+    # the arithmetic report against the reference it replaced: the greedy
+    # decomposition and the selector chain of the Reeb path at snapped T
+    for lens, off in _greedy_cases(m):
+        lattice = m * TWO_PI / lens.k
+        T = lattice * (1.0 + off)
+        Ts = lattice if abs(T - lattice) <= PERIOD_SNAP_TOL * max(1.0, T) else T
+        rep = geodesic_report(lens, T)
+        path = reeb_path(lens, Ts)
+        dec = greedy_embedded_decomposition(path)
+        assert dec.certified, (lens, m, off)
+        assert (rep.lower, rep.upper, rep.greedy_count, rep.verdict) == (
+            selector_lower_bounds(path)["dis"], dec.count, dec.count,
+            "certified" if lens.equal_weights else "gap"), (lens, m, off)
