@@ -10,18 +10,19 @@ a geodesic job needs no numpy.  The greedy decomposition
 `verify --suite geodesic` and in the tests.
 """
 
-import math
 from dataclasses import dataclass
 
+from .lens import TWO_PI, lattice_multiple
 from .tolerances import PERIOD_SNAP_TOL
 
-TWO_PI = 2.0 * math.pi
-
-# A float T resolves the lattice of multiples of 2 pi / k only while
-# kT / 2 pi < 2**52: there the spacing 2 pi / k of neighbouring multiples
-# still exceeds one ulp of T, so r * 2 pi / k and (r + 1) * 2 pi / k are
-# distinct floats.  Larger T is refused.
-MAX_ORBITS = 2**52
+# The snap counts T within PERIOD_SNAP_TOL * max(1, T) of a multiple of
+# 2 pi / k as that multiple, so a T that close below a multiple counts one
+# piece more than floor(kT / 2 pi) + 1.  A job answers only while the window
+# spans at most this fraction of a step 2 pi / k: kT / 2 pi up to 10**6 when
+# T >= 1, k up to 2 pi 10**6 when T < 1.  Every T farther below a multiple
+# then counts floor(kT / 2 pi) + 1 exactly: float division and the float
+# 2 pi err by less than 1e-9 of a step there.
+MAX_SNAP_STEPS = 1e-3
 
 
 @dataclass
@@ -44,16 +45,15 @@ def _snapped_orbits(lens, T):
     snap tolerance of a multiple of 2 pi / k counts as that multiple, and
     the time T_r = r * 2 pi / k it snaps to (T itself when it does not)."""
     step = TWO_PI / lens.k
-    r = round(T / step)
-    if abs(T - r * step) <= PERIOD_SNAP_TOL * max(1.0, abs(T)):
-        return r, r * step
-    return math.floor(T / step), T
+    r, snapped = lattice_multiple(T, step, "floor")
+    return r, (r * step if snapped else T)
 
 
 def geodesic_report(lens, T):
     """Reeb-flow geodesic verdict: certified equality for equal weights,
     lower/upper gap for general weights.  T is snapped as in
-    _snapped_orbits to T_s; the report echoes T as given.
+    _snapped_orbits to T_s; the report echoes T as given.  ValueError where
+    the snap window spans more than MAX_SNAP_STEPS of a step.
 
     The Reeb flow rotates every eigenline at unit speed, and every deck
     weight is a unit mod k, so a stretch of it is embedded exactly when it
@@ -66,6 +66,11 @@ def geodesic_report(lens, T):
     """
     if T < 0:
         raise ValueError("T must be >= 0")
+    steps = PERIOD_SNAP_TOL * max(1.0, T) * lens.k / TWO_PI  # the snap window, in steps
+    if not steps <= MAX_SNAP_STEPS:
+        raise ValueError(f"T = {T!r} on k = {lens.k}: the period snap spans {steps:.3g} "
+                         f"of a step 2pi/k, more than {MAX_SNAP_STEPS}, so a T that close "
+                         f"below a multiple would count as the multiple")
     r, Ts = _snapped_orbits(lens, T)
     lower = lens.period_multiple(Ts, "floor") + 1
     equal = lens.equal_weights

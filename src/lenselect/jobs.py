@@ -236,18 +236,18 @@ def _selector_params(params, lens):
     return j_lo, j_hi, float(base)
 
 
-def _geodesic_params(params, lens):
-    """T of a geodesic task, refused where a float T no longer resolves the
-    lattice of multiples of 2 pi / k (geodesic.MAX_ORBITS)."""
+def _geodesic_report(params, lens):
+    """The geodesic report of T; a T the report refuses (its snap window
+    spans more than geodesic.MAX_SNAP_STEPS of a step 2 pi / k) fails on
+    task.geodesic.T."""
     T = params.get("T")
     _require(_is_number(T) and T >= 0, "task.geodesic.T",
              "T must be a finite number >= 0")
-    T = float(T)  # an integer T near the largest float: k T is then inf, not an error
-    orbits = lens.k * T / geodesic.TWO_PI
-    _require(orbits < geodesic.MAX_ORBITS, "task.geodesic.T",
-             f"T = {T!r} puts kT/2pi at or above 2**52 (k = {lens.k}), where a "
-             f"float T no longer tells neighbouring multiples of 2pi/k apart")
-    return T
+    try:
+        # an integer T near the largest float: k T is then inf, not an error
+        return geodesic.geodesic_report(lens, float(T))
+    except ValueError as e:
+        raise JobError("task.geodesic.T", str(e)) from None
 
 
 def _maslov_intervals(path):
@@ -372,8 +372,7 @@ def run_job(job):
             "nu* minimized over Reeb-period shifts of the lift"
         )
     elif task == "geodesic":
-        T = _geodesic_params(params, lens)
-        rep = geodesic.geodesic_report(lens, T)
+        rep = _geodesic_report(params, lens)
         res.update(rep.as_dict())
         report["provenance"].append(
             "equal weights: greedy embedded count = selector lower bound = "

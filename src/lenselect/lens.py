@@ -104,13 +104,7 @@ class LensSpace:
 
     def period_multiple(self, x, mode):
         """Integer m with m*T_w = ceil/floor of x in the lattice, snapped."""
-        if mode not in ("ceil", "floor"):
-            raise ValueError(f"mode must be 'ceil' or 'floor', got {mode!r}")
-        q = x / self.reeb_period
-        r = round(q)
-        if abs(x - r * self.reeb_period) <= PERIOD_SNAP_TOL * max(1.0, abs(x)):
-            return r
-        return math.ceil(q) if mode == "ceil" else math.floor(q)
+        return lattice_multiple(x, self.reeb_period, mode)[0]
 
     def period_value(self, m):
         return m * self.reeb_period
@@ -120,6 +114,21 @@ class LensSpace:
         num = m * self.reeb_numerator
         g = math.gcd(num, self.k)
         return num // g, self.k // g
+
+
+def lattice_multiple(x, step, mode):
+    """(m, snapped): m*step is x rounded up ("ceil") or down ("floor") to the
+    lattice step*Z, where x within PERIOD_SNAP_TOL * max(1, |x|) of a
+    multiple counts as that multiple (snapped True).  The one snap rule of
+    the package: the period lattice T_w*Z and the geodesic lattice
+    (2*pi/k)*Z both read it."""
+    if mode not in ("ceil", "floor"):
+        raise ValueError(f"mode must be 'ceil' or 'floor', got {mode!r}")
+    q = x / step
+    r = round(q)
+    if abs(x - r * step) <= PERIOD_SNAP_TOL * max(1.0, abs(x)):
+        return r, True
+    return (math.ceil(q) if mode == "ceil" else math.floor(q)), False
 
 
 def new_lens(k, weights):

@@ -40,7 +40,7 @@ HUGE_PRIME_K = 1000000000000037
 
 
 # Arbitrary JSON values for a field that wants a number; geodesic T from 1e4
-# up runs in lattice arithmetic below kT/2pi = 2**52 and is refused above.
+# up runs in lattice arithmetic up to kT/2pi = 10**6 and is refused above.
 GEODESIC_T = st.one_of(
     st.floats(min_value=0.0, max_value=8.0), st.integers(0, 8),
     st.floats(max_value=0.0, exclude_max=True), st.integers(max_value=-1),
@@ -313,20 +313,21 @@ class TestMain:
     @pytest.mark.parametrize("command, doc, flags, field", [
         ("geodesic", {}, ["-T", "1e308"], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": 1e308}}}, [], "task.geodesic.T"),
-        # kT/2pi = 2**52 exactly on L_2: a float T no longer resolves the lattice
+        # kT/2pi just above 10**6 on L_2: the snap spans more than 1e-3 of a step
         ("geodesic", {"lens": {"k": 2, "weights": [1, 1]},
-                      "task": {"geodesic": {"T": 2**52 * math.pi}}}, [], "task.geodesic.T"),
+                      "task": {"geodesic": {"T": 10**6 * math.pi * (1 + 1e-12)}}}, [],
+         "task.geodesic.T"),
         ("geodesic", {}, ["-T", "inf"], "task.geodesic.T"),
         ("geodesic", {}, ["-T", "-1"], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": True}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": "4"}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {}}}, [], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": 10**400}}}, [], "task.geodesic.T"),
-        # kT/2pi = 2**53 on L_3, past the lattice limit
-        ("geodesic", {}, ["-T", repr(2**53 * TWO_PI / 3)], "task.geodesic.T"),
+        # kT/2pi = 2 10**6 on L_3, twice the limit
+        ("geodesic", {}, ["-T", repr(2 * 10**6 * TWO_PI / 3)], "task.geodesic.T"),
         ("geodesic", {"task": {"geodesic": {"T": 1.0}}}, ["-T", "nan"], "task.geodesic.T"),
         ("geodesic", {"lens": {"k": 7, "weights": [1, 2]},
-                      "task": {"geodesic": {"T": 1e16}}}, [], "task.geodesic.T"),
+                      "task": {"geodesic": {"T": 1e6}}}, [], "task.geodesic.T"),
         ("maslov", {"tolerances": {"null": "x"}}, [], "tolerances.null"),
         ("maslov", {"tolerances": {"null": True}}, [], "tolerances.null"),
         ("maslov", {"tolerances": {"null": None}}, [], "tolerances.null"),
@@ -365,6 +366,9 @@ class TestMain:
         ("geodesic", {"task": {"geodesic": {"T": 1.0, "k": 3}}}, [], "task.geodesic.k"),
         # an integer T whose k T overflows a float
         ("geodesic", {"task": {"geodesic": {"T": 10**308}}}, [], "task.geodesic.T"),
+        # T < 1 snaps within 1e-9, more than 1e-3 of a step once k > 2 pi 10**6
+        ("geodesic", {"lens": {"k": 10**7, "weights": [1, 1]},
+                      "task": {"geodesic": {"T": 0.5}}}, [], "task.geodesic.T"),
     ])
     def test_bad_geodesic_or_tolerance_exit_two(self, tmp_path, capsys, command, doc,
                                                 flags, field):
@@ -782,25 +786,39 @@ class TestMain:
         assert res["verdict"] == "certified"
         assert res["lower"] == res["upper"] == res["greedy_count"] == 4
 
-    def test_geodesic_just_below_lattice_limit(self, tmp_path, capsys):
-        # on L_2, kT/2pi = T/pi: the largest float below 2**52 pi runs
-        # (2**52 pi itself exits 2, in test_bad_geodesic_or_tolerance_exit_two)
+    @pytest.mark.parametrize("k, T, count", [
+        # on L_2, kT/2pi = T/pi: 10**6 pi (1 - 1e-12) is the largest T
+        # accepted to within 1e-12 (just above, it exits 2 in
+        # test_bad_geodesic_or_tolerance_exit_two), and it snaps to 10**6 pi
+        (2, 10**6 * math.pi * (1 - 1e-12), 10**6 + 1),
+        # 1.1e-3 of a step below the 10**6-th multiple, just outside the
+        # snap: floor(kT/2pi) + 1 = 999999 + 1
+        (2, (10**6 - 0.0011) * math.pi, 10**6),
+        # k just below 2 pi 10**6, T < 1: the snap's 1e-9 is 1e-3 of a step;
+        # kT/2pi = 999.9989
+        (6283185, (1000 - 0.0011) * TWO_PI / 6283185, 1000),
+    ])
+    def test_geodesic_count_is_a_floor_up_to_the_limit(self, tmp_path, capsys, k, T, count):
+        # at the largest accepted T, the snap still spans at most 1e-3 of a
+        # step, and a T farther below a multiple counts floor(kT/2pi) + 1
         f = tmp_path / "job.json"
-        f.write_text(json.dumps({"lens": {"k": 2, "weights": [1, 1]},
-                                 "task": {"geodesic": {"T": math.nextafter(2**52 * math.pi, 0)}}}))
+        f.write_text(json.dumps({"lens": {"k": k, "weights": [1, 1]},
+                                 "task": {"geodesic": {"T": T}}}))
         assert main(["geodesic", str(f)]) == 0
-        assert json.loads(capsys.readouterr().out)["results"]["verdict"] == "certified"
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["verdict"] == "certified"
+        assert res["lower"] == res["upper"] == res["greedy_count"] == count
 
     def test_geodesic_million_orbits_fast(self, tmp_path, capsys):
         # the count is arithmetic, so 10**6 orbits cost no more than one
         f = tmp_path / "job.json"
         f.write_text(json.dumps({"lens": {"k": 2, "weights": [1, 1]}}))
         start = time.perf_counter()
-        assert main(["geodesic", str(f), "-T", "3141592.7"]) == 0
+        assert main(["geodesic", str(f), "-T", "3141592.6"]) == 0
         assert time.perf_counter() - start < 1.0
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["verdict"] == "certified"
-        assert res["lower"] == res["upper"] == res["greedy_count"] == 10**6 + 1
+        assert res["lower"] == res["upper"] == res["greedy_count"] == 10**6
 
     def test_verify_trials_cap_refused_at_once(self, capsys):
         cap = verify.MAX_VERIFY_TRIALS

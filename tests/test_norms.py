@@ -452,6 +452,14 @@ class TestReports:
                     assert rep.verdict == "certified", (k, m, offset)
                     assert rep.lower == rep.upper == rep.greedy_count == m + 1, (k, m, offset)
 
+    def test_geodesic_refuses_a_snap_wider_than_its_limit(self):
+        # at kT/2pi = 4e8 + 0.6 the snap, 1e-9 T, spans 0.4 of a step and
+        # would count the nearest multiple, 4e8 + 1, instead of the floor
+        with pytest.raises(ValueError, match="period snap spans"):
+            geodesic_report(new_lens(3, [1, 1]), (4e8 + 0.6) * TWO_PI / 3)
+        rep = geodesic_report(new_lens(3, [1, 1]), (10**6 - 0.0011) * TWO_PI / 3)
+        assert rep.lower == rep.upper == 10**6
+
     def test_geodesic_certificate_checks_the_selector_bound(self):
         # a lens whose period lattice is not 2 pi / k although its weights are
         # equal breaks lower = r + 1, and the report refuses to certify
@@ -469,15 +477,18 @@ GREEDY_OFFSETS = (0.0, 1e-11, -1e-11, 3e-9, -3e-9, 1e-6, -1e-6)
 
 
 def _greedy_cases(m):
-    """Every lens and offset at m <= 10.  A greedy run costs about 0.3 ms
-    per piece, so at m = 500 and m = 999 a few cases run: both general-
-    weights lenses, and k = 1000, the finest lattice, just outside the snap."""
+    """Every lens and offset at m <= 10.  A greedy run costs about 0.4 ms
+    per piece, so at m = 500 and m = 999 one case runs per k, just outside
+    the snap, where the count is floor(kT / 2 pi) + 1 and not the nearest
+    multiple; the lenses' n rotate and k = 1000, the finest lattice, runs
+    at m = 999."""
     if m <= 10:
         return [(lens, off) for lens in GREEDY_LENSES for off in GREEDY_OFFSETS]
     if m == 500:
-        return [(new_lens(4, [1, 3]), 0.0), (new_lens(5, [1, 2, 3]), -1e-11),
-                (new_lens(7, [1, 1]), -1e-6)]
-    return [(new_lens(1000, [1, 1]), 3e-9), (new_lens(1000, [1, 1, 1, 1]), -3e-9)]
+        return [(new_lens(2, [1, 1, 1, 1]), -3e-9), (new_lens(3, [1]), 3e-9),
+                (new_lens(5, [1, 1]), -3e-9), (new_lens(7, [1, 1, 1, 1]), 3e-9),
+                (new_lens(4, [1, 3]), -3e-9), (new_lens(5, [1, 2, 3]), 3e-9)]
+    return [(new_lens(1000, [1, 1]), -3e-9)]
 
 
 @pytest.mark.parametrize("m", [1, 10, 500, 999])
