@@ -8,19 +8,24 @@ nested arrays of [re, im] pairs.  Reports are plain JSON dicts, deterministic
 given (job, seed): exact lattice values are serialized as {num, den, approx}
 fractions of 2 pi and no wall clock data is included.
 
-`parse_job` checks only the JSON shape of the document.  The lens and the
-path are validated once, by the types that own them: `new_lens` (k and the
-weights) and `UnitaryPath` (shape, finiteness, Hermitian and deck-commuting
+`parse_job` is the one place that refuses a job, and it reports the first
+failing check, in this order: the JSON shape; the lens; the task keys; the
+tolerances; the task's values (CLI flags over the job file's); the lens-only
+caps (`spectrum` k n, `maslov` k'); that the task has a path; the path; the
+path's price (the det-lift roundoff, `maslov` form dimension, `norms`
+decomposition pieces).  The lens and the path are validated once, by the
+types that own them: `new_lens` (k an integer from 2 to 2**53, the weights)
+and `UnitaryPath` (shape, finiteness, Hermitian and deck-commuting
 generators, positive durations, finite phase travel).  Their errors say
 which input is at fault, and `parse_job` prefixes the JSON path, so every
-input error leaves the CLI as exit 2 naming the field.  `parse_job` rejects a
-task parameter the task does not read; the values are validated where
-`run_job` reads them, also when a CLI flag gives them as JSON values.
+input error leaves the CLI as exit 2 naming the field.  `run_job` only
+computes; it refuses a job without a task and a `geodesic` T whose snap
+window the report refuses.
 
-The checks run in this order: JSON, lens, task keys, tolerances, path, then
-each task's values.  numpy and `paths` load only where a path is decoded or
-read, so a `geodesic` job without a path (lattice arithmetic, in `geodesic`)
-and every input error found before the path run without numpy.
+numpy and `paths` load only where a path is decoded or read, so a
+`geodesic` job without a path (lattice arithmetic, in `geodesic`) and every
+input error found before the path run without numpy, but for
+`task.verify.*`: the suite name is looked up in `verify`, which loads numpy.
 """
 
 import json
@@ -40,6 +45,41 @@ TASK_PARAMS = {
     "verify": ("suite", "trials", "seed"),
 }
 
+# Cost caps, checked before any work starts.
+#
+# Most selectors (j_hi - j_lo + 1) a `selectors` job lists; cost and output
+# grow linearly: 1e5 on Reeb paths over L_3(1,1) and L_3(1^8) took 0.94 s end
+# to end (0.22 s for one) and 3.4 MB of JSON on a 2-vCPU Xeon VM.
+MAX_SELECTORS = 100_000
+
+# Most lens-level phases (k n) a `spectrum` job lists.  `action_spectrum`
+# clusters them in a Python loop: at k n = 1e5 the job took 0.25 s to
+# compute and 0.28 s to serialize 3.8 MB of JSON (n = 3, one thread of a
+# 2 vCPU VM), and both grow linearly.
+MAX_LENS_PHASES = 100_000
+
+# Most trials a verify job runs.  Cost grows linearly in them; thm1, the
+# slowest suite, takes about 15 ms a trial (1.5 s at 100 trials; maslov_props
+# 1.1 s, norms 0.9 s, on a 2-vCPU x86 VM), so a job at the cap stays below
+# about 20 s.
+MAX_VERIFY_TRIALS = 1000
+
+# Largest real form dimension D = (2N - 1) * 2n the `maslov` job accepts.
+# `index_at` costs O(N n^3), but its dense fallback costs O(D^3) in two
+# eigvalsh calls on the complex Hermitian matrix of size D/2, and the cap
+# bounds that.  On one BLAS thread (2 vCPU, OpenBLAS 0.3.31), on Reeb paths
+# over L_3(1,1,1,1), the two dense counts took 0.23 s at D = 1528, 0.48 s at
+# D = 2040 and 3.0 s at D = 4072, and `maslov_index` 12, 14 and 27 ms; the
+# bench corpora reach D = 1616.
+MAX_FORM_DIM = 2048
+
+# With exact cuts the greedy decomposition costs about 0.5-0.75 ms per piece,
+# one is_embedded certificate each (Reeb paths with 1000 pieces, k in
+# {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so this cap bounds a
+# `norms` decomposition below a second: one priced (`norms.max_pieces`)
+# above it is refused.
+MAX_PIECES = 1000
+
 
 class JobError(ValueError):
     def __init__(self, field, message):
@@ -48,13 +88,13 @@ class JobError(ValueError):
 
 
 class Job:
-    def __init__(self, lens, path_spec, path, task, params, flags):
+    def __init__(self, lens, path_spec, path, task, params, args):
         self.lens = lens
         self.path_spec = path_spec  # as given, for the report echo
         self.path = path  # the validated UnitaryPath, or None
         self.task = task
         self.params = params  # the job file's, for the report echo
-        self.flags = flags  # the CLI's, overriding params in the run only
+        self.args = args  # the task's validated values, CLI flags over params
 
 
 def _require(cond, field, message):
@@ -152,6 +192,83 @@ def _parse_path(lens, path_spec):
         raise JobError(field, str(e)) from None
 
 
+def _task_args(task, values, lens):
+    """The validated values of the task's parameters `values` (the job
+    file's, CLI flags over them), then the task's caps that read only the
+    lens."""
+    if task == "selectors":
+        j_lo = values.get("j_lo", -2 * lens.n + 1)
+        j_hi = values.get("j_hi", 0)
+        base = values.get("window_base", 0.0)
+        _require(_is_int(j_lo), "task.selectors.j_lo", "j_lo must be an integer")
+        _require(_is_int(j_hi), "task.selectors.j_hi", "j_hi must be an integer")
+        _require(_is_number(base), "task.selectors.window_base",
+                 "window_base must be a finite number")
+        for name, j in (("j_lo", j_lo), ("j_hi", j_hi)):
+            _require(abs(j) <= 2**53, f"task.selectors.{name}",
+                     f"|{name}| must be at most 2**53, the integers a float holds exactly")
+        _require(j_lo <= j_hi, "task.selectors", f"need j_lo <= j_hi, got {j_lo} > {j_hi}")
+        _require(j_hi - j_lo < MAX_SELECTORS, "task.selectors",
+                 f"j_lo..j_hi lists {j_hi - j_lo + 1} selectors, more than {MAX_SELECTORS}")
+        return {"j_lo": j_lo, "j_hi": j_hi, "window_base": float(base)}
+    if task == "norms":
+        decompose = values.get("decompose", False)
+        _require(isinstance(decompose, bool), "task.norms.decompose",
+                 "decompose must be true or false")
+        return {"decompose": decompose}
+    if task == "geodesic":
+        T = values.get("T")
+        _require(_is_number(T) and T >= 0, "task.geodesic.T",
+                 "T must be a finite number >= 0")
+        # an integer T near the largest float: k T is then inf, not an error
+        return {"T": float(T)}
+    if task == "verify":
+        suite = values.get("suite", "thm1")
+        trials = values.get("trials", 25)
+        seed = values.get("seed", 0)
+        _require(isinstance(suite, str) and suite in verify.SUITES, "task.verify.suite",
+                 f"unknown suite {suite!r}; choose from {', '.join(verify.SUITES)}")
+        _require(_is_int(trials) and 1 <= trials <= MAX_VERIFY_TRIALS, "task.verify.trials",
+                 f"trials must be an integer from 1 to {MAX_VERIFY_TRIALS}")
+        _require(_is_int(seed) and seed >= 0, "task.verify.seed",
+                 "seed must be an integer >= 0")
+        return {"suite": suite, "trials": trials, "seed": seed}
+    if task == "spectrum":
+        _require(lens.k * lens.n <= MAX_LENS_PHASES, "lens.k",
+                 f"the lens-level spectrum lists k n = {lens.k * lens.n} phases, "
+                 f"more than {MAX_LENS_PHASES}")
+    if task == "maslov":
+        _lens_value(lambda: lens.k_prime)  # refused up front when trial division cannot find it
+    return {}
+
+
+def _price_path(task, path, args):
+    """Refuse a path on which the task would cost more than its cap, or on
+    which the det-lift closed form (`selectors`, `norms`) could round off
+    past `maslov.DET_LIFT_TOL`, also through the selectors' window base."""
+    if task == "maslov":
+        N = maslov.subdivision_count(path)
+        D = (2 * N - 1) * 2 * path.lens.n
+        size = f"{D} (N = {N} intervals)" if D < 10**9 else f"about 1e{int(math.log10(D))}"
+        _require(D <= MAX_FORM_DIM, "path",
+                 f"the Maslov form needs dimension {size}, more than {MAX_FORM_DIM}")
+    if task in ("selectors", "norms"):
+        window_base = args.get("window_base", 0.0)
+        err = maslov.det_lift_roundoff(path)
+        _require(err <= maslov.DET_LIFT_TOL, "path",
+                 f"the det-lift sum tr(A) d has roundoff up to {err:.3g}, "
+                 f"more than {maslov.DET_LIFT_TOL:g}")
+        err = maslov.det_lift_roundoff(path, window_base)
+        _require(err <= maslov.DET_LIFT_TOL, "task.selectors.window_base",
+                 f"window_base = {window_base!r} puts the det-lift roundoff bound "
+                 f"at {err:.3g}, more than {maslov.DET_LIFT_TOL:g}")
+    if args.get("decompose"):
+        pieces = norms.max_pieces(path)
+        _require(pieces <= MAX_PIECES, "path",
+                 f"the embedded decomposition may need up to {pieces} pieces, "
+                 f"more than {MAX_PIECES}")
+
+
 def parse_job(document, task=None, flags=None):
     """Validate a JSON job document (bytes, str, or already-parsed dict).
     `task` runs in place of the document's task, whose parameters are then
@@ -176,7 +293,7 @@ def parse_job(document, task=None, flags=None):
         _require(file_task in TASK_PARAMS, "task", f"unknown task {file_task!r}")
         params = task_spec[file_task]
         _require(isinstance(params, dict), f"task.{file_task}", "expected an object")
-    task, flags = task or file_task, dict(flags or {})
+    task, flags = task or file_task, flags or {}
     for owner, keys in ((file_task, params), (task, flags)):
         reads = TASK_PARAMS.get(owner, ())
         for key in keys:
@@ -191,88 +308,14 @@ def parse_job(document, task=None, flags=None):
         raise JobError(f"tolerances.{next(iter(tolerances))}",
                        "tolerances are fixed; every report lists them under tolerances")
 
+    args = _task_args(task, {**params, **flags}, lens)
     path_spec = document.get("path")  # last: only decoding a matrix loads numpy
+    _require(path_spec is not None or task in (None, "geodesic", "verify"), "path",
+             "this task requires a path")
     path = None if path_spec is None else _parse_path(lens, path_spec)
-    return Job(lens, path_spec, path, task, dict(params), flags)
-
-
-def _require_path(job):
-    _require(job.path is not None, "path", "this task requires a path")
-    return job.path
-
-
-def _det_lift_path(job, window_base=0.0):
-    """The path of a task answered by the det-lift closed form, refused when
-    the lift's roundoff bound exceeds `maslov.DET_LIFT_TOL`, and for
-    `selectors` also when its window base takes the bound past it."""
-    p = _require_path(job)
-    err = maslov.det_lift_roundoff(p)
-    _require(err <= maslov.DET_LIFT_TOL, "path",
-             f"the det-lift sum tr(A) d has roundoff up to {err:.3g}, "
-             f"more than {maslov.DET_LIFT_TOL:g}")
-    err = maslov.det_lift_roundoff(p, window_base)
-    _require(err <= maslov.DET_LIFT_TOL, "task.selectors.window_base",
-             f"window_base = {window_base!r} puts the det-lift roundoff bound "
-             f"at {err:.3g}, more than {maslov.DET_LIFT_TOL:g}")
-    return p
-
-
-def _selector_params(params, lens):
-    """(j_lo, j_hi, window_base) of a selectors task."""
-    j_lo = params.get("j_lo", -2 * lens.n + 1)
-    j_hi = params.get("j_hi", 0)
-    base = params.get("window_base", 0.0)
-    _require(_is_int(j_lo), "task.selectors.j_lo", "j_lo must be an integer")
-    _require(_is_int(j_hi), "task.selectors.j_hi", "j_hi must be an integer")
-    _require(_is_number(base), "task.selectors.window_base",
-             "window_base must be a finite number")
-    for name, j in (("j_lo", j_lo), ("j_hi", j_hi)):
-        _require(abs(j) <= 2**53, f"task.selectors.{name}",
-                 f"|{name}| must be at most 2**53, the integers a float holds exactly")
-    _require(j_lo <= j_hi, "task.selectors", f"need j_lo <= j_hi, got {j_lo} > {j_hi}")
-    cap = selectors.MAX_SELECTORS
-    _require(j_hi - j_lo < cap, "task.selectors",
-             f"j_lo..j_hi lists {j_hi - j_lo + 1} selectors, more than {cap}")
-    return j_lo, j_hi, float(base)
-
-
-def _geodesic_report(params, lens):
-    """The geodesic report of T; a T the report refuses (its snap window
-    spans more than geodesic.MAX_SNAP_STEPS of a step 2 pi / k) fails on
-    task.geodesic.T."""
-    T = params.get("T")
-    _require(_is_number(T) and T >= 0, "task.geodesic.T",
-             "T must be a finite number >= 0")
-    try:
-        # an integer T near the largest float: k T is then inf, not an error
-        return geodesic.geodesic_report(lens, float(T))
-    except ValueError as e:
-        raise JobError("task.geodesic.T", str(e)) from None
-
-
-def _maslov_intervals(path):
-    """N of the maslov task's subdivision, priced before any form is built."""
-    N = maslov.subdivision_count(path)
-    D = (2 * N - 1) * 2 * path.lens.n
-    size = f"{D} (N = {N} intervals)" if D < 10**9 else f"about 1e{int(math.log10(D))}"
-    _require(D <= maslov.MAX_FORM_DIM, "path",
-             f"the Maslov form needs dimension {size}, more than {maslov.MAX_FORM_DIM}")
-    return N
-
-
-def _verify_params(params):
-    """(suite, trials, seed) of a verify task."""
-    suite = params.get("suite", "thm1")
-    trials = params.get("trials", 25)
-    seed = params.get("seed", 0)
-    _require(isinstance(suite, str) and suite in verify.SUITES, "task.verify.suite",
-             f"unknown suite {suite!r}; choose from {', '.join(verify.SUITES)}")
-    cap = verify.MAX_VERIFY_TRIALS
-    _require(_is_int(trials) and 1 <= trials <= cap, "task.verify.trials",
-             f"trials must be an integer from 1 to {cap}")
-    _require(_is_int(seed) and seed >= 0, "task.verify.seed",
-             "seed must be an integer >= 0")
-    return suite, trials, seed
+    if path is not None:
+        _price_path(task, path, args)
+    return Job(lens, path_spec, path, task, dict(params), args)
 
 
 def _echo(job):
@@ -287,12 +330,11 @@ def _echo(job):
 
 
 def run_job(job):
-    """Dispatch a parsed job; returns the report as a JSON-ready dict."""
-    params = {**job.params, **job.flags}
-    task = job.task
+    """Compute the report of a job `parse_job` accepted, as a JSON-ready
+    dict."""
+    task, lens, p, args = job.task, job.lens, job.path, job.args
     if task is None:
         raise JobError("task", "no task given (on the CLI the subcommand sets it)")
-    lens = job.lens
     report = {"job": _echo(job), "results": {}, "provenance": []}
     res = report["results"]
     report["tolerances"] = {
@@ -311,23 +353,19 @@ def run_job(job):
         )
 
     if task == "maslov":
-        p = _require_path(job)
-        _lens_value(lambda: lens.k_prime)  # refused up front when trial division cannot find it
-        res["subdivision_intervals"] = _maslov_intervals(p)
+        res["subdivision_intervals"] = maslov.subdivision_count(p)
         res["mu"] = maslov.maslov_index(p)
         report["provenance"].append(
             "mu = ind(F_0) - ind(F_1) over a based family of generating functions; "
             "ind(F_0) = 2nN asserted as a self-check"
         )
     elif task == "selectors":
-        j_lo, j_hi, base = _selector_params(params, lens)
-        p = _det_lift_path(job, base)
-        rep = selectors.selector_range(p, j_lo, j_hi, window_base=base)
-        res["selectors"] = {str(j): rep.values[j] for j in range(j_lo, j_hi + 1)}
+        rep = selectors.selector_range(p, **args)
+        res["selectors"] = {str(j): rep.values[j] for j in range(args["j_lo"], args["j_hi"] + 1)}
         res["c_plus"] = rep.c_plus
         res["c_minus"] = rep.c_minus
         res["step"] = {
-            "window_base": base,
+            "window_base": args["window_base"],
             "points": rep.step.points.tolist(),
             "multiplicities": rep.step.multiplicities.tolist(),
             "values": rep.step.values.tolist(),
@@ -337,11 +375,6 @@ def run_job(job):
             "endpoint eigenphases (spectrality)"
         )
     elif task == "spectrum":
-        p = _require_path(job)
-        cap = paths.MAX_LENS_PHASES
-        _require(lens.k * lens.n <= cap, "lens.k",
-                 f"the lens-level spectrum lists k n = {lens.k * lens.n} phases, "
-                 f"more than {cap}")
         sw = paths.action_spectrum(p)
         res["sphere"] = {
             "phases": sw.phases_sphere.tolist(),
@@ -356,32 +389,24 @@ def run_job(job):
             "over deck powers m of eigenphases of g^-m U_1"
         )
     elif task == "norms":
-        p = _det_lift_path(job)
-        decompose = params.get("decompose", False)
-        _require(isinstance(decompose, bool), "task.norms.decompose",
-                 "decompose must be true or false")
-        if decompose:
-            pieces, cap = norms.max_pieces(p), norms.MAX_PIECES
-            _require(pieces <= cap, "path",
-                     f"the embedded decomposition may need up to {pieces} pieces, "
-                     f"more than {cap}")
-        rep = norms.norm_report(p, decompose=decompose)
+        rep = norms.norm_report(p, **args)
         res.update(rep.as_dict())
         report["provenance"].append(
             "nu = max(ceil(c_+), -floor(c_-)) in exact T_w-lattice arithmetic; "
             "nu* minimized over Reeb-period shifts of the lift"
         )
     elif task == "geodesic":
-        rep = _geodesic_report(params, lens)
+        try:
+            rep = geodesic.geodesic_report(lens, args["T"])
+        except ValueError as e:  # the snap window spans more than MAX_SNAP_STEPS of a step
+            raise JobError("task.geodesic.T", str(e)) from None
         res.update(rep.as_dict())
         report["provenance"].append(
             "equal weights: greedy embedded count = selector lower bound = "
             "floor(kT/2pi) + 1; general weights: only the two bounds"
         )
     elif task == "verify":
-        suite, trials, seed = _verify_params(params)
-        out = verify.verify_suite(suite, trials=trials, seed=seed)
-        res.update(out)
+        res.update(verify.verify_suite(**args))
         report["provenance"].append(
             "each check names the property it exercises; failures list "
             "worst-case margins"

@@ -133,11 +133,14 @@ def lattice_multiple(x, step, mode):
 
 def new_lens(k, weights):
     """L_k(weights), validated: weights a list of positive integers coprime to
-    k, k an integer >= 2 (bools are not integers here)."""
+    k, k an integer from 2 to 2**53 (bools are not integers here), so that
+    2 pi / k and the deck phases are floats of k itself."""
     if not isinstance(weights, (list, tuple)):
         raise LensSpaceError("weights", "weights must be a list of integers")
     if not _is_int(k) or k < 2:
         raise LensSpaceError("k", f"k must be an integer >= 2, got {k!r}")
+    if k > 2**53:
+        raise LensSpaceError("k", "k must be at most 2**53, the integers a float holds exactly")
     weights = tuple(weights)
     if not weights:
         raise LensSpaceError("weights", "weights must be non-empty")

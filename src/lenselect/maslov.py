@@ -51,10 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lens import TWO_PI
 from .paths import reeb_shift, cluster_phases, _eigenphases, _restrict_pieces, _speed
 from .quadratic import NULL_TOL, cayley_gf, cayley_hermitian, index, sharp
-
-TWO_PI = 2.0 * math.pi
 
 # Phase travel per subdivision interval; keeps ||V - I|| <= sqrt(2), i.e.
 # transition eigenvalues in the closed right half-circle, so tan(theta/2) <= 1
@@ -84,15 +83,6 @@ MAX_TRAVEL = math.pi / 2
 # adds n u |window_base| to the bound on L.
 DET_LIFT_TOL = 1e-6
 
-# Largest real form dimension D = (2N - 1) * 2n the `maslov` job accepts.
-# `index_at` costs O(N n^3), but its dense fallback costs O(D^3) in two
-# eigvalsh calls on the complex Hermitian matrix of size D/2, and the cap
-# bounds that.  On one BLAS thread (2 vCPU, OpenBLAS 0.3.31), on Reeb paths
-# over L_3(1,1,1,1), the two dense counts took 0.23 s at D = 1528, 0.48 s at
-# D = 2040 and 3.0 s at D = 4072, and `maslov_index` 12, 14 and 27 ms; the
-# bench corpora reach D = 1616.
-MAX_FORM_DIM = 2048
-
 # `BasedFamily.index_at` counts the eigenvalues of the Maslov form H below the
 # null cut by block elimination of H - cI (`_shifted_counts`).
 #
@@ -114,9 +104,9 @@ MAX_FORM_DIM = 2048
 # NULL_TOL s_lo / kappa and NULL_TOL s_hi kappa.  Equal counts decide the
 # dense count while the guard band NULL_TOL s_lo (1 - 1/kappa) = 1e-8 exceeds
 # ||E|| plus the dense eigvalsh's own backward error (about D u s_hi <= 1e-12
-# at MAX_FORM_DIM), here by more than 200x.  A larger kappa widens the
-# window [1e-8, 1.6e-7] (s_hi = 8) in which an eigenvalue of H sends the count
-# to the dense fallback.
+# at D = 2048, `jobs.MAX_FORM_DIM`), here by more than 200x.  A larger kappa
+# widens the window [1e-8, 1.6e-7] (s_hi = 8) in which an eigenvalue of H
+# sends the count to the dense fallback.
 ELIM_PIVOT = 1e-3
 NULL_BRACKET = 2.0
 

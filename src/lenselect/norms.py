@@ -28,17 +28,9 @@ from .paths import (
 )
 from .maslov import evaluate_step
 from .geodesic import geodesic_report  # the name stays readable from norms
-
-TWO_PI = 2.0 * math.pi
+from .lens import TWO_PI
 
 IDENTITY_CLASS_TOL = 1e-9
-
-# With exact cuts the greedy decomposition costs about 0.5-0.75 ms per piece,
-# one is_embedded certificate each (Reeb paths with 1000 pieces, k in
-# {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so this cap bounds a
-# `norms` decomposition below a second: one priced (max_pieces) above it is
-# refused.
-MAX_PIECES = 1000
 
 
 @dataclass(frozen=True)

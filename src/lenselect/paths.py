@@ -19,15 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lens import TWO_PI
 from .tolerances import PHASE_CLUSTER_TOL
-
-TWO_PI = 2.0 * math.pi
 
 HERMITIAN_TOL = 1e-10
 COMMUTATION_TOL = 1e-10
-
-# Most lens-level phases (k n) a `spectrum` job lists; see `action_spectrum`.
-MAX_LENS_PHASES = 100_000
 
 
 def _opnorm(A):
@@ -302,9 +298,7 @@ def action_spectrum(p):
     by -2 pi m w / k per class, built as one broadcast over m.
 
     The lens level lists k n phases, clustered in a Python loop, so the
-    `spectrum` job refuses k n > MAX_LENS_PHASES: at k n = 1e5 the job took
-    0.25 s to compute and 0.28 s to serialize 3.8 MB of JSON (n = 3, one
-    thread of a 2 vCPU VM), and both grow linearly.
+    `spectrum` job refuses k n > `jobs.MAX_LENS_PHASES`.
     """
     lens = p.lens
     classes = lens.weight_classes()

@@ -15,17 +15,10 @@ generating function is built here; the generating-function index
 `maslov_props`, check `step-shape`, and tests/test_maslov.py).
 """
 
-import math
 from dataclasses import dataclass
 
+from .lens import TWO_PI
 from .maslov import evaluate_step
-
-TWO_PI = 2.0 * math.pi
-
-# Most selectors (j_hi - j_lo + 1) a `selectors` job lists; cost and output
-# grow linearly: 1e5 on Reeb paths over L_3(1,1) and L_3(1^8) took 0.94 s end
-# to end (0.22 s for one) and 3.4 MB of JSON on a 2-vCPU Xeon VM.
-MAX_SELECTORS = 100_000
 
 
 def selector(path, j, window_base=0.0):

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import quadratic
 from .geodesic import geodesic_report
-from .lens import new_lens
+from .lens import TWO_PI, new_lens
 from .maslov import evaluate_step, maslov_index, maslov_shifted, subdivide
 from .norms import (
     greedy_embedded_decomposition,
@@ -47,14 +47,6 @@ from .quadratic import (
     zero_form,
 )
 from .selectors import c_minus, c_plus, selector, selector_range, time_function
-
-TWO_PI = 2.0 * math.pi
-
-# Most trials a verify job runs.  Cost grows linearly in them; thm1, the
-# slowest suite, takes about 15 ms a trial (1.5 s at 100 trials; maslov_props
-# 1.1 s, norms 0.9 s, on a 2-vCPU x86 VM), so a job at the cap stays below
-# about 20 s.
-MAX_VERIFY_TRIALS = 1000
 
 
 def _lens_set():

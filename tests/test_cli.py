@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -13,10 +14,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lenselect
-from lenselect import maslov, norms, selectors, verify
+from lenselect import jobs, maslov, norms, verify
 from lenselect.cli import main
-from lenselect.jobs import TASK_PARAMS, JobError, parse_job, render_table, run_job, serialize
-from lenselect.paths import MAX_LENS_PHASES
+from lenselect.jobs import (MAX_LENS_PHASES, TASK_PARAMS, JobError, parse_job, render_table,
+                            run_job, serialize)
 
 TWO_PI = 2 * math.pi
 
@@ -192,10 +193,50 @@ class TestRunJob:
             run_job(parse_job(reeb_job(2, [1, 1], 1.0)))
 
     def test_missing_path(self):
-        job = parse_job({"lens": {"k": 2, "weights": [1, 1]},
-                         "task": {"maslov": {}}})
         with pytest.raises(JobError, match="path"):
+            parse_job({"lens": {"k": 2, "weights": [1, 1]}, "task": {"maslov": {}}})
+
+    @pytest.mark.parametrize("command, doc, flags, field", [
+        # the task's values, then the lens-only caps, then the path's presence
+        ("selectors", {}, {"j_lo": "x"}, "task.selectors.j_lo"),
+        ("selectors", {}, {"j_lo": 3, "j_hi": 0}, "task.selectors"),
+        ("norms", {"task": {"norms": {"decompose": 1}}}, {}, "task.norms.decompose"),
+        ("geodesic", {}, {"T": -1}, "task.geodesic.T"),
+        ("verify", {}, {"trials": 1001}, "task.verify.trials"),
+        ("spectrum", {"lens": {"k": 10**8, "weights": [1, 1]}}, {}, "lens.k"),
+        ("maslov", {"lens": {"k": HUGE_PRIME_K, "weights": [1, 2]}}, {}, "lens.k"),
+        ("spectrum", {"path": None}, {}, "path"),
+        # the path's price
+        ("maslov", {"lens": {"k": 3, "weights": [1, 1, 1, 1]}, "path": {"reeb": 250.0}}, {},
+         "path"),
+        ("selectors", {"path": {"reeb": 1e17}}, {}, "path"),
+        ("selectors", {}, {"window_base": 1e17}, "task.selectors.window_base"),
+        ("norms", {"path": {"reeb": 1e4}, "task": {"norms": {"decompose": True}}}, {}, "path"),
+    ])
+    def test_parse_job_makes_every_refusal(self, command, doc, flags, field):
+        with pytest.raises(JobError, match=rf"^{re.escape(field)}:"):
+            parse_job({**reeb_job(3, [1, 1], 1.0), **doc}, command, flags)
+
+    def test_run_job_refuses_only_a_missing_task_and_the_geodesic_snap(self):
+        with pytest.raises(JobError, match=r"^task:"):
+            run_job(parse_job(reeb_job(3, [1, 1], 1.0)))
+        # kT/2pi = 2 10**6 on L_3: the snap window spans 2e-3 of a step
+        job = parse_job({"lens": {"k": 3, "weights": [1, 1]}}, "geodesic",
+                        {"T": 2 * 10**6 * TWO_PI / 3})
+        with pytest.raises(JobError, match=r"^task\.geodesic\.T:"):
             run_job(job)
+
+    @pytest.mark.parametrize("command, doc, field", [
+        ("selectors", {"task": {"selectors": {"j_hi": 0.5}}}, "task.selectors.j_hi"),
+        ("norms", {"task": {"norms": {"decompose": "yes"}}}, "task.norms.decompose"),
+        ("maslov", {"lens": {"k": HUGE_PRIME_K, "weights": [1, 2]}}, "lens.k"),
+    ])
+    def test_task_value_reported_before_bad_path(self, command, doc, field):
+        bad_path = {"piecewise_hermitian": {"segments": [{"generator": [[[NAN, 0]]]}]}}
+        with pytest.raises(JobError, match=r"^path\.piecewise_hermitian"):
+            parse_job({**reeb_job(3, [1, 1], 1.0), "path": bad_path}, command)
+        with pytest.raises(JobError, match=rf"^{re.escape(field)}:"):
+            parse_job({**reeb_job(3, [1, 1], 1.0), **doc, "path": bad_path}, command)
 
     @pytest.mark.parametrize("params, field", [
         ({"trials": True}, "task.verify.trials"),
@@ -500,7 +541,7 @@ class TestMain:
     def test_selector_range_boundary(self, tmp_path, capsys):
         f = tmp_path / "job.json"
         f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0)))
-        cap = selectors.MAX_SELECTORS
+        cap = jobs.MAX_SELECTORS
         assert main(["selectors", str(f), "--j-lo", "1", "--j-hi", str(cap)]) == 0
         assert len(json.loads(capsys.readouterr().out)["results"]["selectors"]) == cap
         assert main(["selectors", str(f), "--j-lo", "0", "--j-hi", str(cap)]) == 2
@@ -523,7 +564,7 @@ class TestMain:
     def test_maslov_form_cap_boundary(self, tmp_path, capsys):
         # L_3(1): a generator 256 pi for time 1 gives N = 512 intervals and
         # D = 1023 * 2 = 2046 <= MAX_FORM_DIM; any more travel makes N = 513
-        assert (2 * 512 - 1) * 2 <= maslov.MAX_FORM_DIM < (2 * 513 - 1) * 2
+        assert (2 * 512 - 1) * 2 <= jobs.MAX_FORM_DIM < (2 * 513 - 1) * 2
         lens = {"k": 3, "weights": [1]}
         at_cap = parse_job({"lens": lens, "path": hermitian_path([[256 * math.pi]])})
         assert maslov.subdivision_count(at_cap.path) == 512
@@ -632,19 +673,30 @@ class TestMain:
         assert run.returncode == 0, run.stderr
         assert run.stdout.strip() == f"{code} []"
 
-    @pytest.mark.parametrize("argv, doc, code", [
+    @pytest.mark.parametrize("argv, doc, field", [
         (["geodesic"], {"lens": {"k": 3, "weights": [1, 1]},
-                        "task": {"geodesic": {"T": 7.0}}}, 0),
-        (["geodesic", "-T", "20"], {"lens": {"k": 5, "weights": [1, 2, 3]}}, 0),
-        (["maslov"], {"lens": {"k": 4, "weights": [1, 2]}}, 2),
-        (["maslov"], '{"lens": {"k": 3, "weights": [1, 1]', 2),
-        (["geodesic", "-T", "1e308"], {"lens": {"k": 3, "weights": [1, 1]}}, 2),
-        # task keys and tolerances are checked before the path is decoded
-        (["norms"], reeb_job(3, [1, 1], 1.0, {"norms": {"bogus": 1}}), 2),
-        (["maslov"], {**reeb_job(3, [1, 1], 1.0), "tolerances": {"null": 0}}, 2),
+                        "task": {"geodesic": {"T": 7.0}}}, None),
+        (["geodesic", "-T", "20"], {"lens": {"k": 5, "weights": [1, 2, 3]}}, None),
+        (["maslov"], {"lens": {"k": 4, "weights": [1, 2]}}, "lens.weights[1]"),
+        (["maslov"], '{"lens": {"k": 3, "weights": [1, 1]', "$"),
+        (["geodesic", "-T", "1e308"], {"lens": {"k": 3, "weights": [1, 1]}},
+         "task.geodesic.T"),
+        (["selectors"], reeb_job(10**400, [1, 1], 1.0), "lens.k"),
+        # every check but the path's price runs before the path is decoded
+        (["norms"], reeb_job(3, [1, 1], 1.0, {"norms": {"bogus": 1}}), "task.norms.bogus"),
+        (["maslov"], {**reeb_job(3, [1, 1], 1.0), "tolerances": {"null": 0}},
+         "tolerances.null"),
+        (["selectors", "--j-lo", "x"], reeb_job(3, [1, 1], 1.0), "task.selectors.j_lo"),
+        (["selectors", "--j-lo", "3", "--j-hi", "0"], reeb_job(3, [1, 1], 1.0),
+         "task.selectors"),
+        (["norms"], reeb_job(3, [1, 1], 1.0, {"norms": {"decompose": 1}}),
+         "task.norms.decompose"),
+        (["spectrum"], reeb_job(MAX_LENS_PHASES // 2 + 1, [1, 1], 1.0), "lens.k"),
+        (["maslov"], reeb_job(HUGE_PRIME_K, [1, 2], 1.0), "lens.k"),
     ], ids=["geodesic-file-T", "geodesic-flag-T", "lens-error", "malformed-json", "huge-T",
-            "task-key-error", "tolerance-error"])
-    def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, code):
+            "huge-k", "task-key-error", "tolerance-error", "j-lo-not-int",
+            "j-lo-above-j-hi", "decompose-not-bool", "spectrum-phase-cap", "maslov-k-prime"])
+    def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, field):
         # a geodesic job is lattice arithmetic, and these input errors stop
         # before any matrix is decoded
         f = tmp_path / "job.json"
@@ -652,15 +704,18 @@ class TestMain:
         script = (
             "import contextlib, io, json, sys, types\n"
             "import lenselect.cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()), "
-            "contextlib.redirect_stderr(io.StringIO()):\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
             "    code = lenselect.cli.main(json.loads(sys.argv[1]))\n"
             "print(code, 'numpy' in sys.modules, [name for name in ('paths', 'maslov', 'norms')\n"
             "      if type(sys.modules['lenselect.' + name]) is types.ModuleType])\n"
+            "print(err.getvalue(), end='')\n"
         )
         run = run_python(["-c", script, json.dumps([argv[0], str(f), *argv[1:]])])
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == f"{code} False []"
+        status, _, err = run.stdout.partition("\n")
+        assert status == f"{0 if field is None else 2} False []"
+        assert err.startswith(f"error: {field}:") if field else err == ""
 
     def test_run_as_module_without_runtime_warning(self):
         # runpy warns when lenselect.cli is already in sys.modules
@@ -821,7 +876,7 @@ class TestMain:
         assert res["lower"] == res["upper"] == res["greedy_count"] == 10**6
 
     def test_verify_trials_cap_refused_at_once(self, capsys):
-        cap = verify.MAX_VERIFY_TRIALS
+        cap = jobs.MAX_VERIFY_TRIALS
         assert cap == 1000
         for suite in verify.SUITES:
             start = time.perf_counter()
@@ -896,6 +951,14 @@ class TestMain:
         start = time.perf_counter()
         assert main(["maslov", str(f)]) == 2
         assert time.perf_counter() - start < 2
+        assert capsys.readouterr().err.startswith("error: lens.k:")
+
+    @pytest.mark.parametrize("command", ["maslov", "selectors", "spectrum", "norms", "geodesic"])
+    @pytest.mark.parametrize("k, weights", [(10**400, [1, 1]), (2**64 + 1, [1, 2**64])])
+    def test_k_past_float_exits_two(self, tmp_path, capsys, command, k, weights):
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps({**reeb_job(k, weights, 1.0), "task": {command: {}}}))
+        assert main([command, str(f), *(["-T", "1.0"] if command == "geodesic" else [])]) == 2
         assert capsys.readouterr().err.startswith("error: lens.k:")
 
     def test_verify_exit_zero(self, capsys):

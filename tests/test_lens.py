@@ -93,6 +93,16 @@ class TestNewLens:
             lens.k_prime
         assert e.value.field == "k"
 
+    def test_k_bound(self):
+        # k up to 2**53, the integers a float holds exactly
+        lens = new_lens(2**53, [1, 1])
+        assert lens.reeb_period == TWO_PI / 2**53
+        assert lens.deck(1)[0, 0] == complex(math.cos(TWO_PI / 2**53), math.sin(TWO_PI / 2**53))
+        for k, weights in ((2**53 + 1, [1, 1]), (2**64 + 1, [1, 2**64]), (10**400, [1, 1])):
+            with pytest.raises(LensSpaceError, match="2\\*\\*53") as e:
+                new_lens(k, weights)
+            assert e.value.field == "k"
+
     def test_rejects_weights_not_a_list(self):
         with pytest.raises(LensSpaceError) as e:
             new_lens(3, 5)
