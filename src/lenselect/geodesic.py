@@ -1,19 +1,26 @@
-"""Reeb-flow geodesic reports, in lattice arithmetic.
+"""Reeb-path reports, in lattice arithmetic.
 
 For equal weights the standard Reeb flow up to time T needs exactly
 r + 1 = floor(kT / 2 pi) + 1 embedded pieces: the selector lower bound meets
-the embedded-decomposition upper bound.  Every number of the report is
-therefore arithmetic on the period lattice, and this module reads no matrix:
-a geodesic job needs no numpy.  The greedy decomposition
+the embedded-decomposition upper bound.  Every selector c_j of the Reeb
+path, -2n + 1 <= j <= 0, is T, so its norms nu, nu', nu* and the
+discriminant and oscillation bounds are T rounded to the period lattice.
+Every number of the `geodesic` report and of the `norms` report of a Reeb
+path is therefore arithmetic on the period lattice, and this module reads
+no matrix: such a job needs no numpy.  The greedy decomposition
 (`norms.greedy_embedded_decomposition`) and the selector chain
-(`norms.selector_lower_bounds`) on `reeb_path` stay the reference, in
-`verify --suite geodesic` and in the tests.
+(`norms.selector_lower_bounds`, `norms.norm_report`) on `reeb_path` stay the
+reference, in `verify --suite geodesic` and in the tests.
 """
 
 from dataclasses import dataclass
 
 from .lens import TWO_PI, lattice_multiple
 from .tolerances import PERIOD_SNAP_TOL
+
+# A path whose selectors c_+ and c_- are this close to 0 (and whose endpoint
+# is I) is in the identity class.
+IDENTITY_CLASS_TOL = 1e-9
 
 # The snap counts T within PERIOD_SNAP_TOL * max(1, T) of a multiple of
 # 2 pi / k as that multiple, so a T that close below a multiple counts one
@@ -23,6 +30,45 @@ from .tolerances import PERIOD_SNAP_TOL
 # then counts floor(kT / 2 pi) + 1 exactly: float division and the float
 # 2 pi err by less than 1e-9 of a step there.
 MAX_SNAP_STEPS = 1e-3
+
+
+@dataclass(frozen=True)
+class LatticeValue:
+    """An exact element m * T_w of the period lattice."""
+
+    multiple: int
+    num: int  # value as the exact fraction (num/den) * 2 pi
+    den: int
+    value: float
+
+    @classmethod
+    def of(cls, lens, m):
+        num, den = lens.period_fraction(m)
+        return cls(m, num, den, lens.period_value(m))
+
+    def as_dict(self):
+        return {"num": self.num, "den": self.den, "approx": self.value}
+
+
+@dataclass
+class NormReport:
+    lens: object
+    nu: LatticeValue
+    nu_prime: LatticeValue
+    nu_star: LatticeValue
+    nu_star_shift: LatticeValue
+    dis_lower: int
+    dis_upper: int | None
+    osc_lower: int
+    osc_upper: int | None
+    equal_weights: bool
+    verdict: str
+    degenerate_circle_case: bool
+
+    def as_dict(self):
+        """Every field but the lens, lattice values as {num, den, approx}."""
+        return {key: value.as_dict() if isinstance(value, LatticeValue) else value
+                for key, value in vars(self).items() if key != "lens"}
 
 
 @dataclass
@@ -83,3 +129,39 @@ def geodesic_report(lens, T):
         )
     verdict = "certified" if equal else "gap"
     return GeodesicReport(lens, T, verdict, lower, r + 1, r + 1, equal)
+
+
+def reeb_norm_report(lens, T, decompose=False):
+    """`norms.norm_report(reeb_path(lens, T), decompose)` in lattice
+    arithmetic.
+
+    c_+ = c_- = T, so C and F, T rounded up and down to T_w Z, give
+    nu = max(C, -F) and nu* = ceil((C - F) / 2), reached at the shift
+    C - nu*; the class is the identity exactly when T snaps to 0, and nu'
+    bumps any other to at least T_w.  The selector chain gives
+    dis_lower = floor(|T| / T_w) + 1 where |T| > IDENTITY_CLASS_TOL, and
+    osc_lower = nu.  With `decompose`, both upper bounds are the greedy's
+    r + 1 pieces, r from _snapped_orbits of |T| as in geodesic_report; the
+    generator T I is definite, so the pieces also bound the oscillation
+    length.  A |T| within the snap below a multiple of 2 pi / k counts as
+    that multiple here, as it does in dis_lower.
+    """
+    C, F = lens.period_multiple(T, "ceil"), lens.period_multiple(T, "floor")
+    m = max(C, -F)
+    star = -((F - C) // 2)
+    identity = abs(T) <= IDENTITY_CLASS_TOL  # the endpoint e^{iT} I is then I up to |T|
+    upper = _snapped_orbits(lens, abs(T))[0] + 1 if decompose else None
+    return NormReport(
+        lens=lens,
+        nu=LatticeValue.of(lens, m),
+        nu_prime=LatticeValue.of(lens, 0 if identity else max(m, 1)),
+        nu_star=LatticeValue.of(lens, star),
+        nu_star_shift=LatticeValue.of(lens, C - star),
+        dis_lower=0 if identity else lens.period_multiple(abs(T), "floor") + 1,
+        dis_upper=upper,
+        osc_lower=m,
+        osc_upper=upper,
+        equal_weights=lens.equal_weights,
+        verdict="not-applicable",
+        degenerate_circle_case=lens.degenerate,
+    )

@@ -16,24 +16,28 @@ path's price (the det-lift roundoff, `maslov` form dimension, `norms`
 decomposition pieces).  The lens and the path are validated once, by the
 types that own them: `new_lens` (k an integer from 2 to 2**53, the weights)
 and `UnitaryPath` (shape, finiteness, Hermitian and deck-commuting
-generators, positive durations, finite phase travel).  Their errors say
-which input is at fault, and `parse_job` prefixes the JSON path, so every
-input error leaves the CLI as exit 2 naming the field.  `run_job` only
-computes; it refuses a job without a task and a `geodesic` T whose snap
-window the report refuses.
+generators, positive durations, finite phase travel; a Reeb path T I is
+valid for every finite T).  Their errors say which input is at fault, and
+`parse_job` prefixes the JSON path, so every input error leaves the CLI as
+exit 2 naming the field.  `run_job` only computes; it refuses a job without
+a task and a `geodesic` T whose snap window the report refuses.
 
-numpy and `paths` load only where a path is decoded or read, so a
-`geodesic` job without a path (lattice arithmetic, in `geodesic`) and every
-input error found before the path run without numpy, but for
-`task.verify.*`: the suite name is looked up in `verify`, which loads numpy.
+numpy and `paths` load only where a path is decoded or read.  A Reeb path
+`{"reeb": T}` is kept as its time T, priced in arithmetic and built on the
+first read of `Job.path`; a `norms` job reads only T.  So a `geodesic` job
+without a path and a `norms` job on a Reeb path (lattice arithmetic, in
+`geodesic`), and every input error found before a matrix is decoded, run
+without numpy, but for `task.verify.*`: the suite name is looked up in
+`verify`, which loads numpy.
 """
 
 import json
 import math
+import sys
 
 from . import geodesic, maslov, norms, paths, selectors, verify
-from .lens import LensSpaceError, _is_int, new_lens
-from .tolerances import NULL_TOL, PERIOD_SNAP_TOL, PHASE_CLUSTER_TOL
+from .lens import TWO_PI, LensSpaceError, _is_int, new_lens
+from .tolerances import DET_LIFT_TOL, NULL_TOL, PERIOD_SNAP_TOL, PHASE_CLUSTER_TOL
 
 # Each task and the parameters it reads.
 TASK_PARAMS = {
@@ -76,8 +80,8 @@ MAX_FORM_DIM = 2048
 # With exact cuts the greedy decomposition costs about 0.5-0.75 ms per piece,
 # one is_embedded certificate each (Reeb paths with 1000 pieces, k in
 # {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so this cap bounds a
-# `norms` decomposition below a second: one priced (`norms.max_pieces`)
-# above it is refused.
+# `norms` decomposition below a second: one priced (`norms.max_pieces`, in
+# arithmetic on a Reeb path) above it is refused.
 MAX_PIECES = 1000
 
 
@@ -91,10 +95,20 @@ class Job:
     def __init__(self, lens, path_spec, path, task, params, args):
         self.lens = lens
         self.path_spec = path_spec  # as given, for the report echo
-        self.path = path  # the validated UnitaryPath, or None
+        # the time T of a Reeb path (a float from `_parse_path`), else None
+        self.reeb = path if isinstance(path, float) else None
+        self._path = None if self.reeb is not None else path
         self.task = task
         self.params = params  # the job file's, for the report echo
         self.args = args  # the task's validated values, CLI flags over params
+
+    @property
+    def path(self):
+        """The validated UnitaryPath, or None.  A Reeb path is built on
+        first read, so a job that reads only its time builds none."""
+        if self._path is None and self.reeb is not None:
+            self._path = paths.reeb_path(self.lens, self.reeb)
+        return self._path
 
 
 def _require(cond, field, message):
@@ -137,13 +151,29 @@ def _parse_complex_matrix(data, field):
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _path_value(kind, build):
+    """build(), with its PathError reported at the field under `path.<kind>`
+    (for a piecewise_hermitian path, the offending segment's entry).  Only a
+    raised error reads `paths.PathError`, so checks made before build() stop
+    without running `paths`."""
+    try:
+        return build()
+    except paths.PathError as e:
+        field = f"path.{kind}"
+        if kind == "piecewise_hermitian" and e.segment is not None:
+            field += f".segments[{e.segment}].{e.part}"
+        raise JobError(field, str(e)) from None
+
+
 def _parse_path(lens, path_spec):
-    """The UnitaryPath of a job's `path` object.
+    """The validated path of a job's `path` object: the time T (a float) of
+    a Reeb path, which `Job.path` builds on first read, else the
+    UnitaryPath.
 
     The JSON shape is checked here; the path's own validity (generator shape,
     finiteness, Hermitian, deck action, durations) is checked once, by
     `UnitaryPath`, and its PathError is reported at the JSON path of the
-    offending segment.
+    offending segment.  A Reeb path T I is valid for every finite T.
     """
     _require(isinstance(path_spec, dict) and len(path_spec) == 1, "path",
              "path must be an object with exactly one of reeb / "
@@ -152,44 +182,38 @@ def _parse_path(lens, path_spec):
     _require(kind in ("reeb", "piecewise_hermitian", "random"), "path",
              f"unknown path kind {kind!r}")
     spec = path_spec[kind]
-    try:
-        if kind == "reeb":
-            _require(_is_number(spec), "path.reeb", "expected a finite number")
-            return paths.reeb_path(lens, float(spec))
-        if kind == "piecewise_hermitian":
-            segs = spec.get("segments") if isinstance(spec, dict) else None
-            _require(isinstance(segs, list) and segs,
-                     "path.piecewise_hermitian.segments",
-                     "expected a non-empty segment list")
-            segments = []
-            for i, seg in enumerate(segs):
-                fld = f"path.piecewise_hermitian.segments[{i}]"
-                _require(isinstance(seg, dict), fld, "expected an object")
-                A = _parse_complex_matrix(seg.get("generator"), fld + ".generator")
-                d = seg.get("duration", 1.0)
-                _require(_is_number(d), fld + ".duration",
-                         "duration must be a finite number")
-                segments.append((A, d))
-            return paths.UnitaryPath(lens, segments)
-        _require(isinstance(spec, dict), "path.random", "expected an object")
-        seed = spec.get("seed", 0)
-        _require(_is_int(seed) and 0 <= seed < 2**64,
-                 "path.random.seed", "seed must be a 64-bit integer")
-        segments = spec.get("segments", 2)
-        _require(_is_int(segments) and segments >= 1,
-                 "path.random.segments", "segments must be an integer >= 1")
-        bound = spec.get("norm_bound", 2.0)
-        _require(_is_number(bound) and bound > 0,
-                 "path.random.norm_bound", "norm_bound must be a finite number > 0")
-        import numpy as np
+    if kind == "reeb":
+        _require(_is_number(spec), "path.reeb", "expected a finite number")
+        return float(spec)
+    if kind == "piecewise_hermitian":
+        segs = spec.get("segments") if isinstance(spec, dict) else None
+        _require(isinstance(segs, list) and segs,
+                 "path.piecewise_hermitian.segments",
+                 "expected a non-empty segment list")
+        segments = []
+        for i, seg in enumerate(segs):
+            fld = f"path.piecewise_hermitian.segments[{i}]"
+            _require(isinstance(seg, dict), fld, "expected an object")
+            A = _parse_complex_matrix(seg.get("generator"), fld + ".generator")
+            d = seg.get("duration", 1.0)
+            _require(_is_number(d), fld + ".duration",
+                     "duration must be a finite number")
+            segments.append((A, d))
+        return _path_value(kind, lambda: paths.UnitaryPath(lens, segments))
+    _require(isinstance(spec, dict), "path.random", "expected an object")
+    seed = spec.get("seed", 0)
+    _require(_is_int(seed) and 0 <= seed < 2**64,
+             "path.random.seed", "seed must be a 64-bit integer")
+    segments = spec.get("segments", 2)
+    _require(_is_int(segments) and segments >= 1,
+             "path.random.segments", "segments must be an integer >= 1")
+    bound = spec.get("norm_bound", 2.0)
+    _require(_is_number(bound) and bound > 0,
+             "path.random.norm_bound", "norm_bound must be a finite number > 0")
+    import numpy as np
 
-        return paths.random_path(lens, np.random.default_rng(seed), segments=segments,
-                                 norm_bound=float(bound))
-    except paths.PathError as e:
-        field = f"path.{kind}"
-        if kind == "piecewise_hermitian" and e.segment is not None:
-            field += f".segments[{e.segment}].{e.part}"
-        raise JobError(field, str(e)) from None
+    return _path_value(kind, lambda: paths.random_path(
+        lens, np.random.default_rng(seed), segments=segments, norm_bound=float(bound)))
 
 
 def _task_args(task, values, lens):
@@ -242,28 +266,49 @@ def _task_args(task, values, lens):
     return {}
 
 
-def _price_path(task, path, args):
+def _det_lift_roundoff(job, window_base=0.0):
+    """`maslov.det_lift_roundoff` of the job's path.  A Reeb path is one
+    segment T I of duration 1, so there it is (n u) (n |T|) plus
+    n u |window_base|, in arithmetic; numpy sums the n terms |T| in its own
+    order, which can move the bound by an ulp."""
+    if job.reeb is None:
+        return maslov.det_lift_roundoff(job.path, window_base)
+    n, u = job.lens.n, sys.float_info.epsilon / 2
+    return n * u * (n * abs(job.reeb)) + n * u * abs(window_base)
+
+
+def _max_pieces(job):
+    """`norms.max_pieces` of the job's path: on a Reeb path, whose one
+    segment travels |T|, floor(k |T| / 2 pi) + 2 (inf on overflow)."""
+    if job.reeb is None:
+        return norms.max_pieces(job.path)
+    travel = job.lens.k * abs(job.reeb) / TWO_PI
+    return math.floor(travel) + 2 if math.isfinite(travel) else math.inf
+
+
+def _price_path(job):
     """Refuse a path on which the task would cost more than its cap, or on
     which the det-lift closed form (`selectors`, `norms`) could round off
-    past `maslov.DET_LIFT_TOL`, also through the selectors' window base."""
+    past DET_LIFT_TOL, also through the selectors' window base."""
+    task, args = job.task, job.args
     if task == "maslov":
-        N = maslov.subdivision_count(path)
-        D = (2 * N - 1) * 2 * path.lens.n
+        N = maslov.subdivision_count(job.path)
+        D = (2 * N - 1) * 2 * job.lens.n
         size = f"{D} (N = {N} intervals)" if D < 10**9 else f"about 1e{int(math.log10(D))}"
         _require(D <= MAX_FORM_DIM, "path",
                  f"the Maslov form needs dimension {size}, more than {MAX_FORM_DIM}")
     if task in ("selectors", "norms"):
         window_base = args.get("window_base", 0.0)
-        err = maslov.det_lift_roundoff(path)
-        _require(err <= maslov.DET_LIFT_TOL, "path",
+        err = _det_lift_roundoff(job)
+        _require(err <= DET_LIFT_TOL, "path",
                  f"the det-lift sum tr(A) d has roundoff up to {err:.3g}, "
-                 f"more than {maslov.DET_LIFT_TOL:g}")
-        err = maslov.det_lift_roundoff(path, window_base)
-        _require(err <= maslov.DET_LIFT_TOL, "task.selectors.window_base",
+                 f"more than {DET_LIFT_TOL:g}")
+        err = _det_lift_roundoff(job, window_base)
+        _require(err <= DET_LIFT_TOL, "task.selectors.window_base",
                  f"window_base = {window_base!r} puts the det-lift roundoff bound "
-                 f"at {err:.3g}, more than {maslov.DET_LIFT_TOL:g}")
+                 f"at {err:.3g}, more than {DET_LIFT_TOL:g}")
     if args.get("decompose"):
-        pieces = norms.max_pieces(path)
+        pieces = _max_pieces(job)
         _require(pieces <= MAX_PIECES, "path",
                  f"the embedded decomposition may need up to {pieces} pieces, "
                  f"more than {MAX_PIECES}")
@@ -313,9 +358,10 @@ def parse_job(document, task=None, flags=None):
     _require(path_spec is not None or task in (None, "geodesic", "verify"), "path",
              "this task requires a path")
     path = None if path_spec is None else _parse_path(lens, path_spec)
+    job = Job(lens, path_spec, path, task, dict(params), args)
     if path is not None:
-        _price_path(task, path, args)
-    return Job(lens, path_spec, path, task, dict(params), args)
+        _price_path(job)
+    return job
 
 
 def _echo(job):
@@ -332,7 +378,7 @@ def _echo(job):
 def run_job(job):
     """Compute the report of a job `parse_job` accepted, as a JSON-ready
     dict."""
-    task, lens, p, args = job.task, job.lens, job.path, job.args
+    task, lens, args = job.task, job.lens, job.args
     if task is None:
         raise JobError("task", "no task given (on the CLI the subcommand sets it)")
     report = {"job": _echo(job), "results": {}, "provenance": []}
@@ -353,14 +399,14 @@ def run_job(job):
         )
 
     if task == "maslov":
-        res["subdivision_intervals"] = maslov.subdivision_count(p)
-        res["mu"] = maslov.maslov_index(p)
+        res["subdivision_intervals"] = maslov.subdivision_count(job.path)
+        res["mu"] = maslov.maslov_index(job.path)
         report["provenance"].append(
             "mu = ind(F_0) - ind(F_1) over a based family of generating functions; "
             "ind(F_0) = 2nN asserted as a self-check"
         )
     elif task == "selectors":
-        rep = selectors.selector_range(p, **args)
+        rep = selectors.selector_range(job.path, **args)
         res["selectors"] = {str(j): rep.values[j] for j in range(args["j_lo"], args["j_hi"] + 1)}
         res["c_plus"] = rep.c_plus
         res["c_minus"] = rep.c_minus
@@ -375,7 +421,7 @@ def run_job(job):
             "endpoint eigenphases (spectrality)"
         )
     elif task == "spectrum":
-        sw = paths.action_spectrum(p)
+        sw = paths.action_spectrum(job.path)
         res["sphere"] = {
             "phases": sw.phases_sphere.tolist(),
             "multiplicities": sw.mult_sphere.tolist(),
@@ -389,7 +435,9 @@ def run_job(job):
             "over deck powers m of eigenphases of g^-m U_1"
         )
     elif task == "norms":
-        rep = norms.norm_report(p, **args)
+        # on a Reeb path, lattice arithmetic: no path is built
+        rep = (geodesic.reeb_norm_report(lens, job.reeb, **args) if job.reeb is not None
+               else norms.norm_report(job.path, **args))
         res.update(rep.as_dict())
         report["provenance"].append(
             "nu = max(ceil(c_+), -floor(c_-)) in exact T_w-lattice arithmetic; "

@@ -8,9 +8,12 @@ search happens on integers.
 
 Word-norm machinery is exposed through two certified bounds only: greedy
 embedded decompositions (upper bounds) and the selector chain (lower bounds).
-On Reeb paths both are lattice arithmetic, which the `geodesic` task reads
-from the numpy-free `geodesic` module (`geodesic_report` is re-exported
-here); the two bounds stay its reference.
+On Reeb paths both are lattice arithmetic, and so is every norm: the
+`geodesic` task and a `norms` job on a Reeb path read them from the
+numpy-free `geodesic` module (`geodesic_report`, and `reeb_norm_report` for
+`norm_report`), which also holds `LatticeValue` and `NormReport`; all but
+`reeb_norm_report` are re-exported here.  `norm_report` on `reeb_path` stays
+their reference.
 """
 
 import math
@@ -27,28 +30,9 @@ from .paths import (
     is_embedded,
 )
 from .maslov import evaluate_step
-from .geodesic import geodesic_report  # the name stays readable from norms
+# numpy-free, in `geodesic`; the names stay readable from norms
+from .geodesic import IDENTITY_CLASS_TOL, LatticeValue, NormReport, geodesic_report
 from .lens import TWO_PI
-
-IDENTITY_CLASS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LatticeValue:
-    """An exact element m * T_w of the period lattice."""
-
-    multiple: int
-    num: int  # value as the exact fraction (num/den) * 2 pi
-    den: int
-    value: float
-
-    @classmethod
-    def of(cls, lens, m):
-        num, den = lens.period_fraction(m)
-        return cls(m, num, den, lens.period_value(m))
-
-    def as_dict(self):
-        return {"num": self.num, "den": self.den, "approx": self.value}
 
 
 def _selector_pair(path):
@@ -276,27 +260,6 @@ def selector_lower_bounds(path):
 
 
 # --- reports ---
-
-
-@dataclass
-class NormReport:
-    lens: object
-    nu: LatticeValue
-    nu_prime: LatticeValue
-    nu_star: LatticeValue
-    nu_star_shift: LatticeValue
-    dis_lower: int
-    dis_upper: int | None
-    osc_lower: int
-    osc_upper: int | None
-    equal_weights: bool
-    verdict: str
-    degenerate_circle_case: bool
-
-    def as_dict(self):
-        """Every field but the lens, lattice values as {num, den, approx}."""
-        return {key: value.as_dict() if isinstance(value, LatticeValue) else value
-                for key, value in vars(self).items() if key != "lens"}
 
 
 def norm_report(path, decompose=False):

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -523,6 +524,11 @@ class TestMain:
         f.write_text(json.dumps(reeb_job(3, [1, 1], 2.2e9)))
         assert main(["selectors", str(f)]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["c_plus"] == 2.2e9
+        # a norms job prices the Reeb path in arithmetic, with the same bound
+        assert main(["norms", str(f)]) == 0
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 2.3e9)))
+        assert main(["norms", str(f)]) == 2
+        assert capsys.readouterr().err.startswith("error: path:")
 
     def test_window_base_bound_boundary(self, tmp_path, capsys):
         # L_3(1,1), Reeb T = 1: the bound is 4u + 2u |window_base|, which
@@ -558,8 +564,26 @@ class TestMain:
         f = tmp_path / "job.json"
         f.write_text(json.dumps(reeb_job(3, [1, 1], 2000.0, {"norms": {"decompose": True}})))
         assert norms.max_pieces(parse_job(f.read_text()).path) == 956
+        assert jobs._max_pieces(parse_job(f.read_text())) == 956  # priced in arithmetic
         assert main(["norms", str(f)]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["dis_upper"] == 955
+
+    def test_reeb_prices_match_the_path_prices(self):
+        # the arithmetic prices of a Reeb path against those of its
+        # UnitaryPath, up to roundoff: numpy sums the det-lift terms in its
+        # own order, and eigh of 1e300 I scales by powers of 2
+        rng = random.Random(3)
+        for k, w in ((3, [1]), (3, [1, 1]), (2, [1, 1, 1]), (5, [1, 2, 3]), (4, [1, 3]),
+                     (7, [1] * 8)):
+            times = [rng.uniform(-2e3, 2e3) for _ in range(10)] + [0.0, 2.2e9, -2.3e9, 1e300]
+            for T in times:
+                job = parse_job(reeb_job(k, w, T))
+                assert job._path is None
+                assert jobs._max_pieces(job) == pytest.approx(
+                    norms.max_pieces(job.path), rel=1e-15, abs=0), (k, w, T)
+                for base in (0.0, -4.5e9):
+                    assert jobs._det_lift_roundoff(job, base) == pytest.approx(
+                        maslov.det_lift_roundoff(job.path, base), rel=1e-15, abs=0), (k, w, T)
 
     def test_maslov_form_cap_boundary(self, tmp_path, capsys):
         # L_3(1): a generator 256 pi for time 1 gives N = 512 intervals and
@@ -653,6 +677,9 @@ class TestMain:
         ("selectors", reeb_job(3, [1, 1], 1.0), 0, ["geodesic", "norms", "verify"]),
         ("spectrum", reeb_job(3, [1, 1], 1.0), 0,
          ["quadratic", "maslov", "selectors", "geodesic", "norms", "verify"]),
+        # a Reeb path's norms are lattice arithmetic, in geodesic
+        ("norms", reeb_job(3, [1, 1], 20.283, {"norms": {"decompose": True}}), 0,
+         ["quadratic", "paths", "maslov", "selectors", "norms", "verify"]),
         # an input error stops in parse_job
         ("maslov", {"lens": {"k": 4, "weights": [1, 2]}}, 2,
          ["quadratic", "paths", "maslov", "selectors", "geodesic", "norms", "verify"]),
@@ -693,12 +720,24 @@ class TestMain:
          "task.norms.decompose"),
         (["spectrum"], reeb_job(MAX_LENS_PHASES // 2 + 1, [1, 1], 1.0), "lens.k"),
         (["maslov"], reeb_job(HUGE_PRIME_K, [1, 2], 1.0), "lens.k"),
+        (["norms"], reeb_job(3, [1, 1], 20.283, {"norms": {"decompose": True}}), None),
+        (["norms"], reeb_job(5, [1, 2, 3], -7.5, {"norms": {}}), None),
+        # the path's JSON shape is checked before any path is built
+        (["norms"], {"lens": {"k": 3, "weights": [1, 1]}, "path": {"random": {"segments": 0}}},
+         "path.random.segments"),
+        (["selectors"], {"lens": {"k": 3, "weights": [1, 1]}, "path": {"reeb": "x"}},
+         "path.reeb"),
+        (["maslov"], {"lens": {"k": 3, "weights": [1, 1]},
+                      "path": {"piecewise_hermitian": {"segments": []}}},
+         "path.piecewise_hermitian.segments"),
     ], ids=["geodesic-file-T", "geodesic-flag-T", "lens-error", "malformed-json", "huge-T",
             "huge-k", "task-key-error", "tolerance-error", "j-lo-not-int",
-            "j-lo-above-j-hi", "decompose-not-bool", "spectrum-phase-cap", "maslov-k-prime"])
+            "j-lo-above-j-hi", "decompose-not-bool", "spectrum-phase-cap", "maslov-k-prime",
+            "norms-reeb-decompose", "norms-reeb", "random-zero-segments", "reeb-not-number",
+            "piecewise-no-segments"])
     def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, field):
-        # a geodesic job is lattice arithmetic, and these input errors stop
-        # before any matrix is decoded
+        # geodesic jobs and norms jobs on a Reeb path are lattice arithmetic,
+        # and these input errors stop before any matrix is decoded
         f = tmp_path / "job.json"
         f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         script = (

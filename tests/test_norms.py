@@ -1,10 +1,12 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
 
 import lenselect.norms
+from lenselect.geodesic import reeb_norm_report
 from lenselect.lens import new_lens
 from lenselect.norms import (
     _constant_run_end,
@@ -506,3 +508,72 @@ def test_geodesic_report_matches_greedy_and_selector_bound(m):
         assert (rep.lower, rep.upper, rep.greedy_count, rep.verdict) == (
             selector_lower_bounds(path)["dis"], dec.count, dec.count,
             "certified" if lens.equal_weights else "gap"), (lens, m, off)
+
+
+# The lenses of the Reeb-path norms cross-check: k from 2 to 7, n from 1 to
+# 8, equal and general weights.
+REEB_LENSES = [new_lens(3, [1]), new_lens(3, [1, 1]), new_lens(2, [1, 1, 1]),
+               new_lens(5, [1, 2, 3]), new_lens(4, [1, 3]), new_lens(7, [1] * 8)]
+
+# -1e-9, the lower edge of the snap of 0, and the float above it: there the
+# reference's selectors round off past the edge (test below).
+SNAP_EDGE = (-1e-9, math.nextafter(-1e-9, 0.0))
+
+
+def _reeb_times(lens, rng):
+    """Uniform T in [-40, 40]; 0 and +-1e-13; +-1e-9, the edges of the snap
+    of 0, and their neighbouring floats; m 2 pi / k and m T_w, exactly and
+    3e-9 max(1, |x|) off, just outside their snap."""
+    Ts = [float(T) for T in rng.uniform(-40.0, 40.0, 12)] + [0.0, -0.0, 1e-13, -1e-13]
+    for edge in (1e-9, -1e-9):
+        Ts += [edge, math.nextafter(edge, 0.0), math.nextafter(edge, 2 * edge)]
+    for step in (TWO_PI / lens.k, lens.reeb_period):
+        for m in (1, 2, 7, -1, -5):
+            x = m * step
+            off = 3 * PERIOD_SNAP_TOL * max(1.0, abs(x))
+            Ts += [x, x - off, x + off]
+    return Ts
+
+
+@pytest.mark.parametrize("lens", REEB_LENSES, ids=lambda lens: f"L{lens.k}{lens.weights}")
+def test_reeb_norm_report_matches_reference(lens):
+    # the arithmetic report against the reference it replaced on Reeb
+    # paths: the selector chain and the greedy decomposition
+    rng = np.random.default_rng(lens.k * 10 + lens.n)
+    for T in _reeb_times(lens, rng):
+        if T in SNAP_EDGE:
+            continue
+        path = reeb_path(lens, T)
+        for decompose in (False, True):
+            got = json.dumps(reeb_norm_report(lens, T, decompose).as_dict(), sort_keys=True)
+            want = json.dumps(norm_report(path, decompose).as_dict(), sort_keys=True)
+            assert got == want, (T, decompose)
+
+
+def test_reeb_norms_read_exact_selectors_at_the_snap_edge():
+    # c_+ = c_- = T, so T = -1e-9 snaps to 0 as T = 1e-9 does, and the
+    # report equals the reference's on the inverse path.  The reference
+    # reads c_+ off the endpoint phase taken in [0, 2 pi): (2 pi + T) - 2 pi
+    # in floats, -1.00000008e-9, just outside the snap, so it reports nu = 1
+    for lens in REEB_LENSES:
+        for T in SNAP_EDGE:
+            path = reeb_path(lens, T)
+            cp = lenselect.norms._selector_pair(path)[0]
+            assert cp == (TWO_PI + T) - TWO_PI < -PERIOD_SNAP_TOL
+            for decompose in (False, True):
+                got = reeb_norm_report(lens, T, decompose).as_dict()
+                assert got == norm_report(reeb_path(lens, -T), decompose).as_dict()
+                assert got["nu"]["num"] == 0
+                assert norm_report(path, decompose).nu.multiple == 1
+
+
+def test_reeb_norm_upper_bound_follows_the_snap():
+    # L_3(1,1), T = 2 pi - 1e-10 lies within the snap of 2 pi = 3 T_w: the
+    # selector bound counts floor(3) + 1 = 4 pieces, and so do the upper
+    # bounds, as geodesic_report does.  The greedy's own 1e-12 margins count
+    # floor(3T / 2 pi) + 1 = 3 there, below the lower bound.
+    T = TWO_PI - 1e-10
+    rep = reeb_norm_report(L3, T, decompose=True)
+    assert rep.dis_lower == rep.dis_upper == rep.osc_upper == 4
+    assert rep.dis_upper == geodesic_report(L3, T).upper
+    assert greedy_embedded_decomposition(reeb_path(L3, T)).count == 3
