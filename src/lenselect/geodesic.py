@@ -13,7 +13,7 @@ no matrix: such a job needs no numpy.  The greedy decomposition
 reference, in `verify --suite geodesic` and in the tests.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lens import TWO_PI, lattice_multiple
 from .tolerances import PERIOD_SNAP_TOL
@@ -32,14 +32,11 @@ IDENTITY_CLASS_TOL = 1e-9
 MAX_SNAP_STEPS = 1e-3
 
 
-@dataclass(frozen=True)
-class LatticeValue:
-    """An exact element m * T_w of the period lattice."""
+class LatticeValue(namedtuple("LatticeValue", "multiple num den value")):
+    """An exact element m * T_w of the period lattice: its multiple m, the
+    value as the exact fraction (num/den) * 2 pi, and the float value."""
 
-    multiple: int
-    num: int  # value as the exact fraction (num/den) * 2 pi
-    den: int
-    value: float
+    __slots__ = ()
 
     @classmethod
     def of(cls, lens, m):
@@ -50,40 +47,32 @@ class LatticeValue:
         return {"num": self.num, "den": self.den, "approx": self.value}
 
 
-@dataclass
-class NormReport:
-    lens: object
-    nu: LatticeValue
-    nu_prime: LatticeValue
-    nu_star: LatticeValue
-    nu_star_shift: LatticeValue
-    dis_lower: int
-    dis_upper: int | None
-    osc_lower: int
-    osc_upper: int | None
-    equal_weights: bool
-    verdict: str
-    degenerate_circle_case: bool
+class NormReport(namedtuple("NormReport", "lens nu nu_prime nu_star nu_star_shift dis_lower "
+                                          "dis_upper osc_lower osc_upper equal_weights "
+                                          "verdict degenerate_circle_case")):
+    """The `norms` report: nu, nu', nu* and its shift as LatticeValues;
+    the integer dis_lower and osc_lower; dis_upper and osc_upper, integers
+    or None; equal_weights, verdict and degenerate_circle_case."""
+
+    __slots__ = ()
 
     def as_dict(self):
         """Every field but the lens, lattice values as {num, den, approx}."""
         return {key: value.as_dict() if isinstance(value, LatticeValue) else value
-                for key, value in vars(self).items() if key != "lens"}
+                for key, value in self._asdict().items() if key != "lens"}
 
 
-@dataclass
-class GeodesicReport:
-    lens: object
-    T: float
-    verdict: str  # "certified" | "gap"
-    lower: int
-    upper: int
-    greedy_count: int  # r + 1, the pieces of the greedy decomposition
-    equal_weights: bool
+class GeodesicReport(namedtuple("GeodesicReport",
+                                "lens T verdict lower upper greedy_count equal_weights")):
+    """The `geodesic` report: verdict is "certified" or "gap", between the
+    integer bounds lower and upper; greedy_count is r + 1, the pieces of the
+    greedy decomposition."""
+
+    __slots__ = ()
 
     def as_dict(self):
         """Every field but the lens."""
-        return {key: value for key, value in vars(self).items() if key != "lens"}
+        return {key: value for key, value in self._asdict().items() if key != "lens"}
 
 
 def _snapped_orbits(lens, T):

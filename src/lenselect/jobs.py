@@ -27,8 +27,8 @@ numpy and `paths` load only where a path is decoded or read.  A Reeb path
 first read of `Job.path`; a `norms` job reads only T.  So a `geodesic` job
 without a path and a `norms` job on a Reeb path (lattice arithmetic, in
 `geodesic`), and every input error found before a matrix is decoded, run
-without numpy, but for `task.verify.*`: the suite name is looked up in
-`verify`, which loads numpy.
+without numpy; `task.verify.suite` is checked against VERIFY_SUITES, so a
+`task.verify.*` error does not run `verify`.
 """
 
 import json
@@ -48,6 +48,10 @@ TASK_PARAMS = {
     "geodesic": ("T",),
     "verify": ("suite", "trials", "seed"),
 }
+
+# The verify suites, in the order an unknown suite's error lists them;
+# `verify.SUITES` maps each to its function.
+VERIFY_SUITES = ("thm1", "maslov_props", "norms", "geodesic", "quadratic_core")
 
 # Cost caps, checked before any work starts.
 #
@@ -250,8 +254,8 @@ def _task_args(task, values, lens):
         suite = values.get("suite", "thm1")
         trials = values.get("trials", 25)
         seed = values.get("seed", 0)
-        _require(isinstance(suite, str) and suite in verify.SUITES, "task.verify.suite",
-                 f"unknown suite {suite!r}; choose from {', '.join(verify.SUITES)}")
+        _require(isinstance(suite, str) and suite in VERIFY_SUITES, "task.verify.suite",
+                 f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}")
         _require(_is_int(trials) and 1 <= trials <= MAX_VERIFY_TRIALS, "task.verify.trials",
                  f"trials must be an integer from 1 to {MAX_VERIFY_TRIALS}")
         _require(_is_int(seed) and seed >= 0, "task.verify.seed",

@@ -9,7 +9,7 @@ the lattice T_w * Z.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .tolerances import PERIOD_SNAP_TOL
 
@@ -46,12 +46,10 @@ def _reeb_numerator(k, weights):
     return k // math.gcd(k, *(w - weights[0] for w in weights))
 
 
-@dataclass(frozen=True)
-class LensSpace:
-    k: int
-    weights: tuple
-    n: int
-    reeb_numerator: int  # T_w = 2*pi * reeb_numerator / k, exact
+class LensSpace(namedtuple("LensSpace", "k weights n reeb_numerator")):
+    """L_k(weights): k, the weights as a tuple, n = len(weights), and
+    reeb_numerator, with T_w = 2*pi * reeb_numerator / k exactly.  No
+    __slots__: the cached k_prime lives in the instance __dict__."""
 
     @functools.cached_property
     def k_prime(self):

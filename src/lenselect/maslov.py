@@ -47,7 +47,7 @@ the two on seeded random paths at runtime.
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -309,21 +309,19 @@ def maslov_shifted(path, T):
     return maslov_index(reeb_shift(path, T))
 
 
-@dataclass(frozen=True)
-class MaslovEvaluation:
+class MaslovEvaluation(namedtuple("MaslovEvaluation",
+                                  "lens window_base points multiplicities values")):
     """Step function T -> mu(r_{-T} . path) over one period window.
 
-    points[i] are the sphere-spectrum phases in [window_base, base + 2 pi);
-    values[i] is the (constant) value on [points[i], points[i+1]), evaluated
-    at the gap midpoint; the function is right-continuous and extends to all
-    of R by the exact periodicity value(T + 2 pi) = value(T) - 2n.
+    points[i] are the sphere-spectrum phases in [window_base, base + 2 pi),
+    with their multiplicities; values[i] is the (constant) value on
+    [points[i], points[i+1]), evaluated at the gap midpoint; the function is
+    right-continuous and extends to all of R by the exact periodicity
+    value(T + 2 pi) = value(T) - 2n.  points, multiplicities and values are
+    arrays.
     """
 
-    lens: object
-    window_base: float
-    points: np.ndarray
-    multiplicities: np.ndarray
-    values: np.ndarray
+    __slots__ = ()
 
     @property
     def n2(self):

@@ -17,7 +17,7 @@ their reference.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -95,13 +95,14 @@ def nu_star(path):
 # --- embedded decompositions ---
 
 
-@dataclass
-class DecompositionReport:
-    count: int
-    breakpoints: list
-    certified: bool  # every segment carries an embeddedness certificate
-    sign_definite: bool  # every segment usable for the oscillation bound
-    notes: list
+class DecompositionReport(namedtuple("DecompositionReport",
+                                     "count breakpoints certified sign_definite notes")):
+    """A greedy decomposition: count pieces cut at the listed breakpoints;
+    certified: every segment carries an embeddedness certificate;
+    sign_definite: every segment is usable for the oscillation bound; notes
+    list the cuts that could not be certified."""
+
+    __slots__ = ()
 
 
 def _constant_run_end(path, t):

@@ -15,7 +15,7 @@ arcs below pi/2, which preserves the homotopy class with fixed endpoints.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -262,12 +262,12 @@ def cluster_phases(phases):
     return np.array(reps), np.array(mults, dtype=int)
 
 
-@dataclass(frozen=True)
-class SpectrumWindow:
-    phases_sphere: np.ndarray  # sorted, in [0, 2 pi)
-    mult_sphere: np.ndarray
-    phases_lens: np.ndarray
-    mult_lens: np.ndarray
+class SpectrumWindow(namedtuple("SpectrumWindow",
+                                "phases_sphere mult_sphere phases_lens mult_lens")):
+    """The clustered phases, sorted in [0, 2 pi), and their multiplicities,
+    on the sphere and on the lens, as arrays."""
+
+    __slots__ = ()
 
 
 def _block_phases(M):
@@ -327,13 +327,15 @@ def translated_points(p, T):
 # --- embeddedness ---
 
 
-@dataclass
-class EmbeddednessReport:
-    embedded: bool | None  # None = indeterminate
-    status: str  # "embedded" | "not_embedded" | "indeterminate"
-    witness: tuple | None  # (s, t, m) for a crossing
-    margin: float  # an embedded verdict's slack below 2 pi / k (inf if constant), else 0
-    method: str
+class EmbeddednessReport(namedtuple("EmbeddednessReport",
+                                    "embedded status witness margin method")):
+    """An `is_embedded` verdict.  embedded: True, False or None
+    (indeterminate); status: "embedded", "not_embedded" or "indeterminate";
+    witness: (s, t, m) for a crossing, else None; margin: an embedded
+    verdict's slack below 2 pi / k (inf if constant), else 0; method: the
+    rule that decided."""
+
+    __slots__ = ()
 
 
 def _restrict_pieces(p, t0, t1):

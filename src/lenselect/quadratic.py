@@ -17,7 +17,7 @@ with a fixed relative null cut for the exactly-zero blocks that appear in based
 families, and on a Hermitian A counts each eigenvalue of A twice.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -55,15 +55,15 @@ def rotation_matrix(phases):
     return R
 
 
-@dataclass(frozen=True)
-class InvariantQuadraticForm:
-    # real symmetric S, 2M x 2M, with W(v) = 1/2 v^T S v; or complex Hermitian
-    # A, M x M, standing for S = realify(A).  `sharp` takes Hermitian forms,
-    # `direct_sum` two forms of the same kind.
-    matrix: np.ndarray
-    base_dim: int  # 2n, the first n complex coordinates
-    action_phases: np.ndarray  # M angles, multiples of 2*pi/k_prime
-    k_prime: int
+class InvariantQuadraticForm(namedtuple("InvariantQuadraticForm",
+                                        "matrix base_dim action_phases k_prime")):
+    """matrix: real symmetric S, 2M x 2M, with W(v) = 1/2 v^T S v; or complex
+    Hermitian A, M x M, standing for S = realify(A).  `sharp` takes Hermitian
+    forms, `direct_sum` two forms of the same kind.  base_dim: 2n, the first
+    n complex coordinates.  action_phases: M angles, multiples of
+    2*pi/k_prime."""
+
+    __slots__ = ()
 
     @property
     def total_dim(self):

@@ -15,7 +15,7 @@ generating function is built here; the generating-function index
 `maslov_props`, check `step-shape`, and tests/test_maslov.py).
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .lens import TWO_PI
 from .maslov import evaluate_step
@@ -33,15 +33,12 @@ def c_minus(path):
     return selector(path, -2 * path.lens.n + 1)
 
 
-@dataclass(frozen=True)
-class SelectorReport:
-    lens: object
-    j_lo: int
-    j_hi: int
-    values: dict  # j -> c_j, each a spectrum member + exact 2 pi multiple
-    c_plus: float
-    c_minus: float
-    step: object  # the MaslovEvaluation the values came from
+class SelectorReport(namedtuple("SelectorReport",
+                                "lens j_lo j_hi values c_plus c_minus step")):
+    """values: j -> c_j for j_lo <= j <= j_hi, each a spectrum member plus an
+    exact 2 pi multiple; step: the MaslovEvaluation they came from."""
+
+    __slots__ = ()
 
 
 def selector_range(path, j_lo, j_hi, window_base=0.0):

@@ -13,6 +13,7 @@ import numpy as np
 
 from . import quadratic
 from .geodesic import geodesic_report
+from .jobs import VERIFY_SUITES
 from .lens import TWO_PI, new_lens
 from .maslov import evaluate_step, maslov_index, maslov_shifted, subdivide
 from .norms import (
@@ -706,13 +707,8 @@ def suite_geodesic(trials, seed):
     return checks
 
 
-SUITES = {
-    "thm1": suite_thm1,
-    "maslov_props": suite_maslov_props,
-    "norms": suite_norms,
-    "geodesic": suite_geodesic,
-    "quadratic_core": suite_quadratic_core,
-}
+# Each suite name, as `jobs.VERIFY_SUITES` lists them, and its function.
+SUITES = {name: globals()[f"suite_{name}"] for name in VERIFY_SUITES}
 
 
 def verify_suite(suite, trials=25, seed=0):

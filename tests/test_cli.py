@@ -683,8 +683,15 @@ class TestMain:
         # an input error stops in parse_job
         ("maslov", {"lens": {"k": 4, "weights": [1, 2]}}, 2,
          ["quadratic", "paths", "maslov", "selectors", "geodesic", "norms", "verify"]),
+        ("selectors", {"lens": {"k": 3, "weights": [1, 1]}, "path": {"piecewise_hermitian": {
+            "segments": [{"generator": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}]}}}, 0,
+         ["geodesic", "norms", "verify"]),
+        ("geodesic", {"lens": {"k": 3, "weights": [1, 1]}, "task": {"geodesic": {"T": 7.0}}}, 0,
+         ["quadratic", "paths", "maslov", "selectors", "norms", "verify"]),
     ])
     def test_job_runs_only_the_modules_it_calls(self, tmp_path, command, doc, code, unrun):
+        # and none of them imports dataclasses (with inspect, ast and dis
+        # behind it): the records are namedtuples
         f = tmp_path / "job.json"
         f.write_text(json.dumps(doc))
         script = (
@@ -693,12 +700,12 @@ class TestMain:
             "with contextlib.redirect_stdout(io.StringIO()), "
             "contextlib.redirect_stderr(io.StringIO()):\n"
             "    code = lenselect.cli.main(sys.argv[1:3])\n"
-            "print(code, [name for name in sys.argv[3:]\n"
+            "print(code, 'dataclasses' in sys.modules, [name for name in sys.argv[3:]\n"
             "             if type(sys.modules['lenselect.' + name]) is types.ModuleType])\n"
         )
         run = run_python(["-c", script, command, str(f), *unrun])
         assert run.returncode == 0, run.stderr
-        assert run.stdout.strip() == f"{code} []"
+        assert run.stdout.strip() == f"{code} False []"
 
     @pytest.mark.parametrize("argv, doc, field", [
         (["geodesic"], {"lens": {"k": 3, "weights": [1, 1]},
@@ -730,16 +737,21 @@ class TestMain:
         (["maslov"], {"lens": {"k": 3, "weights": [1, 1]},
                       "path": {"piecewise_hermitian": {"segments": []}}},
          "path.piecewise_hermitian.segments"),
+        # verify reads no job file; its suite names are checked in jobs
+        (["verify", "--trials", "1001"], None, "task.verify.trials"),
+        (["verify", "--suite", "nope"], None, "task.verify.suite"),
     ], ids=["geodesic-file-T", "geodesic-flag-T", "lens-error", "malformed-json", "huge-T",
             "huge-k", "task-key-error", "tolerance-error", "j-lo-not-int",
             "j-lo-above-j-hi", "decompose-not-bool", "spectrum-phase-cap", "maslov-k-prime",
             "norms-reeb-decompose", "norms-reeb", "random-zero-segments", "reeb-not-number",
-            "piecewise-no-segments"])
+            "piecewise-no-segments", "verify-trials-cap", "verify-unknown-suite"])
     def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, field):
         # geodesic jobs and norms jobs on a Reeb path are lattice arithmetic,
         # and these input errors stop before any matrix is decoded
-        f = tmp_path / "job.json"
-        f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if doc is not None:
+            f = tmp_path / "job.json"
+            f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            argv = [argv[0], str(f), *argv[1:]]
         script = (
             "import contextlib, io, json, sys, types\n"
             "import lenselect.cli\n"
@@ -750,7 +762,7 @@ class TestMain:
             "      if type(sys.modules['lenselect.' + name]) is types.ModuleType])\n"
             "print(err.getvalue(), end='')\n"
         )
-        run = run_python(["-c", script, json.dumps([argv[0], str(f), *argv[1:]])])
+        run = run_python(["-c", script, json.dumps(argv)])
         assert run.returncode == 0, run.stderr
         status, _, err = run.stdout.partition("\n")
         assert status == f"{0 if field is None else 2} False []"

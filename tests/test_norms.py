@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -465,7 +464,7 @@ class TestReports:
     def test_geodesic_certificate_checks_the_selector_bound(self):
         # a lens whose period lattice is not 2 pi / k although its weights are
         # equal breaks lower = r + 1, and the report refuses to certify
-        lens = dataclasses.replace(new_lens(4, [1, 1]), reeb_numerator=2)
+        lens = new_lens(4, [1, 1])._replace(reeb_numerator=2)
         with pytest.raises(AssertionError, match="geodesic certificate failed"):
             geodesic_report(lens, 3 * math.pi / 2)
 
