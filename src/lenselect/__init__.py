@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 # Each public name and the submodule that defines it.
 _PUBLIC = {
-    **dict.fromkeys(("LensSpace", "LensSpaceError", "new_lens", "round_to_period"), "lens"),
+    **dict.fromkeys(("LensSpace", "LensSpaceError", "new_lens"), "lens"),
     **dict.fromkeys(("InvariantQuadraticForm", "cayley_gf", "direct_sum", "index",
                      "sharp"), "quadratic"),
     **dict.fromkeys(("UnitaryPath", "identity_path", "reeb_path", "reeb_shift",

@@ -11,7 +11,8 @@ Reports go to stdout as JSON (deterministic for a fixed job and seed); pass
 --table for an aligned summary on stderr.  The flags override the job file's
 task parameters; each flag's value is read and checked as a JSON value of the
 job file.  Tolerances are fixed, and every report lists them under
-`tolerances`.  Exit codes: 0 success, 1 a verify check failed, 2 input error.
+`tolerances`.  Exit codes: 0 success, 1 a verify check failed, 2 input error,
+3 an internal self-check failed (one `internal error:` line on stderr).
 """
 
 import argparse
@@ -81,6 +82,9 @@ def main(argv=None):
     except (jobs.JobError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except AssertionError as e:  # a failed self-check: a fault of the program, not the job
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
     sys.stdout.write(jobs.serialize(report))
     if args.table:
         print(jobs.render_table(report), file=sys.stderr)

@@ -1,16 +1,16 @@
-"""Reeb-path reports, in lattice arithmetic.
+"""Lattice arithmetic of the `norms` and `geodesic` reports.
 
-For equal weights the standard Reeb flow up to time T needs exactly
-r + 1 = floor(kT / 2 pi) + 1 embedded pieces: the selector lower bound meets
-the embedded-decomposition upper bound.  Every selector c_j of the Reeb
-path, -2n + 1 <= j <= 0, is T, so its norms nu, nu', nu* and the
-discriminant and oscillation bounds are T rounded to the period lattice.
-Every number of the `geodesic` report and of the `norms` report of a Reeb
-path is therefore arithmetic on the period lattice, and this module reads
-no matrix: such a job needs no numpy.  The greedy decomposition
-(`norms.greedy_embedded_decomposition`) and the selector chain
-(`norms.selector_lower_bounds`, `norms.norm_report`) on `reeb_path` stay the
-reference, in `verify --suite geodesic` and in the tests.
+Every number of a `norms` report is period-lattice arithmetic on the
+selectors c_+ = c_0 and c_- = c_{-2n+1} (`lattice_norm_report`): an
+explicit path reads them off one evaluation of the step function
+(`norms.norm_report`), and every selector c_j, -2n + 1 <= j <= 0, of the
+Reeb path is T (`reeb_norm_report`).  For equal weights the Reeb flow up to
+time T needs exactly r + 1 = floor(kT / 2 pi) + 1 embedded pieces: the
+selector lower bound meets the embedded-decomposition upper bound
+(`geodesic_report`).  This module reads no matrix, so a `geodesic` job and
+a `norms` job on a Reeb path need no numpy; the greedy decomposition and
+the selector chain on `reeb_path` stay their reference, in
+`verify --suite geodesic` and in the tests.
 """
 
 from collections import namedtuple
@@ -120,37 +120,54 @@ def geodesic_report(lens, T):
     return GeodesicReport(lens, T, verdict, lower, r + 1, r + 1, equal)
 
 
-def reeb_norm_report(lens, T, decompose=False):
-    """`norms.norm_report(reeb_path(lens, T), decompose)` in lattice
-    arithmetic.
+def lattice_norm_report(lens, cp, cm, identity, dis_upper=None, osc_upper=None):
+    """The `norms` report of a class with selectors c_+ = cp, c_- = cm.
 
-    c_+ = c_- = T, so C and F, T rounded up and down to T_w Z, give
-    nu = max(C, -F) and nu* = ceil((C - F) / 2), reached at the shift
-    C - nu*; the class is the identity exactly when T snaps to 0, and nu'
-    bumps any other to at least T_w.  The selector chain gives
-    dis_lower = floor(|T| / T_w) + 1 where |T| > IDENTITY_CLASS_TOL, and
-    osc_lower = nu.  With `decompose`, both upper bounds are the greedy's
-    r + 1 pieces, r from _snapped_orbits of |T| as in geodesic_report; the
-    generator T I is definite, so the pieces also bound the oscillation
-    length.  A |T| within the snap below a multiple of 2 pi / k counts as
-    that multiple here, as it does in dis_lower.
+    C and F, c_+ rounded up and c_- rounded down to T_w Z, give
+    nu = max(C, -F); nu' is 0 on the identity class (`identity`) and bumps
+    any other to at least T_w.  Selectors shift exactly,
+    c_j(r_{-N T_w} . path) = c_j(path) - N T_w, so nu* = min over N of
+    max(C - N, N - F, 0) = ceil((C - F) / 2) (F <= C as c_- <= c_+), first
+    reached at the shift N = C - nu*; nu* is asserted <= 2 pi + T_w.  Every embedded factor has
+    c_0 < T_w, so N embedded pieces force N > c_+ / T_w and, on the inverse
+    path, whose c_+ is -c_-, N > -c_- / T_w: dis_lower; osc_lower = nu.
+    dis_upper and osc_upper, certified counts or None, are raised to those
+    lower bounds, which the snap may put above them; the oscillation length
+    is at least the discriminant length.
     """
-    C, F = lens.period_multiple(T, "ceil"), lens.period_multiple(T, "floor")
+    C, F = lens.period_multiple(cp, "ceil"), lens.period_multiple(cm, "floor")
     m = max(C, -F)
     star = -((F - C) // 2)
-    identity = abs(T) <= IDENTITY_CLASS_TOL  # the endpoint e^{iT} I is then I up to |T|
-    upper = _snapped_orbits(lens, abs(T))[0] + 1 if decompose else None
+    bound = TWO_PI + lens.reeb_period
+    if lens.period_value(star) > bound + 1e-9:
+        raise AssertionError(
+            f"nu* = {lens.period_value(star)} exceeds the 2 pi + T_w bound {bound}"
+        )
+    dis_lower = max([0] + [lens.period_multiple(c, "floor") + 1
+                           for c in (cp, -cm) if c > IDENTITY_CLASS_TOL])
     return NormReport(
         lens=lens,
         nu=LatticeValue.of(lens, m),
         nu_prime=LatticeValue.of(lens, 0 if identity else max(m, 1)),
         nu_star=LatticeValue.of(lens, star),
         nu_star_shift=LatticeValue.of(lens, C - star),
-        dis_lower=0 if identity else lens.period_multiple(abs(T), "floor") + 1,
-        dis_upper=upper,
+        dis_lower=dis_lower,
+        dis_upper=None if dis_upper is None else max(dis_upper, dis_lower),
         osc_lower=m,
-        osc_upper=upper,
+        osc_upper=None if osc_upper is None else max(osc_upper, m, dis_lower),
         equal_weights=lens.equal_weights,
         verdict="not-applicable",
         degenerate_circle_case=lens.degenerate,
     )
+
+
+def reeb_norm_report(lens, T, decompose=False):
+    """`norms.norm_report(reeb_path(lens, T), decompose)` in lattice
+    arithmetic: c_+ = c_- = T, and the class is the identity exactly when
+    T snaps to 0 (the endpoint e^{iT} I is then I up to |T|).  With
+    `decompose`, both upper bounds are the greedy's r + 1 pieces, r from
+    _snapped_orbits of |T| as in geodesic_report; the generator T I is
+    definite, so the pieces also bound the oscillation length.
+    """
+    upper = _snapped_orbits(lens, abs(T))[0] + 1 if decompose else None
+    return lattice_norm_report(lens, T, T, abs(T) <= IDENTITY_CLASS_TOL, upper, upper)

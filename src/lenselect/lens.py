@@ -157,8 +157,3 @@ def new_lens(k, weights):
         n=len(weights),
         reeb_numerator=_reeb_numerator(k, weights),
     )
-
-
-def round_to_period(lens, x, mode):
-    """T_w * ceil(x/T_w) or T_w * floor(x/T_w) with snap-to-lattice."""
-    return lens.period_value(lens.period_multiple(x, mode))

@@ -8,12 +8,12 @@ search happens on integers.
 
 Word-norm machinery is exposed through two certified bounds only: greedy
 embedded decompositions (upper bounds) and the selector chain (lower bounds).
-On Reeb paths both are lattice arithmetic, and so is every norm: the
-`geodesic` task and a `norms` job on a Reeb path read them from the
-numpy-free `geodesic` module (`geodesic_report`, and `reeb_norm_report` for
-`norm_report`), which also holds `LatticeValue` and `NormReport`; all but
-`reeb_norm_report` are re-exported here.  `norm_report` on `reeb_path` stays
-their reference.
+Every `norms` report is lattice arithmetic on (c_+, c_-) from one evaluation
+of the step function, in the numpy-free `geodesic.lattice_norm_report`;
+`nu`, `nu_star`, `selector_lower_bounds` and `is_identity_class` read their
+fields off `norm_report`.  On a Reeb path c_+ = c_- = T, so a `norms` job
+there calls `geodesic.reeb_norm_report` and builds no path; `norm_report` on
+`reeb_path` stays its reference.
 """
 
 import math
@@ -30,8 +30,8 @@ from .paths import (
     is_embedded,
 )
 from .maslov import evaluate_step
-# numpy-free, in `geodesic`; the names stay readable from norms
-from .geodesic import IDENTITY_CLASS_TOL, LatticeValue, NormReport, geodesic_report
+# numpy-free, in `geodesic`; geodesic_report stays readable from norms
+from .geodesic import IDENTITY_CLASS_TOL, geodesic_report, lattice_norm_report
 from .lens import TWO_PI
 
 
@@ -41,55 +41,26 @@ def _selector_pair(path):
     return ev.selector(0), ev.selector(-2 * path.lens.n + 1)
 
 
-def _identity_class(path, cp, cm):
-    return (
-        abs(cp) <= IDENTITY_CLASS_TOL
-        and abs(cm) <= IDENTITY_CLASS_TOL
-        and path.is_identity_endpoint()
-    )
-
-
 def is_identity_class(path):
-    """Non-degeneracy criterion: c_- = c_+ = 0 and endpoint U_1 = I."""
-    return _identity_class(path, *_selector_pair(path))
-
-
-def _lattice_pair(lens, cp, cm):
-    """(C, F): c_+ rounded up and c_- rounded down to the period lattice."""
-    return lens.period_multiple(cp, "ceil"), lens.period_multiple(cm, "floor")
+    """Non-degeneracy criterion: c_- = c_+ = 0 and endpoint U_1 = I, the
+    one class where nu' is 0."""
+    return norm_report(path).nu_prime.multiple == 0
 
 
 def nu(path, variant="plain"):
     """Spectral pseudonorm (variant="plain") or the norm nu' (variant="prime")."""
     if variant not in ("plain", "prime"):
         raise ValueError(f"variant must be 'plain' or 'prime', got {variant!r}")
-    lens = path.lens
-    cp, cm = _selector_pair(path)
-    C, F = _lattice_pair(lens, cp, cm)
-    m = max(C, -F)
-    if variant == "prime":
-        m = 0 if _identity_class(path, cp, cm) else max(m, 1)
-    return LatticeValue.of(lens, m)
+    rep = norm_report(path)
+    return rep.nu if variant == "plain" else rep.nu_prime
 
 
 def nu_star(path):
-    """min over N of nu(reeb_shift(path, N*T_w)), with the minimizing shift.
-
-    Selectors shift exactly: c_j(r_{-N T_w} . path) = c_j(path) - N*T_w, so
-    the search is min over integers N of max(C - N, N - F, 0).  Since
-    c_- <= c_+ gives F <= C, the minimum is m = ceil((C - F) / 2), first
-    reached at N = C - m.  Returns (value, shift) as lattice values; the
-    value is asserted <= 2 pi + T_w.
-    """
-    lens = path.lens
-    C, F = _lattice_pair(lens, *_selector_pair(path))
-    m = -((F - C) // 2)
-    bound = TWO_PI + lens.reeb_period
-    if lens.period_value(m) > bound + 1e-9:
-        raise AssertionError(
-            f"nu* = {lens.period_value(m)} exceeds the 2 pi + T_w bound {bound}"
-        )
-    return LatticeValue.of(lens, m), LatticeValue.of(lens, C - m)
+    """min over N of nu(reeb_shift(path, N*T_w)), with the minimizing shift,
+    as lattice values (geodesic.lattice_norm_report); the value is asserted
+    <= 2 pi + T_w."""
+    rep = norm_report(path)
+    return rep.nu_star, rep.nu_star_shift
 
 
 # --- embedded decompositions ---
@@ -243,30 +214,25 @@ def greedy_embedded_decomposition(path):
 
 
 def selector_lower_bounds(path):
-    """Selector-based lower bounds for the discriminant/oscillation lengths.
-
-    Every embedded factor satisfies c_0 < T_w, so a decomposition into N
-    embedded pieces forces N > c_+/T_w (and, applying the same to the inverse
-    path, N > -c_-/T_w); the oscillation length is at least nu/T_w.
-    """
-    lens = path.lens
-    cp, cm = _selector_pair(path)
-    candidates = [0]
-    if cp > IDENTITY_CLASS_TOL:
-        candidates.append(lens.period_multiple(cp, "floor") + 1)
-    if cm < -IDENTITY_CLASS_TOL:  # the inverse path's c_+ is -c_- (duality)
-        candidates.append(lens.period_multiple(-cm, "floor") + 1)
-    C, F = _lattice_pair(lens, cp, cm)
-    return {"dis": max(candidates), "osc": max(C, -F)}
+    """The selector chain's lower bounds {"dis", "osc"} for the
+    discriminant and oscillation lengths (geodesic.lattice_norm_report)."""
+    rep = norm_report(path)
+    return {"dis": rep.dis_lower, "osc": rep.osc_lower}
 
 
 # --- reports ---
 
 
 def norm_report(path, decompose=False):
-    lens = path.lens
-    star, shift = nu_star(path)
-    bounds = selector_lower_bounds(path)
+    """The `norms` report: lattice arithmetic on (c_+, c_-) from one
+    evaluation of the step function (geodesic.lattice_norm_report).  The
+    endpoint is tested for I only when both selectors are within
+    IDENTITY_CLASS_TOL of 0.  With `decompose`, the greedy's count bounds
+    the discriminant length when every cut is certified, and also the
+    oscillation length when every segment is sign-definite."""
+    cp, cm = _selector_pair(path)
+    identity = (abs(cp) <= IDENTITY_CLASS_TOL and abs(cm) <= IDENTITY_CLASS_TOL
+                and path.is_identity_endpoint())
     dis_upper = osc_upper = None
     if decompose:
         dec = greedy_embedded_decomposition(path)
@@ -274,17 +240,4 @@ def norm_report(path, decompose=False):
             dis_upper = dec.count
             if dec.sign_definite:
                 osc_upper = dec.count
-    return NormReport(
-        lens=lens,
-        nu=nu(path),
-        nu_prime=nu(path, "prime"),
-        nu_star=star,
-        nu_star_shift=shift,
-        dis_lower=bounds["dis"],
-        dis_upper=dis_upper,
-        osc_lower=bounds["osc"],
-        osc_upper=osc_upper,
-        equal_weights=lens.equal_weights,
-        verdict="not-applicable",
-        degenerate_circle_case=lens.degenerate,
-    )
+    return lattice_norm_report(path.lens, cp, cm, identity, dis_upper, osc_upper)

@@ -298,6 +298,21 @@ class TestMain:
     def test_missing_file_exit_two(self, capsys):
         assert main(["maslov", "/nonexistent/job.json"]) == 2
 
+    def test_internal_error_exit_three(self, tmp_path, capsys, monkeypatch):
+        # a failed self-check is a fault of the program, not of the job:
+        # one line on stderr, no report and no traceback
+        def failing(path):
+            raise AssertionError("ind(F_0) = 3, expected 2nN = 4")
+
+        monkeypatch.setattr(maslov, "maslov_index", failing)
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(2, [1, 1], 1.0)))
+        assert main(["maslov", str(f)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: ind(F_0) = 3, expected 2nN = 4\n"
+        assert "Traceback" not in err
+
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
         import sys
@@ -857,6 +872,20 @@ class TestMain:
         assert main(["norms", str(f)]) == 0
         res = json.loads(capsys.readouterr().out)["results"]
         assert res["dis_lower"] == 1 and res["dis_upper"] == 2
+
+    def test_upper_bounds_follow_the_snap_on_every_path(self):
+        # (2 pi - 1e-10) I on L_3(1,1) lies within the snap of 3 T_w: the
+        # selector bound counts 4 pieces, the greedy 3, and both upper
+        # bounds are raised to 4 on the explicit path as on the Reeb path
+        T = TWO_PI - 1e-10
+        task = {"norms": {"decompose": True}}
+        explicit = {"lens": {"k": 3, "weights": [1, 1]},
+                    "path": hermitian_path([[T, 0.0], [0.0, T]]), "task": task}
+        results = [run_job(parse_job(doc))["results"]
+                   for doc in (explicit, reeb_job(3, [1, 1], T, task))]
+        assert results[0] == results[1]
+        assert results[0]["dis_lower"] == results[0]["dis_upper"] == 4
+        assert results[0]["osc_upper"] == 4
 
     def test_norms_huge_k(self, tmp_path, capsys):
         # nu* is closed-form, with no loop over the k / reeb_numerator periods

@@ -9,7 +9,6 @@ from lenselect.lens import (
     LensSpaceError,
     _reeb_numerator,
     new_lens,
-    round_to_period,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -179,6 +178,12 @@ class TestReebPeriod:
                 if all((a - m * wj) % k == 0 for wj in w):
                     hit = True
             assert hit
+
+
+def round_to_period(lens, x, mode):
+    """x rounded up ("ceil") or down ("floor") to the period lattice T_w Z,
+    snapped: the value of the lens's period multiple."""
+    return lens.period_value(lens.period_multiple(x, mode))
 
 
 class TestRoundToPeriod:

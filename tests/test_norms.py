@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import lenselect.norms
-from lenselect.geodesic import reeb_norm_report
+from lenselect.geodesic import lattice_norm_report, reeb_norm_report
 from lenselect.lens import new_lens
+from lenselect.maslov import evaluate_step
 from lenselect.norms import (
     _constant_run_end,
     geodesic_report,
@@ -202,23 +203,23 @@ class TestNuStar:
             p = random_path(L3, rng)
             assert nu_star(p)[0].multiple <= nu(p).multiple
 
-    def test_closed_form_matches_loop(self, monkeypatch):
-        # per = ceil(2 pi / T_w) is 1, 2, 3 and 7 on these lenses
+    def test_closed_form_matches_loop(self):
+        # per = ceil(2 pi / T_w) is 1, 2, 3 and 7 on these lenses; the
+        # selectors C T_w and F T_w round back to exactly C and F
         lenses = [new_lens(5, [1, 2]), L2, L3, new_lens(7, [1, 1])]
         for lens in lenses:
             per = -((-lens.k) // lens.reeb_numerator)
-            p = identity_path(lens)
             for C in range(-15, 16):
                 for F in range(-15, C + 1):
-                    monkeypatch.setattr(lenselect.norms, "_lattice_pair",
-                                        lambda lens, cp, cm, C=C, F=F: (C, F))
+                    cp, cm = lens.period_value(C), lens.period_value(F)
                     m, N = nu_star_loop(C, F, per)
                     if lens.period_value(m) > TWO_PI + lens.reeb_period + 1e-9:
                         with pytest.raises(AssertionError):
-                            nu_star(p)
+                            lattice_norm_report(lens, cp, cm, False)
                         continue
-                    star, shift = nu_star(p)
-                    assert (star.multiple, shift.multiple) == (m, N), (per, C, F)
+                    rep = lattice_norm_report(lens, cp, cm, False)
+                    assert (rep.nu_star.multiple, rep.nu_star_shift.multiple) == (m, N), (
+                        per, C, F)
 
 
 class TestGreedy:
@@ -576,3 +577,23 @@ def test_reeb_norm_upper_bound_follows_the_snap():
     assert rep.dis_lower == rep.dis_upper == rep.osc_upper == 4
     assert rep.dis_upper == geodesic_report(L3, T).upper
     assert greedy_embedded_decomposition(reeb_path(L3, T)).count == 3
+
+
+def test_norm_report_evaluates_the_step_function_once(monkeypatch):
+    # every field of the report is lattice arithmetic on the one selector
+    # pair, with or without the greedy
+    calls = []
+
+    def counting(path, *args, **kwargs):
+        calls.append(path)
+        return evaluate_step(path, *args, **kwargs)
+
+    monkeypatch.setattr(lenselect.norms, "evaluate_step", counting)
+    lens = new_lens(7, [1] * 8)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        p = random_path(lens, rng, segments=3)
+        for decompose in (False, True):
+            calls.clear()
+            norm_report(p, decompose)
+            assert len(calls) == 1, decompose
