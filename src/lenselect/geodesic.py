@@ -84,11 +84,21 @@ def _snapped_orbits(lens, T):
     return r, (r * step if snapped else T)
 
 
+def snap_window_refusal(lens, T):
+    """Why `geodesic_report` refuses a time T >= 0, or None: the snap window
+    spans more than MAX_SNAP_STEPS of a step 2 pi / k."""
+    steps = PERIOD_SNAP_TOL * max(1.0, T) * lens.k / TWO_PI  # the snap window, in steps
+    return None if steps <= MAX_SNAP_STEPS else (
+        f"T = {T!r} on k = {lens.k}: the period snap spans {steps:.3g} of a step "
+        f"2pi/k, more than {MAX_SNAP_STEPS}, so a T that close below a multiple "
+        f"would count as the multiple")
+
+
 def geodesic_report(lens, T):
     """Reeb-flow geodesic verdict: certified equality for equal weights,
     lower/upper gap for general weights.  T is snapped as in
     _snapped_orbits to T_s; the report echoes T as given.  ValueError where
-    the snap window spans more than MAX_SNAP_STEPS of a step.
+    `snap_window_refusal` refuses T (`parse_job` refuses such a job first).
 
     The Reeb flow rotates every eigenline at unit speed, and every deck
     weight is a unit mod k, so a stretch of it is embedded exactly when it
@@ -101,11 +111,9 @@ def geodesic_report(lens, T):
     """
     if T < 0:
         raise ValueError("T must be >= 0")
-    steps = PERIOD_SNAP_TOL * max(1.0, T) * lens.k / TWO_PI  # the snap window, in steps
-    if not steps <= MAX_SNAP_STEPS:
-        raise ValueError(f"T = {T!r} on k = {lens.k}: the period snap spans {steps:.3g} "
-                         f"of a step 2pi/k, more than {MAX_SNAP_STEPS}, so a T that close "
-                         f"below a multiple would count as the multiple")
+    refusal = snap_window_refusal(lens, T)
+    if refusal is not None:
+        raise ValueError(refusal)
     r, Ts = _snapped_orbits(lens, T)
     lower = lens.period_multiple(Ts, "floor") + 1
     equal = lens.equal_weights

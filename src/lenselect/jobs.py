@@ -10,25 +10,26 @@ fractions of 2 pi and no wall clock data is included.
 
 `parse_job` is the one place that refuses a job, and it reports the first
 failing check, in this order: the JSON shape; the lens; the task keys; the
-tolerances; the task's values (CLI flags over the job file's); the lens-only
-caps (`spectrum` k n, `maslov` k'); that the task has a path; the path; the
-path's price (the det-lift roundoff, `maslov` form dimension, `norms`
-decomposition pieces).  The lens and the path are validated once, by the
-types that own them: `new_lens` (k an integer from 2 to 2**53, the weights)
-and `UnitaryPath` (shape, finiteness, Hermitian and deck-commuting
-generators, positive durations, finite phase travel; a Reeb path T I is
-valid for every finite T).  Their errors say which input is at fault, and
-`parse_job` prefixes the JSON path, so every input error leaves the CLI as
-exit 2 naming the field.  `run_job` only computes; it refuses a job without
-a task and a `geodesic` T whose snap window the report refuses.
+tolerances; the task's values (CLI flags over the job file's) and the caps
+that read only them and the lens (`spectrum` k n, `maslov` k', `geodesic`
+snap window); that the task has a path; the path (its segment count,
+MAX_SEGMENTS, before its data); the path's price (det-lift roundoff,
+`maslov` form dimension, `norms` decomposition pieces).  The lens and the
+path are validated once, by the types that own them: `new_lens` (k an
+integer from 2 to 2**53, the weights) and `UnitaryPath` (shape,
+finiteness, Hermitian and deck-commuting generators, positive durations,
+finite phase travel; a Reeb path T I is valid for every finite T).  Their
+errors say which input is at fault, and `parse_job` prefixes the JSON
+path, so every input error leaves the CLI as exit 2 naming the field.
+`run_job` only computes; it refuses only a job without a task.
 
 numpy and `paths` load only where a path is decoded or read.  A Reeb path
-`{"reeb": T}` is kept as its time T, priced in arithmetic and built on the
-first read of `Job.path`; a `norms` job reads only T.  So a `geodesic` job
-without a path and a `norms` job on a Reeb path (lattice arithmetic, in
-`geodesic`), and every input error found before a matrix is decoded, run
-without numpy; `task.verify.suite` is checked against VERIFY_SUITES, so a
-`task.verify.*` error does not run `verify`.
+`{"reeb": T}` is kept as its time T, priced in arithmetic (`Job.spans`) and
+built on the first read of `Job.path`; a `norms` job reads only T.  So a
+`geodesic` job without a path and a `norms` job on a Reeb path (lattice
+arithmetic, in `geodesic`), and every input error found before a matrix is
+decoded, run without numpy; `task.verify.suite` is checked against
+VERIFY_SUITES, so a `task.verify.*` error does not run `verify`.
 """
 
 import json
@@ -84,9 +85,16 @@ MAX_FORM_DIM = 2048
 # With exact cuts the greedy decomposition costs about 0.5-0.75 ms per piece,
 # one is_embedded certificate each (Reeb paths with 1000 pieces, k in
 # {2, 3, 7}, n in {2, 3, 8}, on a 2-vCPU x86 VM), so this cap bounds a
-# `norms` decomposition below a second: one priced (`norms.max_pieces`, in
-# arithmetic on a Reeb path) above it is refused.
+# `norms` decomposition below a second: one priced (`_max_pieces`) above it
+# is refused.
 MAX_PIECES = 1000
+
+# Most segments a path may have, the count MAX_PIECES refuses for a
+# decomposition; checked before a random path is drawn or a matrix decoded.
+# Cost grows linearly in them: a `selectors` job on a random path over
+# L_3(1,1) took 0.37 s at 10**3 segments, 1.8 s at 10**4 and 19 s (167 MB)
+# at 10**5, and on an explicit 10**4-segment document 1.8 s (2-vCPU x86 VM).
+MAX_SEGMENTS = 1000
 
 
 class JobError(ValueError):
@@ -105,6 +113,13 @@ class Job:
         self.task = task
         self.params = params  # the job file's, for the report echo
         self.args = args  # the task's validated values, CLI flags over params
+
+    @property
+    def spans(self):
+        """`UnitaryPath.spans`; on a Reeb path T I, one segment of duration 1,
+        [(|T|, n |T|)] in arithmetic, with no path built."""
+        T = self.reeb
+        return self._path.spans if T is None else [(abs(T), self.lens.n * abs(T))]
 
     @property
     def path(self):
@@ -191,9 +206,9 @@ def _parse_path(lens, path_spec):
         return float(spec)
     if kind == "piecewise_hermitian":
         segs = spec.get("segments") if isinstance(spec, dict) else None
-        _require(isinstance(segs, list) and segs,
+        _require(isinstance(segs, list) and 1 <= len(segs) <= MAX_SEGMENTS,
                  "path.piecewise_hermitian.segments",
-                 "expected a non-empty segment list")
+                 f"expected a list of 1 to {MAX_SEGMENTS} segments")
         segments = []
         for i, seg in enumerate(segs):
             fld = f"path.piecewise_hermitian.segments[{i}]"
@@ -209,8 +224,8 @@ def _parse_path(lens, path_spec):
     _require(_is_int(seed) and 0 <= seed < 2**64,
              "path.random.seed", "seed must be a 64-bit integer")
     segments = spec.get("segments", 2)
-    _require(_is_int(segments) and segments >= 1,
-             "path.random.segments", "segments must be an integer >= 1")
+    _require(_is_int(segments) and 1 <= segments <= MAX_SEGMENTS, "path.random.segments",
+             f"segments must be an integer from 1 to {MAX_SEGMENTS}")
     bound = spec.get("norm_bound", 2.0)
     _require(_is_number(bound) and bound > 0,
              "path.random.norm_bound", "norm_bound must be a finite number > 0")
@@ -222,8 +237,8 @@ def _parse_path(lens, path_spec):
 
 def _task_args(task, values, lens):
     """The validated values of the task's parameters `values` (the job
-    file's, CLI flags over them), then the task's caps that read only the
-    lens."""
+    file's, CLI flags over them), then the task's caps that read only them
+    and the lens."""
     if task == "selectors":
         j_lo = values.get("j_lo", -2 * lens.n + 1)
         j_hi = values.get("j_hi", 0)
@@ -248,8 +263,10 @@ def _task_args(task, values, lens):
         T = values.get("T")
         _require(_is_number(T) and T >= 0, "task.geodesic.T",
                  "T must be a finite number >= 0")
-        # an integer T near the largest float: k T is then inf, not an error
-        return {"T": float(T)}
+        T = float(T)  # an integer T near the largest float: k T is then inf, not an error
+        refusal = geodesic.snap_window_refusal(lens, T)
+        _require(refusal is None, "task.geodesic.T", refusal)
+        return {"T": T}
     if task == "verify":
         suite = values.get("suite", "thm1")
         trials = values.get("trials", 25)
@@ -270,49 +287,48 @@ def _task_args(task, values, lens):
     return {}
 
 
-def _det_lift_roundoff(job, window_base=0.0):
-    """`maslov.det_lift_roundoff` of the job's path.  A Reeb path is one
-    segment T I of duration 1, so there it is (n u) (n |T|) plus
-    n u |window_base|, in arithmetic; numpy sums the n terms |T| in its own
-    order, which can move the bound by an ulp."""
-    if job.reeb is None:
-        return maslov.det_lift_roundoff(job.path, window_base)
-    n, u = job.lens.n, sys.float_info.epsilon / 2
-    return n * u * (n * abs(job.reeb)) + n * u * abs(window_base)
+def _det_lift_roundoff(n, spans, window_base=0.0):
+    """First-order bound on the float64 roundoff in the det lift
+    L = sum_i tr(A_i) d_i of a path over C^n with these `Job.spans`, plus
+    that of the window terms of W when the step function is evaluated from
+    window_base.  See DET_LIFT_TOL; inf when the diagonal sizes overflow."""
+    u = sys.float_info.epsilon / 2
+    size = sum(s for _, s in spans)
+    return (n + len(spans) - 1) * u * size + n * u * abs(window_base)
 
 
-def _max_pieces(job):
-    """`norms.max_pieces` of the job's path: on a Reeb path, whose one
-    segment travels |T|, floor(k |T| / 2 pi) + 2 (inf on overflow)."""
-    if job.reeb is None:
-        return norms.max_pieces(job.path)
-    travel = job.lens.k * abs(job.reeb) / TWO_PI
-    return math.floor(travel) + 2 if math.isfinite(travel) else math.inf
+def _max_pieces(k, spans):
+    """floor(k sum_i ||A_i|| d_i / 2 pi) + S + 1 (inf on overflow) bounds the
+    pieces of `norms.greedy_embedded_decomposition` over the S segments of
+    these `Job.spans`: each cut ends at a node or uses up 2 pi / k of the
+    fastest eigenline's travel."""
+    travel = k * sum(t for t, _ in spans) / TWO_PI
+    return math.floor(travel) + len(spans) + 1 if math.isfinite(travel) else math.inf
 
 
 def _price_path(job):
     """Refuse a path on which the task would cost more than its cap, or on
     which the det-lift closed form (`selectors`, `norms`) could round off
     past DET_LIFT_TOL, also through the selectors' window base."""
-    task, args = job.task, job.args
+    task, args, lens = job.task, job.args, job.lens
     if task == "maslov":
         N = maslov.subdivision_count(job.path)
-        D = (2 * N - 1) * 2 * job.lens.n
+        D = (2 * N - 1) * 2 * lens.n
         size = f"{D} (N = {N} intervals)" if D < 10**9 else f"about 1e{int(math.log10(D))}"
         _require(D <= MAX_FORM_DIM, "path",
                  f"the Maslov form needs dimension {size}, more than {MAX_FORM_DIM}")
     if task in ("selectors", "norms"):
-        window_base = args.get("window_base", 0.0)
-        err = _det_lift_roundoff(job)
+        spans, window_base = job.spans, args.get("window_base", 0.0)
+        err = _det_lift_roundoff(lens.n, spans)
         _require(err <= DET_LIFT_TOL, "path",
                  f"the det-lift sum tr(A) d has roundoff up to {err:.3g}, "
                  f"more than {DET_LIFT_TOL:g}")
-        err = _det_lift_roundoff(job, window_base)
+        err = _det_lift_roundoff(lens.n, spans, window_base)
         _require(err <= DET_LIFT_TOL, "task.selectors.window_base",
                  f"window_base = {window_base!r} puts the det-lift roundoff bound "
                  f"at {err:.3g}, more than {DET_LIFT_TOL:g}")
     if args.get("decompose"):
-        pieces = _max_pieces(job)
+        pieces = _max_pieces(lens.k, job.spans)
         _require(pieces <= MAX_PIECES, "path",
                  f"the embedded decomposition may need up to {pieces} pieces, "
                  f"more than {MAX_PIECES}")
@@ -381,7 +397,7 @@ def _echo(job):
 
 def run_job(job):
     """Compute the report of a job `parse_job` accepted, as a JSON-ready
-    dict."""
+    dict.  It refuses only a job without a task."""
     task, lens, args = job.task, job.lens, job.args
     if task is None:
         raise JobError("task", "no task given (on the CLI the subcommand sets it)")
@@ -448,10 +464,7 @@ def run_job(job):
             "nu* minimized over Reeb-period shifts of the lift"
         )
     elif task == "geodesic":
-        try:
-            rep = geodesic.geodesic_report(lens, args["T"])
-        except ValueError as e:  # the snap window spans more than MAX_SNAP_STEPS of a step
-            raise JobError("task.geodesic.T", str(e)) from None
+        rep = geodesic.geodesic_report(lens, args["T"])
         res.update(rep.as_dict())
         report["provenance"].append(
             "equal weights: greedy embedded count = selector lower bound = "

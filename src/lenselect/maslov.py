@@ -355,20 +355,6 @@ class MaslovEvaluation(namedtuple("MaslovEvaluation",
         return (-np.diff(vals)).astype(int)
 
 
-def det_lift_roundoff(path, window_base=0.0):
-    """First-order bound on the float64 roundoff in L = sum_i tr(A_i) d_i,
-    plus that of the window terms of W when the step function is evaluated
-    from window_base.
-
-    See DET_LIFT_TOL; inf when Lambda itself overflows.
-    """
-    u = np.finfo(float).eps / 2
-    with np.errstate(over="ignore"):
-        size = sum(float(np.abs(np.diag(A).real).sum()) * d for A, d in path.segments)
-    n = path.lens.n
-    return (n + len(path.segments) - 1) * u * size + n * u * abs(window_base)
-
-
 def evaluate_step(path, window_base=0.0):
     """Evaluate the Maslov step function on one window of the sphere spectrum.
 

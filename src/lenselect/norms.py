@@ -16,7 +16,6 @@ there calls `geodesic.reeb_norm_report` and builds no path; `norm_report` on
 `reeb_path` stays its reference.
 """
 
-import math
 from collections import namedtuple
 
 import numpy as np
@@ -25,7 +24,6 @@ from .paths import (
     _envelope_slopes,
     _joint_eigendata,
     _restrict_pieces,
-    _speed,
     _stationary,
     is_embedded,
 )
@@ -159,16 +157,6 @@ def _next_cut(path, pieces, slopes, commuting, t):
     if q <= t + 1e-9 and q < 1.0:
         return None
     return q if is_embedded(path, t, q).embedded else None
-
-
-def max_pieces(path):
-    """floor(k sum_i ||A_i|| d_i / 2 pi) + S + 1 (inf on overflow) bounds the
-    pieces of greedy_embedded_decomposition over S segments: each cut ends
-    at a node or uses up 2 pi / k of the fastest eigenline's travel."""
-    travel = path.lens.k * sum(
-        _speed(lam) * d for (lam, _), (_, d) in zip(path._eig, path.segments)
-    ) / TWO_PI
-    return math.floor(travel) + len(path.segments) + 1 if math.isfinite(travel) else math.inf
 
 
 def greedy_embedded_decomposition(path):

@@ -116,6 +116,14 @@ class UnitaryPath:
                 raise PathError(f"non-positive duration {d!r}", i, "duration")
 
     @property
+    def spans(self):
+        """Per segment (A_i, d_i), the floats `jobs` prices the path from: its
+        phase travel ||A_i|| d_i and diagonal size sum_j |Re (A_i)_jj| d_i."""
+        with np.errstate(over="ignore"):  # inf, which every price refuses
+            return [(_speed(lam) * d, float(np.abs(np.diag(A).real).sum()) * d)
+                    for (A, d), (lam, _) in zip(self.segments, self._eig)]
+
+    @property
     def breakpoints(self):
         return self._starts
 
@@ -147,12 +155,8 @@ def reeb_path(lens, T):
 
 def reeb_shift(p, T):
     """The class of r_{-T} . p, i.e. t -> e^{-iTt} U(t): shift every generator by -T*I."""
-    n = p.lens.n
-    return UnitaryPath(
-        p.lens,
-        [(A - T * np.eye(n), d) for A, d in p.segments],
-        _validate=False,
-    )
+    TI = T * np.eye(p.lens.n)
+    return UnitaryPath(p.lens, [(A - TI, d) for A, d in p.segments], _validate=False)
 
 
 def inverse_path(p):

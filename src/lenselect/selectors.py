@@ -17,7 +17,6 @@ generating function is built here; the generating-function index
 
 from collections import namedtuple
 
-from .lens import TWO_PI
 from .maslov import evaluate_step
 
 

@@ -27,9 +27,10 @@ PERIOD_SNAP_TOL = 1e-9
 # the sum over S segments (S - 1) u times the sum of the terms' sizes.  To
 # first order the computed L misses the exact one by at most
 #     (n + S - 1) u Lambda,    Lambda = sum_i d_i sum_j |(A_i)_jj|,
-# which `maslov.det_lift_roundoff` returns.  Past DET_LIFT_TOL the rounded W
-# can be the wrong integer and still pass the check (from |W| = 2^52 on, every
-# float is an integer), so a path with a larger bound is refused up front.
+# which `jobs._det_lift_roundoff` returns from the path's per-segment spans.
+# Past DET_LIFT_TOL the rounded W can be the wrong integer and still pass the
+# check (from |W| = 2^52 on, every float is an integer), so a path with a
+# larger bound is refused up front.
 #
 # The window adds roundoff of its own: W is evaluated at the gap midpoints
 # mid of [window_base, window_base + 2 pi).  An error in mid itself cancels
@@ -38,6 +39,6 @@ PERIOD_SNAP_TOL = 1e-9
 # modulo the rounded 2 pi and the two sums of terms of size n |mid| each add
 # at most about n u |mid|.  So W misses by at most (5 / 2 pi) n u |mid|, less
 # than n u |window_base| + 5 n u, and
-# `maslov.det_lift_roundoff(path, window_base)` adds n u |window_base| to the
-# bound on L.
+# `jobs._det_lift_roundoff(n, spans, window_base)` adds n u |window_base| to
+# the bound on L.
 DET_LIFT_TOL = 1e-6

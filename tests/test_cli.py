@@ -10,12 +10,13 @@ import sys
 import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import lenselect
-from lenselect import jobs, maslov, norms, verify
+from lenselect import jobs, maslov, verify
 from lenselect.cli import main
 from lenselect.jobs import (MAX_LENS_PHASES, TASK_PARAMS, JobError, parse_job, render_table,
                             run_job, serialize)
@@ -53,6 +54,91 @@ ANY_NUMBER_FIELD = st.one_of(
     st.floats(), st.integers(), st.none(), st.booleans(), st.text(max_size=4),
     st.lists(st.floats(), max_size=2),
 )
+
+# Arbitrary JSON for the whole-CLI property: every field is either plausible
+# or any JSON value.  Integers stay small (or past every cap) and trials at
+# most 2, so no example runs long: n <= 3 and at most 4 segments.
+JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-50, 50), st.sampled_from([2**53 + 1, 10**400]),
+    st.floats(), st.text(max_size=4),
+)
+ANY_JSON = st.recursive(
+    JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+def _or_any(strategy):
+    """strategy, or any JSON about one time in eight."""
+    return st.integers(0, 7).flatmap(lambda i: ANY_JSON if i == 7 else strategy)
+
+
+def _generator(n):
+    entry = st.tuples(st.floats(-10, 10), st.floats(-10, 10)).map(list)
+    diagonal = st.lists(st.floats(-10, 10), min_size=n, max_size=n).map(
+        lambda d: [[[d[i], 0.0] if i == j else [0.0, 0.0] for j in range(n)] for i in range(n)])
+    dense = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+    return diagonal | dense
+
+
+SEGMENT = st.fixed_dictionaries({"generator": _or_any(st.integers(1, 3).flatmap(_generator))},
+                                optional={"duration": _or_any(st.floats(0.1, 2))})
+PATH = _or_any(st.one_of(
+    st.fixed_dictionaries({"reeb": _or_any(st.floats(-30, 30))}),
+    st.fixed_dictionaries({"random": st.fixed_dictionaries({}, optional={
+        "seed": _or_any(st.integers(0, 2**64)), "segments": _or_any(st.integers(0, 4)),
+        "norm_bound": _or_any(st.floats(0, 4))})}),
+    st.fixed_dictionaries({"piecewise_hermitian": st.fixed_dictionaries(
+        {"segments": _or_any(st.lists(SEGMENT, max_size=4))})}),
+))
+PARAM_VALUES = {
+    "j_lo": _or_any(st.integers(-8, 2)),
+    "j_hi": _or_any(st.integers(-2, 8)),
+    "window_base": _or_any(st.floats(-10, 10)),
+    "decompose": _or_any(st.booleans()),
+    "T": _or_any(st.floats(0, 100)),
+    "suite": _or_any(st.sampled_from(jobs.VERIFY_SUITES)),
+    # never an integer above 2, so a verify job runs at most 2 trials
+    "trials": st.one_of(st.integers(-1, 2), st.floats(), st.none(), st.booleans(),
+                        st.text(max_size=3)),
+    "seed": _or_any(st.integers(-1, 5)),
+}
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, stdin bytes) of one `main` call: a subcommand, its flags with
+    any values, and a job document."""
+    command = draw(st.sampled_from(list(TASK_PARAMS)))
+    argv = [command]
+    if draw(st.booleans()):
+        argv.append("--table")
+    for flag, (task, param) in FLAG_PARAMS.items():
+        if task == command and draw(st.booleans()):
+            value = draw(PARAM_VALUES[param])
+            text = json.dumps(value) if draw(st.booleans()) else draw(st.text(min_size=1,
+                                                                               max_size=4))
+            # attached, so a value that starts with "-" is not read as a flag
+            argv.append(f"{flag}={text}" if flag.startswith("--") else flag + text)
+    if draw(st.integers(0, 7)) == 7:
+        return argv, draw(st.binary(max_size=16))
+    doc = {"lens": draw(_or_any(st.fixed_dictionaries({
+        "k": _or_any(st.sampled_from([2, 3, 5, 7, 12])),
+        "weights": _or_any(st.lists(st.integers(1, 13), min_size=1, max_size=3))})))}
+    if draw(st.integers(0, 3)) < 3:
+        doc["path"] = draw(PATH)
+    if draw(st.booleans()):
+        task = draw(st.sampled_from(list(TASK_PARAMS)))
+        params = draw(st.fixed_dictionaries({}, optional={p: PARAM_VALUES[p]
+                                                          for p in TASK_PARAMS[task]}))
+        doc["task"] = {task: params}
+    if draw(st.integers(0, 9)) == 9:
+        doc["tolerances"] = draw(ANY_JSON)
+    if draw(st.integers(0, 7)) == 7:
+        doc = draw(ANY_JSON)
+    return argv, json.dumps(doc).encode()
 
 
 NAN, INF = float("nan"), float("inf")
@@ -213,19 +299,16 @@ class TestRunJob:
         ("selectors", {"path": {"reeb": 1e17}}, {}, "path"),
         ("selectors", {}, {"window_base": 1e17}, "task.selectors.window_base"),
         ("norms", {"path": {"reeb": 1e4}, "task": {"norms": {"decompose": True}}}, {}, "path"),
+        # kT/2pi = 2 10**6 on L_3: the snap window spans 2e-3 of a step
+        ("geodesic", {}, {"T": 2 * 10**6 * TWO_PI / 3}, "task.geodesic.T"),
     ])
     def test_parse_job_makes_every_refusal(self, command, doc, flags, field):
         with pytest.raises(JobError, match=rf"^{re.escape(field)}:"):
             parse_job({**reeb_job(3, [1, 1], 1.0), **doc}, command, flags)
 
-    def test_run_job_refuses_only_a_missing_task_and_the_geodesic_snap(self):
+    def test_run_job_refuses_only_a_missing_task(self):
         with pytest.raises(JobError, match=r"^task:"):
             run_job(parse_job(reeb_job(3, [1, 1], 1.0)))
-        # kT/2pi = 2 10**6 on L_3: the snap window spans 2e-3 of a step
-        job = parse_job({"lens": {"k": 3, "weights": [1, 1]}}, "geodesic",
-                        {"T": 2 * 10**6 * TWO_PI / 3})
-        with pytest.raises(JobError, match=r"^task\.geodesic\.T:"):
-            run_job(job)
 
     @pytest.mark.parametrize("command, doc, field", [
         ("selectors", {"task": {"selectors": {"j_hi": 0.5}}}, "task.selectors.j_hi"),
@@ -532,9 +615,9 @@ class TestMain:
     def test_det_lift_bound_boundary(self, tmp_path, capsys):
         # L_3(1,1): a Reeb path of time T has lift 2T and roundoff bound
         # 2u * 2T, which passes DET_LIFT_TOL at T = 2.2e9 but not at 2.3e9
-        under, over = (parse_job(reeb_job(3, [1, 1], T)).path for T in (2.2e9, 2.3e9))
-        assert (maslov.det_lift_roundoff(under) <= maslov.DET_LIFT_TOL
-                < maslov.det_lift_roundoff(over))
+        under, over = (parse_job(reeb_job(3, [1, 1], T)).spans for T in (2.2e9, 2.3e9))
+        assert (jobs._det_lift_roundoff(2, under) <= jobs.DET_LIFT_TOL
+                < jobs._det_lift_roundoff(2, over))
         f = tmp_path / "job.json"
         f.write_text(json.dumps(reeb_job(3, [1, 1], 2.2e9)))
         assert main(["selectors", str(f)]) == 0
@@ -548,9 +631,9 @@ class TestMain:
     def test_window_base_bound_boundary(self, tmp_path, capsys):
         # L_3(1,1), Reeb T = 1: the bound is 4u + 2u |window_base|, which
         # passes DET_LIFT_TOL at 4.5e9 but not at 4.6e9
-        p = parse_job(reeb_job(3, [1, 1], 1.0)).path
-        assert (maslov.det_lift_roundoff(p, -4.5e9) <= maslov.DET_LIFT_TOL
-                < maslov.det_lift_roundoff(p, 4.6e9))
+        spans = parse_job(reeb_job(3, [1, 1], 1.0)).spans
+        assert (jobs._det_lift_roundoff(2, spans, -4.5e9) <= jobs.DET_LIFT_TOL
+                < jobs._det_lift_roundoff(2, spans, 4.6e9))
         f = tmp_path / "job.json"
         f.write_text(json.dumps(reeb_job(3, [1, 1], 1.0,
                                          {"selectors": {"window_base": -4.5e9}})))
@@ -578,27 +661,43 @@ class TestMain:
         # under the cap, and the greedy makes floor(3T / 2 pi) + 1 pieces
         f = tmp_path / "job.json"
         f.write_text(json.dumps(reeb_job(3, [1, 1], 2000.0, {"norms": {"decompose": True}})))
-        assert norms.max_pieces(parse_job(f.read_text()).path) == 956
-        assert jobs._max_pieces(parse_job(f.read_text())) == 956  # priced in arithmetic
+        job = parse_job(f.read_text())
+        assert jobs._max_pieces(3, job.spans) == 956  # priced in arithmetic
+        assert jobs._max_pieces(3, job.path.spans) == 956
         assert main(["norms", str(f)]) == 0
         assert json.loads(capsys.readouterr().out)["results"]["dis_upper"] == 955
 
     def test_reeb_prices_match_the_path_prices(self):
-        # the arithmetic prices of a Reeb path against those of its
-        # UnitaryPath, up to roundoff: numpy sums the det-lift terms in its
-        # own order, and eigh of 1e300 I scales by powers of 2
+        # the arithmetic spans of a Reeb path against those of its
+        # UnitaryPath, up to roundoff: numpy sums the diagonal in its own
+        # order, and eigh of 1e300 I scales by powers of 2
         rng = random.Random(3)
         for k, w in ((3, [1]), (3, [1, 1]), (2, [1, 1, 1]), (5, [1, 2, 3]), (4, [1, 3]),
                      (7, [1] * 8)):
             times = [rng.uniform(-2e3, 2e3) for _ in range(10)] + [0.0, 2.2e9, -2.3e9, 1e300]
             for T in times:
                 job = parse_job(reeb_job(k, w, T))
+                spans = job.spans
                 assert job._path is None
-                assert jobs._max_pieces(job) == pytest.approx(
-                    norms.max_pieces(job.path), rel=1e-15, abs=0), (k, w, T)
-                for base in (0.0, -4.5e9):
-                    assert jobs._det_lift_roundoff(job, base) == pytest.approx(
-                        maslov.det_lift_roundoff(job.path, base), rel=1e-15, abs=0), (k, w, T)
+                built = job.path.spans
+                assert len(spans) == len(built) == 1, (k, w, T)
+                assert spans[0] == pytest.approx(built[0], rel=1e-15, abs=0), (k, w, T)
+
+    @pytest.mark.parametrize("kind", ["random", "piecewise_hermitian"])
+    def test_segment_cap_boundary(self, tmp_path, capsys, kind):
+        def doc(count):
+            path = ({"random": {"seed": 1, "segments": count}} if kind == "random"
+                    else hermitian_path(*[[[0.5, 0.0], [0.0, -0.25]]] * count))
+            return {**reeb_job(3, [1, 1], 1.0), "path": path}
+
+        cap = jobs.MAX_SEGMENTS
+        assert len(parse_job(doc(cap)).path.segments) == cap
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc(cap + 1)))
+        start = time.perf_counter()
+        assert main(["selectors", str(f)]) == 2
+        assert time.perf_counter() - start < 1
+        assert capsys.readouterr().err.startswith(f"error: path.{kind}.segments:")
 
     def test_maslov_form_cap_boundary(self, tmp_path, capsys):
         # L_3(1): a generator 256 pi for time 1 gives N = 512 intervals and
@@ -643,6 +742,19 @@ class TestMain:
         assert code in (0, 2)
         if code == 2:
             assert command == "geodesic" and err.startswith("error: task.geodesic.T:")
+
+    @given(call=cli_calls())
+    @settings(max_examples=100, deadline=None)
+    def test_main_returns_an_exit_code_on_any_input(self, call):
+        # the exit-code contract: any document and flag values give 0, 1, 2
+        # or 3, and main raises nothing
+        argv, document = call
+        stdin = type("S", (), {"buffer": io.BytesIO(document)})()
+        with mock.patch.object(sys, "stdin", stdin), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            warnings.simplefilter("ignore")
+            assert main(argv) in (0, 1, 2, 3)
 
     def test_jobs_do_not_import_scipy(self, tmp_path):
         # scipy.linalg is loaded only by the product-path log; none of these
@@ -752,6 +864,14 @@ class TestMain:
         (["maslov"], {"lens": {"k": 3, "weights": [1, 1]},
                       "path": {"piecewise_hermitian": {"segments": []}}},
          "path.piecewise_hermitian.segments"),
+        # the segment cap is read before a random path is drawn or a matrix decoded
+        (["selectors"], {"lens": {"k": 3, "weights": [1, 1]},
+                         "path": {"random": {"segments": jobs.MAX_SEGMENTS + 1}}},
+         "path.random.segments"),
+        (["selectors"], {"lens": {"k": 3, "weights": [1, 1]},
+                         "path": hermitian_path(*[[[1.0, 0.0], [0.0, 1.0]]]
+                                                * (jobs.MAX_SEGMENTS + 1))},
+         "path.piecewise_hermitian.segments"),
         # verify reads no job file; its suite names are checked in jobs
         (["verify", "--trials", "1001"], None, "task.verify.trials"),
         (["verify", "--suite", "nope"], None, "task.verify.suite"),
@@ -759,7 +879,8 @@ class TestMain:
             "huge-k", "task-key-error", "tolerance-error", "j-lo-not-int",
             "j-lo-above-j-hi", "decompose-not-bool", "spectrum-phase-cap", "maslov-k-prime",
             "norms-reeb-decompose", "norms-reeb", "random-zero-segments", "reeb-not-number",
-            "piecewise-no-segments", "verify-trials-cap", "verify-unknown-suite"])
+            "piecewise-no-segments", "random-segment-cap", "piecewise-segment-cap",
+            "verify-trials-cap", "verify-unknown-suite"])
     def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, field):
         # geodesic jobs and norms jobs on a Reeb path are lattice arithmetic,
         # and these input errors stop before any matrix is decoded
