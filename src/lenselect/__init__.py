@@ -59,8 +59,8 @@ def _register_lazily(name):
     globals()[name] = module
 
 
-for _name in ("tolerances", "lens", "quadratic", "paths", "maslov", "selectors", "geodesic",
-              "norms", "jobs", "verify"):
+for _name in ("tolerances", "lens", "quadratic", "torus", "paths", "maslov", "selectors",
+              "geodesic", "norms", "jobs", "verify"):
     _register_lazily(_name)
 del _name
 

@@ -18,17 +18,24 @@ MAX_SEGMENTS, before its data); the path's price (det-lift roundoff,
 path are validated once, by the types that own them: `new_lens` (k an
 integer from 2 to 2**53, the weights) and `UnitaryPath` (shape,
 finiteness, Hermitian and deck-commuting generators, positive durations,
-finite phase travel; a Reeb path T I is valid for every finite T).  Their
+finite phase travel; a Reeb path T I is valid for every finite T, and a
+real-diagonal path is kept as a `torus.TorusPath` only where UnitaryPath
+would accept it).  Their
 errors say which input is at fault, and `parse_job` prefixes the JSON
 path, so every input error leaves the CLI as exit 2 naming the field.
 `run_job` only computes; it refuses only a job without a task.
 
-numpy and `paths` load only where a path is decoded or read.  A Reeb path
-`{"reeb": T}` is kept as its time T, priced in arithmetic (`Job.spans`) and
-built on the first read of `Job.path`; a `norms` job reads only T.  So a
-`geodesic` job without a path and a `norms` job on a Reeb path (lattice
-arithmetic, in `geodesic`), and every input error found before a matrix is
-decoded, run without numpy; `task.verify.suite` is checked against
+numpy and `paths` load only where a UnitaryPath is built or read.
+Generator entries are decoded in pure Python, each a finite JSON number.  A
+Reeb path `{"reeb": T}` is kept as its time T, and a `piecewise_hermitian`
+path whose every generator is real diagonal (every off-diagonal entry and
+imaginary part exactly 0) as its `torus.TorusPath`: each is priced in
+arithmetic (`Job.spans`) and its UnitaryPath built on the first read of
+`Job.path`.  A `norms` job reads only T (lattice arithmetic, in
+`geodesic`) or the TorusPath (float arithmetic on the diagonals, in
+`torus`).  So a `geodesic` job without a path, a `norms` job on a Reeb or
+real-diagonal path, and every input error found before a UnitaryPath is
+built run without numpy; `task.verify.suite` is checked against
 VERIFY_SUITES, so a `task.verify.*` error does not run `verify`.
 """
 
@@ -36,7 +43,7 @@ import json
 import math
 import sys
 
-from . import geodesic, maslov, norms, paths, selectors, verify
+from . import geodesic, maslov, norms, paths, selectors, torus, verify
 from .lens import TWO_PI, LensSpaceError, _is_int, new_lens
 from .tolerances import DET_LIFT_TOL, NULL_TOL, PERIOD_SNAP_TOL, PHASE_CLUSTER_TOL
 
@@ -104,29 +111,34 @@ class JobError(ValueError):
 
 
 class Job:
-    def __init__(self, lens, path_spec, path, task, params, args):
+    def __init__(self, lens, path_spec, task, params, args, reeb=None, torus=None, path=None,
+                 build=None):
         self.lens = lens
         self.path_spec = path_spec  # as given, for the report echo
-        # the time T of a Reeb path (a float from `_parse_path`), else None
-        self.reeb = path if isinstance(path, float) else None
-        self._path = None if self.reeb is not None else path
+        self.reeb = reeb  # the time T of a Reeb path, a float
+        self.torus = torus  # a real-diagonal path as its torus.TorusPath
+        self._path = path  # the UnitaryPath, once built
+        self._build = build  # the function that builds it on first read
         self.task = task
         self.params = params  # the job file's, for the report echo
         self.args = args  # the task's validated values, CLI flags over params
 
     @property
     def spans(self):
-        """`UnitaryPath.spans`; on a Reeb path T I, one segment of duration 1,
-        [(|T|, n |T|)] in arithmetic, with no path built."""
-        T = self.reeb
-        return self._path.spans if T is None else [(abs(T), self.lens.n * abs(T))]
+        """`UnitaryPath.spans`, in arithmetic with no path built on a Reeb
+        path T I (one segment of duration 1, [(|T|, n |T|)]) and on a torus
+        path."""
+        if self.reeb is not None:
+            return [(abs(self.reeb), self.lens.n * abs(self.reeb))]
+        return (self.torus or self.path).spans
 
     @property
     def path(self):
-        """The validated UnitaryPath, or None.  A Reeb path is built on
-        first read, so a job that reads only its time builds none."""
-        if self._path is None and self.reeb is not None:
-            self._path = paths.reeb_path(self.lens, self.reeb)
+        """The validated UnitaryPath, or None.  A Reeb or torus path is
+        built on first read, so a job that reads only its numbers builds
+        none."""
+        if self._path is None and self._build is not None:
+            self._path = self._build()
         return self._path
 
 
@@ -154,20 +166,55 @@ def _is_number(x):
         return False
 
 
+def _nested_shape(data):
+    """The shape numpy reads off nested lists, or None when they are
+    ragged; found level by level, so deep nesting costs no recursion."""
+    shape, level = [], [data]
+    while level and all(isinstance(x, list) for x in level):
+        sizes = {len(x) for x in level}
+        if len(sizes) > 1:
+            return None
+        shape.append(sizes.pop())
+        level = [y for x in level for y in x]
+    return None if any(isinstance(x, list) for x in level) else tuple(shape)
+
+
 def _parse_complex_matrix(data, field):
+    """A generator's entries, decoded in pure Python: an n x n matrix of
+    [re, im] pairs of finite numbers, as nested lists of floats."""
+    _require(isinstance(data, list) and data, field, "expected a non-empty matrix")
+    shape = _nested_shape(data)
+    _require(shape is not None, field, "expected nested arrays of [re, im] pairs")
+    _require(len(shape) == 3 and shape[0] == shape[1] and shape[2] == 2, field,
+             f"expected shape (n, n, 2) of [re, im] pairs, got {shape}")
+    _require(all(_is_number(x) for row in data for pair in row for x in pair), field,
+             "expected finite numbers in the [re, im] pairs")
+    return [[[float(re), float(im)] for re, im in row] for row in data]
+
+
+def _real_diagonals(n, matrices):
+    """The diagonals of these decoded generators, or None unless each is
+    n x n with every off-diagonal entry and every imaginary part exactly 0."""
+    if any(len(M) != n for M in matrices):
+        return None
+    for M in matrices:
+        for i, row in enumerate(M):
+            for j, (re, im) in enumerate(row):
+                if im != 0 or (re != 0 and i != j):
+                    return None
+    return [[M[j][j][0] for j in range(n)] for M in matrices]
+
+
+def _unitary_path(lens, segments):
+    """The UnitaryPath of decoded (generator, duration) segments."""
     import numpy as np
 
-    _require(isinstance(data, list) and data, field, "expected a non-empty matrix")
-    try:
-        arr = np.array(data, dtype=float)
-    except (TypeError, ValueError):
-        raise JobError(field, "expected nested arrays of [re, im] pairs") from None
-    _require(
-        arr.ndim == 3 and arr.shape[0] == arr.shape[1] and arr.shape[2] == 2,
-        field,
-        f"expected shape (n, n, 2) of [re, im] pairs, got {arr.shape}",
-    )
-    return arr[..., 0] + 1j * arr[..., 1]
+    def build():
+        arrays = [np.array(A, dtype=float) for A, _ in segments]
+        return paths.UnitaryPath(lens, [(arr[..., 0] + 1j * arr[..., 1], d)
+                                        for arr, (_, d) in zip(arrays, segments)])
+
+    return _path_value("piecewise_hermitian", build)
 
 
 def _path_value(kind, build):
@@ -185,14 +232,19 @@ def _path_value(kind, build):
 
 
 def _parse_path(lens, path_spec):
-    """The validated path of a job's `path` object: the time T (a float) of
-    a Reeb path, which `Job.path` builds on first read, else the
-    UnitaryPath.
+    """The validated path of a job's `path` object, as keyword arguments of
+    its `Job`.  A Reeb path's time T (a float) and the `torus.TorusPath` of
+    a path whose generators are all real diagonal are kept as numbers, with
+    the function that builds their UnitaryPath on the first read of
+    `Job.path`; any other path is built at once.
 
-    The JSON shape is checked here; the path's own validity (generator shape,
-    finiteness, Hermitian, deck action, durations) is checked once, by
+    The JSON shape is checked here, and the generator entries are decoded
+    without numpy; the path's own validity (generator shape, Hermitian,
+    deck action, durations, finite phase travel) is checked once, by
     `UnitaryPath`, and its PathError is reported at the JSON path of the
-    offending segment.  A Reeb path T I is valid for every finite T.
+    offending segment: a real-diagonal path is kept as a TorusPath only
+    where UnitaryPath would accept it (`TorusPath.of`).  A Reeb path T I is
+    valid for every finite T.
     """
     _require(isinstance(path_spec, dict) and len(path_spec) == 1, "path",
              "path must be an object with exactly one of reeb / "
@@ -203,7 +255,8 @@ def _parse_path(lens, path_spec):
     spec = path_spec[kind]
     if kind == "reeb":
         _require(_is_number(spec), "path.reeb", "expected a finite number")
-        return float(spec)
+        T = float(spec)
+        return {"reeb": T, "build": lambda: paths.reeb_path(lens, T)}
     if kind == "piecewise_hermitian":
         segs = spec.get("segments") if isinstance(spec, dict) else None
         _require(isinstance(segs, list) and 1 <= len(segs) <= MAX_SEGMENTS,
@@ -218,7 +271,12 @@ def _parse_path(lens, path_spec):
             _require(_is_number(d), fld + ".duration",
                      "duration must be a finite number")
             segments.append((A, d))
-        return _path_value(kind, lambda: paths.UnitaryPath(lens, segments))
+        diagonals = _real_diagonals(lens.n, [A for A, _ in segments])
+        if diagonals is not None:
+            path = torus.TorusPath.of(lens, diagonals, [d for _, d in segments])
+            if path is not None:
+                return {"torus": path, "build": lambda: _unitary_path(lens, segments)}
+        return {"path": _unitary_path(lens, segments)}
     _require(isinstance(spec, dict), "path.random", "expected an object")
     seed = spec.get("seed", 0)
     _require(_is_int(seed) and 0 <= seed < 2**64,
@@ -231,8 +289,8 @@ def _parse_path(lens, path_spec):
              "path.random.norm_bound", "norm_bound must be a finite number > 0")
     import numpy as np
 
-    return _path_value(kind, lambda: paths.random_path(
-        lens, np.random.default_rng(seed), segments=segments, norm_bound=float(bound)))
+    return {"path": _path_value(kind, lambda: paths.random_path(
+        lens, np.random.default_rng(seed), segments=segments, norm_bound=float(bound)))}
 
 
 def _task_args(task, values, lens):
@@ -377,9 +435,9 @@ def parse_job(document, task=None, flags=None):
     path_spec = document.get("path")  # last: only decoding a matrix loads numpy
     _require(path_spec is not None or task in (None, "geodesic", "verify"), "path",
              "this task requires a path")
-    path = None if path_spec is None else _parse_path(lens, path_spec)
-    job = Job(lens, path_spec, path, task, dict(params), args)
-    if path is not None:
+    path = {} if path_spec is None else _parse_path(lens, path_spec)
+    job = Job(lens, path_spec, task, dict(params), args, **path)
+    if path:
         _price_path(job)
     return job
 
@@ -432,9 +490,9 @@ def run_job(job):
         res["c_minus"] = rep.c_minus
         res["step"] = {
             "window_base": args["window_base"],
-            "points": rep.step.points.tolist(),
-            "multiplicities": rep.step.multiplicities.tolist(),
-            "values": rep.step.values.tolist(),
+            "points": rep.step.points,
+            "multiplicities": rep.step.multiplicities,
+            "values": rep.step.values,
         }
         report["provenance"].append(
             "c_j = min{T : mu(reeb_shift(path, T)) <= -j}; values snap to "
@@ -455,9 +513,14 @@ def run_job(job):
             "over deck powers m of eigenphases of g^-m U_1"
         )
     elif task == "norms":
-        # on a Reeb path, lattice arithmetic: no path is built
-        rep = (geodesic.reeb_norm_report(lens, job.reeb, **args) if job.reeb is not None
-               else norms.norm_report(job.path, **args))
+        # a Reeb path in lattice arithmetic, a torus path from its diagonals:
+        # neither builds a UnitaryPath
+        if job.reeb is not None:
+            rep = geodesic.reeb_norm_report(lens, job.reeb, **args)
+        elif job.torus is not None:
+            rep = job.torus.norm_report(**args)
+        else:
+            rep = norms.norm_report(job.path, **args)
         res.update(rep.as_dict())
         report["provenance"].append(
             "nu = max(ceil(c_+), -floor(c_-)) in exact T_w-lattice arithmetic; "

@@ -47,14 +47,12 @@ the two on seeded random paths at runtime.
 
 import functools
 import math
-from collections import namedtuple
 
 import numpy as np
 
-from .lens import TWO_PI
-from .paths import reeb_shift, cluster_phases, _eigenphases, _restrict_pieces, _speed
+from .paths import reeb_shift, _eigenphases, _restrict_pieces, _speed
 from .quadratic import NULL_TOL, cayley_gf, cayley_hermitian, index, sharp
-from .tolerances import DET_LIFT_TOL
+from .torus import step_function
 
 # Phase travel per subdivision interval; keeps ||V - I|| <= sqrt(2), i.e.
 # transition eigenvalues in the closed right half-circle, so tan(theta/2) <= 1
@@ -309,81 +307,14 @@ def maslov_shifted(path, T):
     return maslov_index(reeb_shift(path, T))
 
 
-class MaslovEvaluation(namedtuple("MaslovEvaluation",
-                                  "lens window_base points multiplicities values")):
-    """Step function T -> mu(r_{-T} . path) over one period window.
-
-    points[i] are the sphere-spectrum phases in [window_base, base + 2 pi),
-    with their multiplicities; values[i] is the (constant) value on
-    [points[i], points[i+1]), evaluated at the gap midpoint; the function is
-    right-continuous and extends to all of R by the exact periodicity
-    value(T + 2 pi) = value(T) - 2n.  points, multiplicities and values are
-    arrays.
-    """
-
-    __slots__ = ()
-
-    @property
-    def n2(self):
-        return 2 * self.lens.n
-
-    @property
-    def pre_value(self):
-        """Value on [window_base, points[0]): one period above the last gap."""
-        return int(self.values[-1]) + self.n2
-
-    def value_at(self, T):
-        base = self.points[0]
-        ell = math.floor((T - base) / TWO_PI)
-        Tr = T - TWO_PI * ell
-        i = int(np.searchsorted(self.points, Tr, side="right")) - 1
-        if i < 0:  # Tr landed a hair under base by rounding
-            i, ell = len(self.points) - 1, ell - 1
-            Tr += TWO_PI
-        return int(self.values[i]) - self.n2 * ell
-
-    def selector(self, j):
-        """c_j = min{T : value_at(T) <= -j}, exact eigenphase + 2 pi ell."""
-        best = math.inf
-        for theta, v in zip(self.points, self.values):
-            ell = -((-(j + int(v))) // self.n2)  # ceil((j+v)/2n)
-            best = min(best, theta + TWO_PI * ell)
-        return best
-
-    def drops(self):
-        vals = np.concatenate([[self.pre_value], self.values])
-        return (-np.diff(vals)).astype(int)
-
-
 def evaluate_step(path, window_base=0.0):
     """Evaluate the Maslov step function on one window of the sphere spectrum.
 
     The drift is exactly -2n per +2 pi, so gap values in a single window
     determine the function (and every selector) on all of R.  Each gap value
-    is the det-lift closed form of the module docstring at the gap midpoint.
+    is the det-lift closed form of the module docstring at the gap midpoint:
+    `torus.step_function` of the endpoint eigenphases and the det lift.
     """
-    lens = path.lens
-    raw = _eigenphases(path.endpoint, lens.weight_classes())
-    phases, mults = cluster_phases(raw)
-    # shift representatives into [window_base, window_base + 2 pi)
-    pts = window_base + np.mod(phases - window_base, TWO_PI)
-    pts = np.where(pts >= window_base + TWO_PI - 1e-12, pts - TWO_PI, pts)
-    order = np.argsort(pts)
-    pts, mults = pts[order], mults[order]
-    gaps_end = np.concatenate([pts[1:], [pts[0] + TWO_PI]])
-    mids = (pts + gaps_end) / 2.0
+    raw = _eigenphases(path.endpoint, path.lens.weight_classes())
     lift = sum(float(np.trace(A).real) * d for A, d in path.segments)
-    # phi_j(T) = (theta_j - T) mod 2 pi in (0, 2 pi]; midpoints miss the spectrum
-    phi = TWO_PI - np.mod(mids[:, None] - raw[None, :], TWO_PI)
-    W = (lift - lens.n * mids - phi.sum(axis=1)) / TWO_PI
-    Wr = np.rint(W)
-    if np.any(np.abs(W - Wr) > DET_LIFT_TOL):
-        raise AssertionError(
-            "det-lift self-check failed: W is off an integer by "
-            f"{float(np.abs(W - Wr).max()):.3e}"
-        )
-    values = (2 * (lens.n + Wr)).astype(int)
-    ev = MaslovEvaluation(lens, float(window_base), pts, mults, values)
-    if np.any(ev.drops() < 0):
-        raise AssertionError("Maslov step function failed to be non-increasing")
-    return ev
+    return step_function(path.lens, raw.tolist(), lift, window_base)

@@ -16,11 +16,13 @@ arcs below pi/2, which preserves the homotopy class with fixed endpoints.
 
 import math
 from collections import namedtuple
+from itertools import accumulate
 
 import numpy as np
 
 from .lens import TWO_PI
-from .tolerances import PHASE_CLUSTER_TOL
+from .torus import clip, cluster_phases, line_crossing, segment_of
+from .torus import speed as _speed, stationary as _stationary
 
 HERMITIAN_TOL = 1e-10
 COMMUTATION_TOL = 1e-10
@@ -28,17 +30,6 @@ COMMUTATION_TOL = 1e-10
 
 def _opnorm(A):
     return float(np.linalg.norm(A, 2)) if A.size else 0.0
-
-
-def _speed(lam):
-    """max |lambda|, the fastest phase speed of a generator with eigenvalues
-    lam, which is its operator norm (the generator is Hermitian)."""
-    return float(np.abs(lam).max()) if lam.size else 0.0
-
-
-def _stationary(lam, length):
-    """A piece whose phases move by at most 1e-12: constant up to roundoff."""
-    return _speed(lam) * length <= 1e-12
 
 
 class PathError(ValueError):
@@ -65,9 +56,7 @@ class UnitaryPath:
         # so the traced path of unitaries (and the endpoint) is unchanged
         with np.errstate(over="ignore"):  # an overflow is rejected just below
             self.segments = [(A * total, float(d) / total) for A, d in self.segments]
-        self._starts = np.concatenate(
-            [[0.0], np.cumsum([d for _, d in self.segments])]
-        )
+        self._starts = [0.0, *accumulate(d for _, d in self.segments)]
         self._starts[-1] = 1.0
         self._eig = [self._finite_eigh(i, A, total) for i, (A, _) in enumerate(self.segments)]
         # prefix[i] = U(tau_i); prefix[N] = endpoint
@@ -128,8 +117,7 @@ class UnitaryPath:
         return self._starts
 
     def segment_of(self, t):
-        i = int(np.searchsorted(self._starts, t, side="right") - 1)
-        return min(max(i, 0), len(self.segments) - 1)
+        return segment_of(self._starts, t)
 
     def value(self, t):
         """U(t) for t in [0, 1]."""
@@ -242,30 +230,6 @@ def conjugate_path(psi, p):
 # --- action spectra ---
 
 
-def cluster_phases(phases):
-    """Canonicalize to [0, 2 pi), sort, and merge clusters of width <=
-    PHASE_CLUSTER_TOL.
-
-    Returns (representatives, multiplicities); the cluster wrapping across
-    0 ~ 2 pi is merged into the representative near 0.
-    """
-    ph = np.mod(np.asarray(phases, dtype=float), TWO_PI)
-    ph = np.where(ph >= TWO_PI - 1e-12, ph - TWO_PI, ph)
-    order = np.argsort(ph)
-    ph = ph[order]
-    reps, mults = [], []
-    for x in ph:
-        if reps and x - reps[-1] <= PHASE_CLUSTER_TOL:
-            mults[-1] += 1
-        else:
-            reps.append(x)
-            mults.append(1)
-    if len(reps) > 1 and (reps[0] + TWO_PI) - reps[-1] <= PHASE_CLUSTER_TOL:
-        mults[0] += mults.pop()
-        reps.pop()
-    return np.array(reps), np.array(mults, dtype=int)
-
-
 class SpectrumWindow(namedtuple("SpectrumWindow",
                                 "phases_sphere mult_sphere phases_lens mult_lens")):
     """The clustered phases, sorted in [0, 2 pi), and their multiplicities,
@@ -307,14 +271,15 @@ def action_spectrum(p):
     lens = p.lens
     classes = lens.weight_classes()
     blocks = [_block_phases(p.endpoint[np.ix_(idx, idx)]) for idx in classes]
-    phases_sphere, mult_sphere = cluster_phases(np.concatenate(blocks))
+    phases_sphere, mult_sphere = cluster_phases(np.concatenate(blocks).tolist())
     m = np.arange(lens.k)[:, None]
     lens_raw = np.concatenate([
         (block[None, :] - TWO_PI * m * (lens.weights[idx[0]] % lens.k) / lens.k).ravel()
         for idx, block in zip(classes, blocks)
     ])
-    phases_lens, mult_lens = cluster_phases(lens_raw)
-    return SpectrumWindow(phases_sphere, mult_sphere, phases_lens, mult_lens)
+    phases_lens, mult_lens = cluster_phases(lens_raw.tolist())
+    return SpectrumWindow(np.array(phases_sphere), np.array(mult_sphere, dtype=int),
+                          np.array(phases_lens), np.array(mult_lens, dtype=int))
 
 
 def translated_points(p, T):
@@ -343,23 +308,11 @@ class EmbeddednessReport(namedtuple("EmbeddednessReport",
 
 
 def _restrict_pieces(p, t0, t1):
-    """The pieces (A, lam, a, b) of p on [t0, t1]: each segment that overlaps
-    [t0, t1] by more than 1e-15, clipped to [a, b], with its generator A and
-    A's eigenvalues lam from `UnitaryPath._eig`.  A sliver stretch, which no
-    segment overlaps by that much, is one piece of the segment that holds its
-    midpoint.  This is the only place that clips a path to a stretch, and
-    lam is the only record of a generator's spectrum that stretch decisions
-    read."""
-    pieces = []
-    for i, ((A, _), (lam, _)) in enumerate(zip(p.segments, p._eig)):
-        a = max(p._starts[i], t0)
-        b = min(p._starts[i + 1], t1)
-        if b - a > 1e-15:
-            pieces.append((A, lam, a, b))
-    if not pieces:
-        i = p.segment_of((t0 + t1) / 2)
-        pieces = [(p.segments[i][0], p._eig[i][0], t0, t1)]
-    return pieces
+    """The pieces (A, lam, a, b) of p on [t0, t1], as `torus.clip` cuts
+    them, with each segment's generator A and A's eigenvalues lam from
+    `UnitaryPath._eig`: lam is the only record of a generator's spectrum
+    that stretch decisions read."""
+    return [(p.segments[i][0], p._eig[i][0], a, b) for i, a, b in clip(p._starts, t0, t1)]
 
 
 def _joint_eigendata(pieces, lens):
@@ -422,23 +375,14 @@ def _commuting_embedded(pieces, lens):
     k = lens.k
     step = TWO_PI / k
     nodes = [pieces[0][2]] + [b for *_, b in pieces]
-    lengths = np.array([b - a for *_, a, b in pieces])
-    best_margin = np.inf
-    for j in range(slopes.shape[1]):
-        sl = slopes[:, j]
-        f = np.concatenate([[0.0], np.cumsum(sl * lengths)])
-        scale = max(np.abs(sl).max(), 1.0)
-        # zero crossing: some s < t with f(t) = f(s)
-        if np.any(np.abs(sl) <= 1e-12 * scale) or (sl.max() > 0 and sl.min() < 0):
-            return _crossing_report(f, nodes, 0.0, 0, "commuting-exact")
-        # f is strictly monotone from f(t0) = 0: it only rises or only falls
-        drawup, drawdown = (float(f[-1]), 0.0) if sl[0] > 0 else (0.0, float(f[-1]))
-        m = pow(int(weights[j]), -1, k)
-        if drawup >= step - 1e-12:
-            return _crossing_report(f, nodes, step, m, "commuting-exact")
-        if drawdown <= -step + 1e-12:
-            return _crossing_report(f, nodes, -step, -m % k, "commuting-exact")
-        best_margin = min(best_margin, step - drawup, drawdown + step)
+    lengths = [b - a for *_, a, b in pieces]
+    best_margin = math.inf
+    for sl, w in zip(slopes.T.tolist(), weights.tolist()):
+        f, c, margin = line_crossing(sl, lengths, step)
+        if c is not None:
+            m = 0 if c == 0 else pow(w, -1, k) if c > 0 else -pow(w, -1, k) % k
+            return _crossing_report(f, nodes, c, m, "commuting-exact")
+        best_margin = min(best_margin, margin)
     return EmbeddednessReport(True, "embedded", None, best_margin, "commuting-exact")
 
 

@@ -341,7 +341,7 @@ def suite_maslov_props(trials, seed):
         lens = _lens_set()[int(rng.integers(0, 3))]
         p = random_path(lens, rng)
         ev = evaluate_step(p)
-        ok = bool(np.all(ev.drops() >= 0))
+        ok = all(d >= 0 for d in ev.drops())
         pts = np.concatenate([ev.points, [ev.points[0] + TWO_PI]])
         for i in range(len(ev.points)):
             a, b = pts[i], pts[i + 1]

@@ -24,7 +24,7 @@ from lenselect.jobs import (MAX_LENS_PHASES, TASK_PARAMS, JobError, parse_job, r
 TWO_PI = 2 * math.pi
 
 # The submodules `import lenselect` registers lazily: all but cli.
-LAZY_SUBMODULES = ["tolerances", "lens", "quadratic", "paths", "maslov", "selectors",
+LAZY_SUBMODULES = ["tolerances", "lens", "quadratic", "torus", "paths", "maslov", "selectors",
                    "geodesic", "norms", "jobs", "verify"]
 
 # Each CLI flag: its parameter and the subcommand that reads it.
@@ -75,12 +75,32 @@ def _or_any(strategy):
     return st.integers(0, 7).flatmap(lambda i: ANY_JSON if i == 7 else strategy)
 
 
+# A generator entry: a number or, one time in eight, a JSON value that is
+# not a finite float (numpy's decoding raised OverflowError on 10**400 and
+# read true and "1.5" as numbers).
+ENTRY = st.integers(0, 7).flatmap(
+    lambda i: st.sampled_from([10**400, True, "1.5"]) if i == 7 else st.floats(-10, 10))
+
+
 def _generator(n):
-    entry = st.tuples(st.floats(-10, 10), st.floats(-10, 10)).map(list)
-    diagonal = st.lists(st.floats(-10, 10), min_size=n, max_size=n).map(
+    entry = st.tuples(ENTRY, ENTRY).map(list)
+    diagonal = st.lists(ENTRY, min_size=n, max_size=n).map(
         lambda d: [[[d[i], 0.0] if i == j else [0.0, 0.0] for j in range(n)] for i in range(n)])
     dense = st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
     return diagonal | dense
+
+
+@st.composite
+def generator_calls(draw):
+    """(argv, document) of a job on an explicit path over a valid lens, 1-3
+    segments whose generator entries are drawn from ENTRY."""
+    k, weights = draw(st.sampled_from([(2, [1]), (3, [1, 1]), (4, [1, 3]), (5, [1, 2, 3])]))
+    segs = draw(st.lists(st.fixed_dictionaries({"generator": _generator(len(weights))},
+                                               optional={"duration": st.floats(0.1, 2)}),
+                         min_size=1, max_size=3))
+    command = draw(st.sampled_from(["maslov", "selectors", "spectrum", "norms"]))
+    return [command, "-"], {"lens": {"k": k, "weights": weights},
+                            "path": {"piecewise_hermitian": {"segments": segs}}}
 
 
 SEGMENT = st.fixed_dictionaries({"generator": _or_any(st.integers(1, 3).flatmap(_generator))},
@@ -152,6 +172,18 @@ def hermitian_path(*generators, durations=None):
     return {"piecewise_hermitian": {"segments": segs}}
 
 
+def diagonal_job(task=None, durations=None):
+    """diag(3, 5, 7) then diag(-1, 2, 0.5) on L_5(1, 2, 3), whose weights are
+    pairwise distinct mod 5: a path in the diagonal torus."""
+    doc = {"lens": {"k": 5, "weights": [1, 2, 3]},
+           "path": hermitian_path([[3, 0, 0], [0, 5, 0], [0, 0, 7]],
+                                  [[-1, 0, 0], [0, 2, 0], [0, 0, 0.5]],
+                                  durations=durations or [0.75, 0.25])}
+    if task is not None:
+        doc["task"] = task
+    return doc
+
+
 def reeb_job(k, weights, T, task=None):
     doc = {"lens": {"k": k, "weights": weights}, "path": {"reeb": T}}
     if task is not None:
@@ -213,6 +245,37 @@ class TestParseJob:
         }
         with pytest.raises(JobError, match=r"\[re, im\]|shape"):
             parse_job(doc)
+
+    @pytest.mark.parametrize("generator, message", [
+        ([[[1, 0]], [[0, 0], [1, 0]]], "expected nested arrays of [re, im] pairs"),
+        ([[1, 2], [3, 4]], "expected shape (n, n, 2) of [re, im] pairs, got (2, 2)"),
+        ([[[1, 0, 0]]], "expected shape (n, n, 2) of [re, im] pairs, got (1, 1, 3)"),
+        ([[[[1, 0]]]], "expected shape (n, n, 2) of [re, im] pairs, got (1, 1, 1, 2)"),
+        ([[], []], "expected shape (n, n, 2) of [re, im] pairs, got (2, 0)"),
+    ], ids=["ragged", "no-pairs", "triples", "too-deep", "empty-rows"])
+    def test_matrix_shape_messages(self, generator, message):
+        # decoded without numpy, with the messages numpy's shape gave
+        doc = {"lens": {"k": 2, "weights": [1, 1]},
+               "path": {"piecewise_hermitian": {"segments": [{"generator": generator}]}}}
+        with pytest.raises(JobError) as e:
+            parse_job(doc)
+        assert str(e.value) == f"path.piecewise_hermitian.segments[0].generator: {message}"
+
+    @pytest.mark.parametrize("entry", [10**400, True, "1.5", None, NAN, -INF, [1.0], {}],
+                             ids=["past-float", "true", "string", "null", "nan", "inf",
+                                  "list", "object"])
+    @pytest.mark.parametrize("command", ["norms", "selectors"])
+    def test_generator_entries_must_be_finite_numbers(self, tmp_path, capsys, command,
+                                                      entry):
+        # 10**400 raised OverflowError from numpy's decoding, a traceback and
+        # exit 1; true and "1.5" were read as 1.0 and 1.5
+        doc = diagonal_job()
+        doc["path"]["piecewise_hermitian"]["segments"][1]["generator"][2][2][0] = entry
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        assert main([command, str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: path.piecewise_hermitian.segments[1].generator:"), err
 
     def test_unknown_task(self):
         with pytest.raises(JobError, match="unknown task"):
@@ -683,6 +746,53 @@ class TestMain:
                 assert len(spans) == len(built) == 1, (k, w, T)
                 assert spans[0] == pytest.approx(built[0], rel=1e-15, abs=0), (k, w, T)
 
+    def test_torus_prices_match_the_path_prices(self):
+        # a real-diagonal path is priced from its diagonals, up to the
+        # roundoff of numpy's order of summation
+        rng = random.Random(26)
+        for k, w in ((3, [1]), (5, [1, 2, 3]), (4, [1, 3]), (7, [1, 2, 3, 4]), (7, [1] * 8)):
+            for scale in (1.0, 1e3, 1e9, 1e-300):
+                segments = rng.randint(1, 5)
+                diags = [[rng.uniform(-scale, scale) for _ in w] for _ in range(segments)]
+                durations = [rng.uniform(0.01, 3.0) for _ in range(segments)]
+                job = parse_job({"lens": {"k": k, "weights": w},
+                                 "path": hermitian_path(*[[[x if a == b else 0.0 for b in
+                                                            range(len(w))] for a, x in
+                                                           enumerate(d)] for d in diags],
+                                                        durations=durations)})
+                spans = job.spans
+                assert job.torus is not None and job._path is None
+                built = job.path.spans
+                assert len(spans) == len(built) == segments, (k, w, scale)
+                for got, want in zip(spans, built):
+                    assert got == pytest.approx(want, rel=1e-15, abs=0), (k, w, scale)
+
+    @pytest.mark.parametrize("doc, field", [
+        (diagonal_job(durations=[1.0, 0]), "path.piecewise_hermitian.segments[1].duration"),
+        # an entry times the total duration overflows
+        (diagonal_job(durations=[1e308, 1.0]), "path.piecewise_hermitian.segments[0].generator"),
+        # each duration is finite, their sum is not
+        (diagonal_job(durations=[1e308, 1e308]), "path.piecewise_hermitian"),
+        # a 1e-300 off-diagonal entry: not diagonal, a valid path of the numpy route
+        ({**diagonal_job(), "path": {"piecewise_hermitian": {"segments": [{"generator": [
+            [[3.0, 0.0], [1e-300, 0.0], [0.0, 0.0]], [[1e-300, 0.0], [5.0, 0.0], [0.0, 0.0]],
+            [[0.0, 0.0], [0.0, 0.0], [7.0, 0.0]]]}]}}}, None),
+        # an imaginary part 1e-300 on the diagonal: Hermitian within tolerance
+        ({**diagonal_job(), "path": {"piecewise_hermitian": {"segments": [{"generator": [
+            [[3.0, 1e-300], [0.0, 0.0]], [[0.0, 0.0], [5.0, 0.0]]]}]}},
+          "lens": {"k": 4, "weights": [1, 3]}}, None),
+    ], ids=["zero-duration", "entry-times-total", "total", "off-diagonal", "imaginary"])
+    def test_diagonal_refusals_keep_their_field(self, doc, field):
+        # a path the torus does not take is refused by UnitaryPath, on the
+        # field it was refused on before, or answered on the numpy route
+        if field is not None:
+            with pytest.raises(JobError, match=rf"^{re.escape(field)}:"):
+                parse_job(doc, "norms")
+            return
+        job = parse_job(doc, "norms", {"decompose": True})
+        assert job.torus is None and job._path is not None
+        assert run_job(job)["results"]["dis_lower"] >= 1
+
     @pytest.mark.parametrize("kind", ["random", "piecewise_hermitian"])
     def test_segment_cap_boundary(self, tmp_path, capsys, kind):
         def doc(count):
@@ -756,6 +866,28 @@ class TestMain:
             warnings.simplefilter("ignore")
             assert main(argv) in (0, 1, 2, 3)
 
+    @given(call=generator_calls())
+    @settings(max_examples=100, deadline=None)
+    def test_generator_entries_exit_two_on_their_segment(self, call):
+        # an entry that is not a finite float exits 2 on the first segment
+        # that holds one, before any path is built
+        argv, doc = call
+        segments = doc["path"]["piecewise_hermitian"]["segments"]
+        bad = [i for i, seg in enumerate(segments)
+               if not all(type(x) is float for row in seg["generator"] for pair in row
+                          for x in pair)]
+        stdin = type("S", (), {"buffer": io.BytesIO(json.dumps(doc).encode())})()
+        err = io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), warnings.catch_warnings(), \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        if bad:
+            field = f"path.piecewise_hermitian.segments[{bad[0]}].generator"
+            assert code == 2 and err.getvalue().startswith(f"error: {field}:"), err.getvalue()
+        else:
+            assert code in (0, 2)
+
     def test_jobs_do_not_import_scipy(self, tmp_path):
         # scipy.linalg is loaded only by the product-path log; none of these
         # jobs builds a product path
@@ -814,6 +946,9 @@ class TestMain:
             "segments": [{"generator": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}]}}}, 0,
          ["geodesic", "norms", "verify"]),
         ("geodesic", {"lens": {"k": 3, "weights": [1, 1]}, "task": {"geodesic": {"T": 7.0}}}, 0,
+         ["quadratic", "torus", "paths", "maslov", "selectors", "norms", "verify"]),
+        # a path in the diagonal torus: its norms are float arithmetic, in torus
+        ("norms", diagonal_job({"norms": {"decompose": True}}), 0,
          ["quadratic", "paths", "maslov", "selectors", "norms", "verify"]),
     ])
     def test_job_runs_only_the_modules_it_calls(self, tmp_path, command, doc, code, unrun):
@@ -856,6 +991,9 @@ class TestMain:
         (["maslov"], reeb_job(HUGE_PRIME_K, [1, 2], 1.0), "lens.k"),
         (["norms"], reeb_job(3, [1, 1], 20.283, {"norms": {"decompose": True}}), None),
         (["norms"], reeb_job(5, [1, 2, 3], -7.5, {"norms": {}}), None),
+        # a real-diagonal path: float arithmetic on its diagonals
+        (["norms"], diagonal_job({"norms": {"decompose": True}}), None),
+        (["norms"], diagonal_job({"norms": {}}), None),
         # the path's JSON shape is checked before any path is built
         (["norms"], {"lens": {"k": 3, "weights": [1, 1]}, "path": {"random": {"segments": 0}}},
          "path.random.segments"),
@@ -878,12 +1016,14 @@ class TestMain:
     ], ids=["geodesic-file-T", "geodesic-flag-T", "lens-error", "malformed-json", "huge-T",
             "huge-k", "task-key-error", "tolerance-error", "j-lo-not-int",
             "j-lo-above-j-hi", "decompose-not-bool", "spectrum-phase-cap", "maslov-k-prime",
-            "norms-reeb-decompose", "norms-reeb", "random-zero-segments", "reeb-not-number",
+            "norms-reeb-decompose", "norms-reeb", "norms-diagonal-decompose", "norms-diagonal",
+            "random-zero-segments", "reeb-not-number",
             "piecewise-no-segments", "random-segment-cap", "piecewise-segment-cap",
             "verify-trials-cap", "verify-unknown-suite"])
     def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, field):
         # geodesic jobs and norms jobs on a Reeb path are lattice arithmetic,
-        # and these input errors stop before any matrix is decoded
+        # norms jobs on a real-diagonal path float arithmetic, and these
+        # input errors stop before any matrix is decoded
         if doc is not None:
             f = tmp_path / "job.json"
             f.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -9,7 +9,6 @@ from lenselect.geodesic import lattice_norm_report, reeb_norm_report
 from lenselect.lens import new_lens
 from lenselect.maslov import evaluate_step
 from lenselect.norms import (
-    _constant_run_end,
     geodesic_report,
     greedy_embedded_decomposition,
     is_identity_class,
@@ -30,6 +29,7 @@ from lenselect.paths import (
     reeb_path,
 )
 from lenselect.tolerances import PERIOD_SNAP_TOL
+from lenselect.torus import constant_run_end
 
 TWO_PI = 2 * math.pi
 
@@ -85,7 +85,7 @@ def _bisect_prefix(path, t):
 
 def _bisected_cut(path, pieces, slopes, commuting, t):
     """norms._next_cut with the cut bisected over is_embedded."""
-    run = _constant_run_end(path, t)
+    run = constant_run_end(path._starts, [lam for lam, _ in path._eig], t)
     if run > t + 1e-12:
         return run
     q = _bisect_prefix(path, t)
@@ -558,13 +558,25 @@ def test_reeb_norms_read_exact_selectors_at_the_snap_edge():
     for lens in REEB_LENSES:
         for T in SNAP_EDGE:
             path = reeb_path(lens, T)
-            cp = lenselect.norms._selector_pair(path)[0]
+            cp = evaluate_step(path).selector(0)
             assert cp == (TWO_PI + T) - TWO_PI < -PERIOD_SNAP_TOL
             for decompose in (False, True):
                 got = reeb_norm_report(lens, T, decompose).as_dict()
                 assert got == norm_report(reeb_path(lens, -T), decompose).as_dict()
                 assert got["nu"]["num"] == 0
                 assert norm_report(path, decompose).nu.multiple == 1
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 6: reeb_norm_report counts the snapped "
+                   "r + 1 pieces, the greedy on reeb_path one fewer just below a multiple "
+                   "of 2 pi / k on general weights")
+@pytest.mark.parametrize("k, weights, T", [(6, [1, 5], 25.132741227718345),
+                                           (5, [1, 2, 3], -30.159289473462014)])
+def test_reeb_norms_match_the_reference_below_a_snapped_multiple(k, weights, T):
+    # reeb_norm_report gives dis_upper = osc_upper = 25 here, the reference 24
+    lens = new_lens(k, weights)
+    assert (reeb_norm_report(lens, T, True).as_dict()
+            == norm_report(reeb_path(lens, T), True).as_dict())
 
 
 def test_reeb_norm_upper_bound_follows_the_snap():

@@ -200,7 +200,7 @@ class TestSpectra:
     def test_cluster_wraparound(self):
         reps, mults = cluster_phases([1e-12, TWO_PI - 1e-12, 1.0])
         assert len(reps) == 2
-        assert mults.tolist() == [2, 1]
+        assert mults == [2, 1]
 
     def test_containments(self):
         rng = np.random.default_rng(7)

@@ -1,0 +1,113 @@
+import json
+import math
+import random
+
+import pytest
+
+from lenselect import norms, torus
+from lenselect.jobs import parse_job
+from lenselect.lens import new_lens
+
+TWO_PI = 2 * math.pi
+
+# n from 1 to 8; pairwise distinct weights mod k, where every deck-commuting
+# generator is diagonal, and repeated ones, where a diagonal path is one of many
+LENSES = [(2, [1]), (3, [1, 1]), (4, [1, 3]), (5, [1, 2, 3]), (7, [1, 2, 3, 4]),
+          (9, [1, 2, 4, 5, 7]), (7, [1] * 6), (11, [1, 2, 3, 4, 5, 6, 7, 8])]
+
+
+def _entry(rng, k, kind):
+    if kind == "lattice":  # a multiple of 2 pi / k, on it or just off it
+        return rng.randint(-6, 6) * TWO_PI / k + rng.choice([-1e-10, 1e-10, -1e-13, 1e-13, 0.0])
+    return rng.uniform(0.1, 8.0) if kind == "positive" else rng.uniform(-8.0, 8.0)
+
+
+def diagonal_docs(count, seed):
+    """Seeded real-diagonal `norms` documents over LENSES: 1-5 segments of
+    mixed-sign, positive or near-lattice entries (a one-segment lattice path
+    lasts 1, so its line phases are the entries), with a zero line or all
+    lines equal one segment in five."""
+    rng = random.Random(seed)
+    docs = []
+    for i in range(count):
+        k, weights = LENSES[i % len(LENSES)]
+        n = len(weights)
+        kind = ("mixed", "positive", "lattice")[i // len(LENSES) % 3]
+        segments = rng.randint(1, 5)
+        durations = ([1.0] if segments == 1 and kind == "lattice"
+                     else [rng.uniform(0.05, 1.0) for _ in range(segments)])
+        segs = []
+        for d in durations:
+            diag = [_entry(rng, k, kind) for _ in range(n)]
+            if rng.random() < 0.2:
+                diag[rng.randrange(n)] = 0.0
+            if rng.random() < 0.2:
+                diag = [diag[0]] * n
+            gen = [[[diag[a], 0.0] if a == b else [0.0, 0.0] for b in range(n)]
+                   for a in range(n)]
+            segs.append({"generator": gen, "duration": d})
+        docs.append({"lens": {"k": k, "weights": weights},
+                     "path": {"piecewise_hermitian": {"segments": segs}}})
+    return docs
+
+
+def test_torus_norms_equal_the_numpy_reference():
+    # the arithmetic route against norms.norm_report on the UnitaryPath of
+    # the same document, with and without the greedy decomposition
+    for i, doc in enumerate(diagonal_docs(1000, seed=26)):
+        job = parse_job(doc, "norms")
+        assert job.torus is not None and job._path is None, i
+        for decompose in (False, True):
+            got = json.dumps(job.torus.norm_report(decompose).as_dict(), sort_keys=True)
+            want = json.dumps(norms.norm_report(job.path, decompose).as_dict(), sort_keys=True)
+            assert got == want, (i, decompose)
+
+
+def test_torus_decomposition_equals_the_greedy():
+    # the shared walk cuts a torus path where the numpy greedy cuts its
+    # UnitaryPath, bit for bit
+    for i, doc in enumerate(diagonal_docs(120, seed=7)):
+        job = parse_job(doc, "norms")
+        assert job.torus.decomposition() == norms.greedy_embedded_decomposition(job.path), i
+
+
+def test_torus_step_function_matches_evaluate_step():
+    # the lifted line phases give the endpoint eigenphases' clusters, and the
+    # same gap values
+    for i, doc in enumerate(diagonal_docs(120, seed=11)):
+        job = parse_job(doc, "norms")
+        tp = job.torus
+        got = torus.step_function(tp.lens, tp.phases, tp.lift)
+        want = norms.evaluate_step(job.path)
+        assert got.multiplicities == want.multiplicities, i
+        assert got.values == want.values, i
+        assert got.points == pytest.approx(want.points, rel=0, abs=1e-12), i
+
+
+@pytest.mark.parametrize("durations, phases", [
+    ([0.5, 0.25], [1.0, -0.25]),
+    # integer durations: the phases are sum_i a_ij d_i at any total
+    ([2, 2], [6.0, -4.0]),
+])
+def test_torus_path_normalization(durations, phases):
+    tp = torus.TorusPath.of(new_lens(4, [1, 3]), [[1.0, 1.0], [2.0, -3.0]], durations)
+    assert tp.starts[0] == 0.0 and tp.starts[-1] == 1.0
+    assert sum(tp.durations) == pytest.approx(1.0)
+    assert tp.phases == pytest.approx(phases)
+
+
+@pytest.mark.parametrize("diagonals, durations", [
+    ([[1.0]], [0]),
+    ([[1.0]], [-1.0]),
+    ([[1.0], [1.0]], [1e308, 1e308]),  # the total is not finite
+    ([[1e308]], [1e300]),  # an entry times the total is not
+])
+def test_torus_path_refuses_what_unitary_path_refuses(diagonals, durations):
+    assert torus.TorusPath.of(new_lens(3, [1]), diagonals, durations) is None
+
+
+def test_clip_sliver_is_one_piece_of_the_segment_at_its_midpoint():
+    starts = [0.0, 0.5, 1.0]
+    assert torus.clip(starts, 0.25, 0.75) == [(0, 0.25, 0.5), (1, 0.5, 0.75)]
+    assert torus.clip(starts, 0.5, 0.5 + 1e-16) == [(1, 0.5, 0.5 + 1e-16)]
+    assert torus.clip(starts, 0.5 - 1e-16, 0.5) == [(0, 0.5 - 1e-16, 0.5)]
