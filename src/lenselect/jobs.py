@@ -30,13 +30,17 @@ Generator entries are decoded in pure Python, each a finite JSON number.  A
 Reeb path `{"reeb": T}` is kept as its time T, and a `piecewise_hermitian`
 path whose every generator is real diagonal (every off-diagonal entry and
 imaginary part exactly 0) as its `torus.TorusPath`: each is priced in
-arithmetic (`Job.spans`) and its UnitaryPath built on the first read of
-`Job.path`.  A `norms` job reads only T (lattice arithmetic, in
-`geodesic`) or the TorusPath (float arithmetic on the diagonals, in
-`torus`).  So a `geodesic` job without a path, a `norms` job on a Reeb or
-real-diagonal path, and every input error found before a UnitaryPath is
-built run without numpy; `task.verify.suite` is checked against
-VERIFY_SUITES, so a `task.verify.*` error does not run `verify`.
+arithmetic (`Job.spans`, which also gives a `maslov` job's subdivision) and
+its UnitaryPath built on the first read of `Job.path`.  A `norms` job reads
+only T (lattice arithmetic, in `geodesic`) or the TorusPath (float
+arithmetic on the diagonals, in `torus`).  A `maslov` job on either path
+counts its based family line by line on the TorusPath (T I for a Reeb
+path), and reads `Job.path` only where that count leaves a family to the
+reference.  So a `geodesic` job without a path, a `norms` or `maslov` job
+on a Reeb or real-diagonal path (but for that fallback), and every input
+error found before a UnitaryPath is built run without numpy;
+`task.verify.suite` is checked against VERIFY_SUITES, so a `task.verify.*`
+error does not run `verify`.
 """
 
 import json
@@ -59,7 +63,7 @@ TASK_PARAMS = {
 
 # The verify suites, in the order an unknown suite's error lists them;
 # `verify.SUITES` maps each to its function.
-VERIFY_SUITES = ("thm1", "maslov_props", "norms", "geodesic", "quadratic_core")
+VERIFY_SUITES = ("thm1", "maslov_props", "norms", "geodesic", "quadratic_core", "references")
 
 # Cost caps, checked before any work starts.
 #
@@ -370,7 +374,7 @@ def _price_path(job):
     past DET_LIFT_TOL, also through the selectors' window base."""
     task, args, lens = job.task, job.args, job.lens
     if task == "maslov":
-        N = maslov.subdivision_count(job.path)
+        N = torus.subdivision_count(job.spans)
         D = (2 * N - 1) * 2 * lens.n
         size = f"{D} (N = {N} intervals)" if D < 10**9 else f"about 1e{int(math.log10(D))}"
         _require(D <= MAX_FORM_DIM, "path",
@@ -477,8 +481,14 @@ def run_job(job):
         )
 
     if task == "maslov":
-        res["subdivision_intervals"] = maslov.subdivision_count(job.path)
-        res["mu"] = maslov.maslov_index(job.path)
+        # a path of diagonal unitaries counts its based family line by line,
+        # in torus; the numpy reference counts every other path, and every
+        # family the line count leaves open
+        line_path = (job.torus if job.reeb is None
+                     else torus.TorusPath.of(lens, [[job.reeb] * lens.n], [1.0]))
+        mu = None if line_path is None else line_path.maslov_index()
+        res["subdivision_intervals"] = torus.subdivision_count(job.spans)
+        res["mu"] = maslov.maslov_index(job.path) if mu is None else mu
         report["provenance"].append(
             "mu = ind(F_0) - ind(F_1) over a based family of generating functions; "
             "ind(F_0) = 2nN asserted as a self-check"

@@ -29,6 +29,12 @@ does, by `sharp` over the `cayley_gf` factors; with `quadratic.index` it is
 the reference, and the fallback when the bracket does not certify a count
 or N = 1.
 
+On a path of diagonal unitaries (a Reeb path, or a real-diagonal one) F_t
+is the direct sum of n one-line chains, and `torus.TorusPath.maslov_index`
+counts each in closed form: `torus.line_count` is `_shifted_counts` at
+n = 1.  `BasedFamily` is its reference, and the `maslov` job falls back to
+it wherever a pivot would be carried or the two cuts disagree.
+
 Closed form (the step function).  On the universal cover of U(n) a path class
 is fixed by its endpoint together with the lift of arg det, and for a
 piecewise path that lift is exactly L = sum_i tr(A_i) d_i.  Reeb-shifting by
@@ -46,45 +52,15 @@ the two on seeded random paths at runtime.
 """
 
 import functools
-import math
 
 import numpy as np
 
 from .paths import reeb_shift, _eigenphases, _restrict_pieces, _speed
 from .quadratic import NULL_TOL, cayley_gf, cayley_hermitian, index, sharp
-from .torus import step_function
+from .torus import ELIM_PIVOT, MAX_TRAVEL, NULL_BRACKET, segment_parts, step_function
 
-# Phase travel per subdivision interval; keeps ||V - I|| <= sqrt(2), i.e.
-# transition eigenvalues in the closed right half-circle, so tan(theta/2) <= 1
-# and the Cayley blocks, with eigenvalues 2 tan(theta/2), have norm <= 2.
-MAX_TRAVEL = math.pi / 2
-
-# `BasedFamily.index_at` counts the eigenvalues of the Maslov form H below the
-# null cut by block elimination of H - cI (`_shifted_counts`).
-#
-# ELIM_PIVOT: pivot eigenvalues with |lambda| below it are carried, not
-# divided by.  Every block of H has norm <= 2 (the Cayley blocks because
-# MAX_TRAVEL keeps their eigenvalues 2 tan(theta/2) in [-2, 2], the couplings
-# because they are +-2i I), and a level's fiber couples to its new base
-# through B with ||B|| = 2 sqrt(2).  So an elimination adds at most
-# ||B||^2 / ELIM_PIVOT = 8 / ELIM_PIVOT to the next front, and every pivot P
-# has ||P|| <= 8 / ELIM_PIVOT + 7.  eigh and the Schur update are backward
-# stable, and a perturbation of a Schur complement is one of the same size in
-# the block of H it lands on, so to first order the count is exact for some
-# H + E with ||E|| <= 2 d u ||P||, d = 2n + r the pivot size (r carried) and
-# u = 2^-53 (levels overlap only in their shared base).  At 1e-3 and d <= 24
-# (n = 8 with up to 8 carried) that is ||E|| <= 4.3e-11.
-#
-# NULL_BRACKET (kappa): the dense cut NULL_TOL * max |lambda(H)| lies in
-# [NULL_TOL s_lo, NULL_TOL s_hi] with s_lo = 2; the counts are taken at
-# NULL_TOL s_lo / kappa and NULL_TOL s_hi kappa.  Equal counts decide the
-# dense count while the guard band NULL_TOL s_lo (1 - 1/kappa) = 1e-8 exceeds
-# ||E|| plus the dense eigvalsh's own backward error (about D u s_hi <= 1e-12
-# at D = 2048, `jobs.MAX_FORM_DIM`), here by more than 200x.  A larger kappa
-# widens the window [1e-8, 1.6e-7] (s_hi = 8) in which an eigenvalue of H
-# sends the count to the dense fallback.
-ELIM_PIVOT = 1e-3
-NULL_BRACKET = 2.0
+# MAX_TRAVEL, ELIM_PIVOT and NULL_BRACKET, and the derivations of their
+# values, are in `torus`, which prices a path without numpy.
 
 
 class BasedFamily:
@@ -252,22 +228,6 @@ def _with_carry(X, W, mu):
     return M
 
 
-def _segment_parts(lam, d):
-    """ceil(||A|| d / (pi/2)), at least 1, for a segment of duration d whose
-    generator A has eigenvalues lam, so ||A|| = max |lam|; `UnitaryPath`
-    keeps ||A|| d finite."""
-    return max(1, math.ceil(_speed(lam) * d / MAX_TRAVEL - 1e-12))
-
-
-def subdivision_count(path):
-    """N, the number of intervals `subdivide(path)` makes, by arithmetic alone.
-
-    The based family's form has dimension D = (2N - 1) * 2n, so this prices a
-    `maslov_index` call before any form is built.
-    """
-    return sum(_segment_parts(lam, d) for (lam, _), (_, d) in zip(path._eig, path.segments))
-
-
 def subdivide(path):
     """Breakpoints with phase travel <= pi/2 per interval.
 
@@ -275,9 +235,9 @@ def subdivide(path):
     into ceil(||A|| d / (pi/2)) parts.
     """
     pts = [0.0]
-    for i, ((lam, _), (_, d)) in enumerate(zip(path._eig, path.segments)):
+    for i, (travel, _) in enumerate(path.spans):
         a, b = path._starts[i], path._starts[i + 1]
-        parts = _segment_parts(lam, d)
+        parts = segment_parts(travel)
         for j in range(1, parts + 1):
             pts.append(a + (b - a) * j / parts)
     pts[-1] = 1.0

@@ -1,5 +1,5 @@
-"""The diagonal torus, and the numpy-free rules of the step function and
-of the commuting greedy.
+"""The diagonal torus: the numpy-free rules of the step function and of the
+commuting greedy, and the based family's index on the torus.
 
 When the weights are pairwise distinct mod k, every weight class is one
 coordinate, so the Hermitian generators that commute with the deck action
@@ -8,10 +8,12 @@ are exactly the real diagonal matrices: every path over such a lens
 unitaries.  Its eigenlines are the coordinates, line j turns at the speed
 (A_i)_jj on segment i, and no eigenproblem is needed.  A `TorusPath` holds
 such a path as those numbers and answers the `norms` task from them,
-without numpy.  `jobs` keeps every `piecewise_hermitian` path whose
-generators are real diagonal (every off-diagonal entry and imaginary part
-exactly 0) as a TorusPath, on any lens; on a lens with pairwise distinct
-weights mod k, that is every exactly deck-commuting explicit path.
+without numpy, and the `maslov` task wherever its line-by-line count
+decides.  `jobs` keeps every `piecewise_hermitian` path whose generators
+are real diagonal (every off-diagonal entry and imaginary part exactly 0)
+as a TorusPath, on any lens; on a lens with pairwise distinct weights mod
+k, that is every exactly deck-commuting explicit path.  A Reeb path T I is
+one too, for its `maslov` job.
 
 The rules below are functions of plain floats, and the numpy route calls
 the same ones: `maslov.evaluate_step` feeds `step_function` the endpoint
@@ -23,6 +25,14 @@ feeds them its lifted line phases and its diagonals.  Each rule makes the
 float operations of the numpy code it replaced, in the same order (`np.mod`
 is `%` on floats, `np.searchsorted(side="right")` is `bisect_right`), so
 selectors, spectra and verify reports are unchanged.
+
+On a path of diagonal unitaries every block of the based family F_t of
+`maslov` is diagonal, so F_t is the direct sum of n one-line chains and its
+inertia is the sum of theirs (Sylvester's law).  `line_count` is
+`maslov._shifted_counts` at n = 1, in closed form; `maslov.BasedFamily`
+stays its reference, and decides every count whose pivot `_shifted_counts`
+would carry or whose two cuts disagree.  The subdivision's price and its
+constants live here, so `jobs` reads them without numpy.
 """
 
 import cmath
@@ -32,7 +42,7 @@ from collections import namedtuple
 from itertools import accumulate
 
 from .lens import TWO_PI
-from .tolerances import DET_LIFT_TOL, PHASE_CLUSTER_TOL
+from .tolerances import DET_LIFT_TOL, NULL_TOL, PHASE_CLUSTER_TOL
 
 # --- the step function ---
 
@@ -338,6 +348,107 @@ def norm_report(ev, identity_endpoint, decomposition=None):
     return lattice_norm_report(lens, cp, cm, identity, dis_upper, osc_upper)
 
 
+# --- the based family ---
+
+# Phase travel per subdivision interval; keeps ||V - I|| <= sqrt(2), i.e.
+# transition eigenvalues in the closed right half-circle, so tan(theta/2) <= 1
+# and the Cayley blocks, with eigenvalues 2 tan(theta/2), have norm <= 2.
+MAX_TRAVEL = math.pi / 2
+
+# `maslov.BasedFamily.index_at` counts the eigenvalues of the Maslov form H
+# below the null cut by block elimination of H - cI (`maslov._shifted_counts`,
+# and `line_count` on one line).
+#
+# ELIM_PIVOT: pivot eigenvalues with |lambda| below it are carried, not
+# divided by.  Every block of H has norm <= 2 (the Cayley blocks because
+# MAX_TRAVEL keeps their eigenvalues 2 tan(theta/2) in [-2, 2], the couplings
+# because they are +-2i I), and a level's fiber couples to its new base
+# through B with ||B|| = 2 sqrt(2).  So an elimination adds at most
+# ||B||^2 / ELIM_PIVOT = 8 / ELIM_PIVOT to the next front, and every pivot P
+# has ||P|| <= 8 / ELIM_PIVOT + 7.  eigh and the Schur update are backward
+# stable, and a perturbation of a Schur complement is one of the same size in
+# the block of H it lands on, so to first order the count is exact for some
+# H + E with ||E|| <= 2 d u ||P||, d = 2n + r the pivot size (r carried) and
+# u = 2^-53 (levels overlap only in their shared base).  At 1e-3 and d <= 24
+# (n = 8 with up to 8 carried) that is ||E|| <= 4.3e-11.
+#
+# NULL_BRACKET (kappa): the dense cut NULL_TOL * max |lambda(H)| lies in
+# [NULL_TOL s_lo, NULL_TOL s_hi] with s_lo = 2; the counts are taken at
+# NULL_TOL s_lo / kappa and NULL_TOL s_hi kappa.  Equal counts decide the
+# dense count while the guard band NULL_TOL s_lo (1 - 1/kappa) = 1e-8 exceeds
+# ||E|| plus the dense eigvalsh's own backward error (about D u s_hi <= 1e-12
+# at D = 2048, `jobs.MAX_FORM_DIM`), here by more than 200x.  A larger kappa
+# widens the window [1e-8, 1.6e-7] (s_hi = 8) in which an eigenvalue of H
+# sends the count to the dense fallback.
+ELIM_PIVOT = 1e-3
+NULL_BRACKET = 2.0
+
+
+def segment_parts(travel):
+    """ceil(travel / (pi/2)), at least 1: the intervals `maslov.subdivide`
+    splits a segment with this phase travel ||A|| d into."""
+    return max(1, math.ceil(travel / MAX_TRAVEL - 1e-12))
+
+
+def subdivision_count(spans):
+    """N, the intervals of `maslov.subdivide` over a path with these
+    per-segment (phase travel, diagonal size) spans (`UnitaryPath.spans`,
+    `jobs.Job.spans`).  The based family's form has dimension
+    D = (2N - 1) 2n, so this prices a `maslov` job before any form is built."""
+    return sum(segment_parts(travel) for travel, _ in spans)
+
+
+def line_count(cayley, cut):
+    """Nonpositive inertia of H - cut for one line of a diagonal family:
+    `maslov._shifted_counts` at n = 1, on the Cayley values of the line's N
+    transitions (N >= 2), or None where a pivot eigenvalue lies within
+    ELIM_PIVOT of 0, the direction `_shifted_counts` would carry.
+
+    Level m's pivot [[f, 2i], [-2i, s]] (f the front, s = c_m - cut) has
+    the eigenvalues (f + s)/2 +- hypot((f - s)/2, 2), and its Schur
+    complement onto the new base is -cut - 4 (f + s) / (f s - 4).
+    """
+    front, count = cayley[0] - cut, 0
+    for c in cayley[1:]:
+        s = c - cut
+        mid, rad = (front + s) / 2.0, math.hypot((front - s) / 2.0, 2.0)
+        pivots = (mid - rad, mid + rad)
+        det = front * s - 4.0  # their product, off 0 past the check but for roundoff
+        if min(map(abs, pivots)) < ELIM_PIVOT or det == 0.0:
+            return None
+        count += sum(lam <= -ELIM_PIVOT for lam in pivots)
+        front = -cut - 4.0 * (front + s) / det
+    return count + (front <= 0)
+
+
+def family_index(cayley):
+    """ind(F_t) of a diagonal based family, from the Cayley values of its
+    transitions at t, one list of N per line: the count
+    `maslov.BasedFamily.index_at` makes, or None where it is left to it.
+
+    With N >= 2 the lines are counted at `index_at`'s two cuts, and equal
+    totals are the count.  With N = 1 the dense rule of `quadratic.index`
+    reads the values themselves.  They are rounded otherwise than numpy's
+    Cayley transform rounds them, so a value within a relative 1e-12 of the
+    rule's cut, or a largest |value| that close to its 1e-14 floor, is
+    left to it.
+    """
+    values = [c for line in cayley for c in line]
+    top = max(map(abs, values))
+    if len(cayley[0]) == 1:
+        scale = top if top >= 1e-14 else 1.0
+        cut = NULL_TOL * scale
+        if abs(top - 1e-14) <= 1e-26 or any(abs(c - cut) <= 1e-12 * cut for c in values):
+            return None
+        return 2 * sum(c <= cut for c in values)
+    s_hi = max(8.0, 4.0 + top)
+    lo, hi = ([line_count(line, cut) for line in cayley]
+              for cut in (NULL_TOL * 2.0 / NULL_BRACKET, NULL_TOL * s_hi * NULL_BRACKET))
+    if None in lo or None in hi or sum(lo) != sum(hi):
+        return None
+    return 2 * sum(lo)
+
+
 # --- paths in the torus ---
 
 
@@ -418,3 +529,22 @@ class TorusPath(namedtuple("TorusPath", "lens durations slopes starts")):
         ev = step_function(self.lens, self.phases, self.lift)
         return norm_report(ev, self.is_identity_endpoint,
                            self.decomposition() if decompose else None)
+
+    def maslov_index(self):
+        """`maslov.maslov_index` of the path, line by line, or None where
+        `family_index` leaves a count to the reference.  Over `maslov.
+        subdivide`'s intervals, transition m turns line j by its phase step
+        on the interval, Delta, with the Cayley value 2 tan(Delta/2) at
+        t = 1 and 0 at t = 0; ind(F_0) = 2nN is the same self-check."""
+        steps = []  # per interval, the phase step of each line
+        for row, d, (travel, _) in zip(self.slopes, self.durations, self.spans):
+            parts = segment_parts(travel)
+            steps += [[a * d / parts for a in row]] * parts
+        n, N = self.lens.n, len(steps)
+        i0 = family_index([[0.0] * N] * n)
+        if i0 is not None and i0 != 2 * n * N:
+            raise AssertionError(
+                f"based-family self-check failed: ind(F_0) = {i0} != {2 * n * N}")
+        i1 = family_index([[2.0 * math.tan(step[j] / 2.0) for step in steps]
+                           for j in range(n)])
+        return None if i0 is None or i1 is None else i0 - i1

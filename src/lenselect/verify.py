@@ -18,11 +18,13 @@ from .lens import TWO_PI, new_lens
 from .maslov import evaluate_step, maslov_index, maslov_shifted, subdivide
 from .norms import (
     greedy_embedded_decomposition,
+    norm_report,
     nu,
     nu_star,
     selector_lower_bounds,
 )
 from .paths import (
+    UnitaryPath,
     action_spectrum,
     append_segment,
     conjugate_path,
@@ -48,6 +50,7 @@ from .quadratic import (
     zero_form,
 )
 from .selectors import c_minus, c_plus, selector, selector_range, time_function
+from .torus import TorusPath, subdivision_count
 
 
 def _lens_set():
@@ -702,6 +705,77 @@ def suite_geodesic(trials, seed):
             b = selector_lower_bounds(p)
             ck.record(0 if b["dis"] == m + 1 and b["osc"] == m else -1,
                       {"k": k, "m": m})
+    checks.append(ck)
+
+    return checks
+
+
+# --- references ---
+
+# Lenses for the fast paths: equal, repeated and pairwise distinct weights.
+TORUS_LENSES = [(2, [1]), (3, [1, 1]), (4, [1, 3]), (5, [1, 2, 3]), (7, [1, 2, 3, 4])]
+
+
+def _diagonal_path(rng, bound):
+    """A seeded path in the diagonal torus, as (lens, diagonals,
+    durations): one time in three a Reeb path T I of duration 1, T a
+    multiple of pi/2 in [-6 pi, 6 pi] on or just off it; otherwise 1-4
+    segments with entries in [-bound, bound] and, one time in five, a zero
+    line."""
+    k, weights = TORUS_LENSES[int(rng.integers(0, len(TORUS_LENSES)))]
+    lens, n = new_lens(k, weights), len(weights)
+    if rng.integers(0, 3) == 0:
+        off = float(rng.choice([0.0, 1e-13, -1e-9, 1e-6]))
+        return lens, [[int(rng.integers(-12, 13)) * math.pi / 2 + off] * n], [1.0]
+    segments = int(rng.integers(1, 5))
+    diagonals = rng.uniform(-bound, bound, size=(segments, n))
+    if rng.integers(0, 5) == 0:
+        diagonals[:, int(rng.integers(0, n))] = 0.0
+    return lens, diagonals.tolist(), rng.uniform(0.05, 1.0, size=segments).tolist()
+
+
+def _torus_pair(lens, diagonals, durations):
+    """The TorusPath of a diagonal path and the UnitaryPath `jobs` builds
+    from the same numbers."""
+    unitary = UnitaryPath(lens, [(np.diag(np.array(row, dtype=complex)), d)
+                                 for row, d in zip(diagonals, durations)])
+    return TorusPath.of(lens, diagonals, durations), unitary
+
+
+def suite_references(trials, seed):
+    """Each numpy-free fast path against the numpy reference it stands in
+    for, on seeded paths."""
+    checks = []
+
+    ck = Check("torus-maslov",
+               "on a diagonal path (Reeb paths T I among them), the line-by-line "
+               "mu and N equal maslov_index and subdivide's; a count left to "
+               "the reference is no failure")
+    rng = _rng(seed, "torus-maslov")
+    cases = [(new_lens(2, [1, 1]), [[TWO_PI] * 2], [1.0])]  # a lattice Reeb time
+    cases += [_diagonal_path(rng, 40.0) for _ in range(2 * trials)]
+    for lens, diagonals, durations in cases:
+        fast, ref = _torus_pair(lens, diagonals, durations)
+        mu, want = fast.maslov_index(), maslov_index(ref)
+        ok = mu in (None, want) and subdivision_count(fast.spans) == len(subdivide(ref)) - 1
+        ck.record(0 if ok else -1, {"k": lens.k, "diagonals": diagonals,
+                                    "durations": durations, "mu": mu, "want": want})
+    checks.append(ck)
+
+    ck = Check("torus-norms",
+               "on a diagonal path (Reeb paths T I among them), "
+               "TorusPath.norm_report equals norm_report of its UnitaryPath, "
+               "decompose off and on")
+    rng = _rng(seed, "torus-norms")
+    for _ in range(trials):
+        lens, diagonals, durations = _diagonal_path(rng, 8.0)
+        fast, ref = _torus_pair(lens, diagonals, durations)
+        for decompose in (False, True):
+            got = fast.norm_report(decompose).as_dict()
+            want = norm_report(ref, decompose).as_dict()
+            ck.record(0 if got == want else -1, {"k": lens.k, "diagonals": diagonals,
+                                                 "durations": durations,
+                                                 "decompose": decompose})
     checks.append(ck)
 
     return checks

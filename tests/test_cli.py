@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import lenselect
-from lenselect import jobs, maslov, verify
+from lenselect import jobs, maslov, torus, verify
 from lenselect.cli import main
 from lenselect.jobs import (MAX_LENS_PHASES, TASK_PARAMS, JobError, parse_job, render_table,
                             run_job, serialize)
@@ -101,6 +101,34 @@ def generator_calls(draw):
     command = draw(st.sampled_from(["maslov", "selectors", "spectrum", "norms"]))
     return [command, "-"], {"lens": {"k": k, "weights": weights},
                             "path": {"piecewise_hermitian": {"segments": segs}}}
+
+
+# A phase near a multiple of pi/2 (a lattice Reeb time when the multiple is
+# even), on it, just off it or up to 1 away: from 300 quarter turns on, a
+# Reeb path over L_3(1,1) is past the form cap.
+NEAR_QUARTER_TURN = st.tuples(
+    st.integers(-300, 300),
+    st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9, 1e-6, -1e-6]) | st.floats(-1, 1),
+).map(lambda m_off: m_off[0] * math.pi / 2 + m_off[1])
+
+
+@st.composite
+def torus_maslov_docs(draw):
+    """A `maslov` document on a Reeb path or a real-diagonal path of 1-3
+    segments, with times and entries NEAR_QUARTER_TURN."""
+    k, weights = draw(st.sampled_from([(2, [1]), (2, [1, 1]), (3, [1, 1]), (5, [1, 2, 3]),
+                                       (7, [1, 2, 3, 4])]))
+    doc = {"lens": {"k": k, "weights": weights}}
+    if draw(st.booleans()):
+        return {**doc, "path": {"reeb": draw(NEAR_QUARTER_TURN)}}
+    n = len(weights)
+    diagonals = draw(st.lists(st.lists(NEAR_QUARTER_TURN, min_size=n, max_size=n),
+                              min_size=1, max_size=3))
+    durations = draw(st.lists(st.sampled_from([1.0, 0.5]) | st.floats(0.1, 2),
+                              min_size=len(diagonals), max_size=len(diagonals)))
+    return {**doc, "path": hermitian_path(
+        *[[[x if a == b else 0.0 for b in range(n)] for a, x in enumerate(diag)]
+          for diag in diagonals], durations=durations)}
 
 
 SEGMENT = st.fixed_dictionaries({"generator": _or_any(st.integers(1, 3).flatmap(_generator))},
@@ -452,12 +480,24 @@ class TestMain:
 
         monkeypatch.setattr(maslov, "maslov_index", failing)
         f = tmp_path / "job.json"
-        f.write_text(json.dumps(reeb_job(2, [1, 1], 1.0)))
+        f.write_text(json.dumps({"lens": {"k": 3, "weights": [1, 1]},
+                                 "path": {"random": {"seed": 1}}}))
         assert main(["maslov", str(f)]) == 3
         out, err = capsys.readouterr()
         assert out == ""
         assert err == "internal error: ind(F_0) = 3, expected 2nN = 4\n"
         assert "Traceback" not in err
+
+    def test_line_count_self_check_exit_three(self, tmp_path, capsys, monkeypatch):
+        # a Reeb path counts its family line by line, with the reference's
+        # ind(F_0) = 2nN self-check (N = 1, n = 2)
+        monkeypatch.setattr(torus, "family_index", lambda cayley: 3)
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(reeb_job(2, [1, 1], 1.0)))
+        assert main(["maslov", str(f)]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "internal error: based-family self-check failed: ind(F_0) = 3 != 4\n"
 
     def test_stdin(self, tmp_path, capsys, monkeypatch):
         import io
@@ -814,13 +854,23 @@ class TestMain:
         # D = 1023 * 2 = 2046 <= MAX_FORM_DIM; any more travel makes N = 513
         assert (2 * 512 - 1) * 2 <= jobs.MAX_FORM_DIM < (2 * 513 - 1) * 2
         lens = {"k": 3, "weights": [1]}
-        at_cap = parse_job({"lens": lens, "path": hermitian_path([[256 * math.pi]])})
-        assert maslov.subdivision_count(at_cap.path) == 512
+        at_cap = {"lens": lens, "path": hermitian_path([[256 * math.pi]])}
+        assert torus.subdivision_count(parse_job(at_cap).spans) == 512
         f = tmp_path / "job.json"
+        # a real-diagonal path: its line count leaves the lattice to the reference
+        f.write_text(json.dumps(at_cap))
+        assert main(["maslov", str(f)]) == 0
+        assert json.loads(capsys.readouterr().out)["results"]["mu"] == 256
         f.write_text(json.dumps({"lens": lens,
                                  "path": hermitian_path([[256 * math.pi + 1e-9]])}))
         assert main(["maslov", str(f)]) == 2
         assert "dimension 2050 (N = 513 intervals)" in capsys.readouterr().err
+        # a Reeb path is priced from T alone
+        f.write_text(json.dumps(reeb_job(3, [1, 1], 1e4)))
+        assert main(["maslov", str(f)]) == 2
+        assert capsys.readouterr().err == (
+            "error: path: the Maslov form needs dimension 50932 (N = 6367 intervals), "
+            "more than 2048\n")
 
     def test_spectrum_at_phase_cap_runs(self, tmp_path, capsys):
         k = MAX_LENS_PHASES // 2
@@ -888,6 +938,25 @@ class TestMain:
         else:
             assert code in (0, 2)
 
+    @given(doc=torus_maslov_docs())
+    @settings(max_examples=60, deadline=None)
+    def test_line_count_maslov_jobs_match_the_reference(self, doc):
+        # a Reeb or real-diagonal maslov job answers with the reference's mu,
+        # by the line count or by falling back to the reference, or exits 2
+        # past the form cap; a singular pivot (f s - 4 = 0 at a lattice
+        # time) is a fallback, never a raise
+        stdin = type("S", (), {"buffer": io.BytesIO(json.dumps(doc).encode())})()
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = main(["maslov", "-"])
+        assert code in (0, 2), err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith("error: path: the Maslov form needs dimension")
+            return
+        mu = json.loads(out.getvalue())["results"]["mu"]
+        assert mu == maslov.maslov_index(parse_job(doc, "maslov").path)
+
     def test_jobs_do_not_import_scipy(self, tmp_path):
         # scipy.linalg is loaded only by the product-path log; none of these
         # jobs builds a product path
@@ -950,6 +1019,9 @@ class TestMain:
         # a path in the diagonal torus: its norms are float arithmetic, in torus
         ("norms", diagonal_job({"norms": {"decompose": True}}), 0,
          ["quadratic", "paths", "maslov", "selectors", "norms", "verify"]),
+        # and its based family is counted line by line, in torus
+        ("maslov", diagonal_job(), 0,
+         ["quadratic", "paths", "maslov", "selectors", "norms", "verify"]),
     ])
     def test_job_runs_only_the_modules_it_calls(self, tmp_path, command, doc, code, unrun):
         # and none of them imports dataclasses (with inspect, ast and dis
@@ -994,6 +1066,15 @@ class TestMain:
         # a real-diagonal path: float arithmetic on its diagonals
         (["norms"], diagonal_job({"norms": {"decompose": True}}), None),
         (["norms"], diagonal_job({"norms": {}}), None),
+        # a Reeb or real-diagonal maslov job counts its family line by line,
+        # and is priced from its spans, also at and past the form cap
+        (["maslov"], reeb_job(3, [1, 1], 20.283), None),
+        (["maslov"], diagonal_job(), None),
+        (["maslov"], {"lens": {"k": 3, "weights": [1]},
+                      "path": hermitian_path([[256 * math.pi - 0.5]])}, None),
+        (["maslov"], reeb_job(3, [1, 1], 1e4), "path"),
+        (["maslov"], {"lens": {"k": 3, "weights": [1]},
+                      "path": hermitian_path([[256 * math.pi + 1e-9]])}, "path"),
         # the path's JSON shape is checked before any path is built
         (["norms"], {"lens": {"k": 3, "weights": [1, 1]}, "path": {"random": {"segments": 0}}},
          "path.random.segments"),
@@ -1017,13 +1098,16 @@ class TestMain:
             "huge-k", "task-key-error", "tolerance-error", "j-lo-not-int",
             "j-lo-above-j-hi", "decompose-not-bool", "spectrum-phase-cap", "maslov-k-prime",
             "norms-reeb-decompose", "norms-reeb", "norms-diagonal-decompose", "norms-diagonal",
+            "maslov-reeb", "maslov-diagonal", "maslov-diagonal-at-form-cap",
+            "maslov-reeb-over-form-cap", "maslov-diagonal-over-form-cap",
             "random-zero-segments", "reeb-not-number",
             "piecewise-no-segments", "random-segment-cap", "piecewise-segment-cap",
             "verify-trials-cap", "verify-unknown-suite"])
     def test_arithmetic_jobs_load_no_numpy(self, tmp_path, argv, doc, field):
         # geodesic jobs and norms jobs on a Reeb path are lattice arithmetic,
-        # norms jobs on a real-diagonal path float arithmetic, and these
-        # input errors stop before any matrix is decoded
+        # norms and maslov jobs on a real-diagonal path float arithmetic (so
+        # are maslov jobs on a Reeb path), and these input errors stop
+        # before any matrix is decoded
         if doc is not None:
             f = tmp_path / "job.json"
             f.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -11,7 +11,6 @@ from lenselect.maslov import (
     maslov_index,
     maslov_shifted,
     subdivide,
-    subdivision_count,
 )
 from lenselect.paths import (
     UnitaryPath,
@@ -27,6 +26,7 @@ from lenselect.quadratic import (
     index,
     realify,
 )
+from lenselect.torus import subdivision_count
 
 TWO_PI = 2 * math.pi
 
@@ -74,14 +74,14 @@ class TestSubdivide:
         UnitaryPath(L2, [(np.diag([math.pi / 2, 0.0]), 1.0), (np.eye(2) * 7.0, 2.0)]),
     ])
     def test_count_matches_breakpoints(self, p):
-        assert subdivision_count(p) == len(subdivide(p)) - 1
+        assert subdivision_count(p.spans) == len(subdivide(p)) - 1
 
     @pytest.mark.parametrize("n", [1, 2, 4, 8])
     def test_reeb_quarter_turns(self, n):
         # ||A|| d = |m| pi/2 sits on an integer boundary of the ceiling
         lens = new_lens(3, [1] * n)
         for m in range(-40, 41):
-            assert subdivision_count(reeb_path(lens, m * math.pi / 2)) == max(abs(m), 1), m
+            assert subdivision_count(reeb_path(lens, m * math.pi / 2).spans) == max(abs(m), 1), m
 
     def test_count_matches_operator_norm(self):
         # the counts read the eigenvalues of UnitaryPath; the reference takes
@@ -95,7 +95,7 @@ class TestSubdivide:
                 max(1, math.ceil(np.linalg.norm(A, 2) * d / (math.pi / 2) - 1e-12))
                 for A, d in p.segments
             )
-            assert subdivision_count(p) == expected, i
+            assert subdivision_count(p.spans) == expected, i
 
 
 class TestBasedFamily:
@@ -169,7 +169,9 @@ class TestIndexAt:
                               "path": {"reeb": 25.0}, "task": {"maslov": {}}})
         assert BasedFamily(job.path).N > 1
         built = count_calls(monkeypatch, BasedFamily, "form_at")
+        # the job counts the Reeb path line by line; its reference certifies too
         assert jobs.run_job(job)["results"]["mu"] == 2 * lens.n * math.ceil(25.0 / TWO_PI)
+        assert maslov_index(job.path) == 2 * lens.n * math.ceil(25.0 / TWO_PI)
         assert built == []
 
     def test_bracket_disagreement_falls_back_to_dense(self, monkeypatch):

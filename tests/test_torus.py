@@ -2,11 +2,14 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
-from lenselect import norms, torus
+from lenselect import maslov, norms, torus
 from lenselect.jobs import parse_job
 from lenselect.lens import new_lens
+from lenselect.paths import UnitaryPath
+from lenselect.quadratic import NULL_TOL, cayley_hermitian
 
 TWO_PI = 2 * math.pi
 
@@ -111,3 +114,97 @@ def test_clip_sliver_is_one_piece_of_the_segment_at_its_midpoint():
     assert torus.clip(starts, 0.25, 0.75) == [(0, 0.25, 0.5), (1, 0.5, 0.75)]
     assert torus.clip(starts, 0.5, 0.5 + 1e-16) == [(1, 0.5, 0.5 + 1e-16)]
     assert torus.clip(starts, 0.5 - 1e-16, 0.5) == [(0, 0.5 - 1e-16, 0.5)]
+
+
+def maslov_paths(count, seed):
+    """Seeded paths in the diagonal torus over LENSES, as (lens, diagonals,
+    durations): one in six a Reeb path T I at T = 2 pi m, on it or 1e-13,
+    1e-9 or 1e-6 off it; one in fifty the identity path; otherwise 1-4
+    segments with entries in [-40, 40], with a zero line one segment in
+    five."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k, weights = LENSES[i % len(LENSES)]
+        lens, n = new_lens(k, weights), len(weights)
+        if i % 6 == 5:
+            T = rng.randint(-3, 3) * TWO_PI + rng.choice([0.0, 1e-13, -1e-13, 1e-9, -1e-9,
+                                                          1e-6, -1e-6])
+            yield lens, [[T] * n], [1.0]
+        elif i % 50 == 7:
+            yield lens, [[0.0] * n], [1.0]
+        else:
+            diagonals = [[rng.uniform(-40, 40) for _ in range(n)]
+                         for _ in range(rng.randint(1, 4))]
+            for diag in diagonals:
+                if rng.random() < 0.2:
+                    diag[rng.randrange(n)] = 0.0
+            yield lens, diagonals, [rng.uniform(0.05, 1.0) for _ in diagonals]
+
+
+def unitary_path(lens, diagonals, durations):
+    """The UnitaryPath `jobs` builds from the same numbers."""
+    return UnitaryPath(lens, [(np.diag(np.array(row, dtype=complex)), d)
+                              for row, d in zip(diagonals, durations)])
+
+
+def test_torus_maslov_equals_the_reference():
+    # mu and N line by line against maslov_index and subdivide on the
+    # UnitaryPath; a count left to the reference is a fallback, and most of
+    # those are Reeb paths on or near the lattice, where a pivot is singular
+    fallbacks = reeb_fallbacks = 0
+    for i, (lens, diagonals, durations) in enumerate(maslov_paths(1000, seed=27)):
+        path = torus.TorusPath.of(lens, diagonals, durations)
+        ref = unitary_path(lens, diagonals, durations)
+        assert torus.subdivision_count(path.spans) == len(maslov.subdivide(ref)) - 1, i
+        mu = path.maslov_index()
+        if mu is None:
+            fallbacks += 1
+            reeb_fallbacks += i % 6 == 5
+        else:
+            assert mu == maslov.maslov_index(ref), i
+    # 103 of the 166 Reeb paths, and 14 of the 834 others
+    assert (fallbacks, reeb_fallbacks) == (117, 103)
+
+
+def test_line_count_is_shifted_counts_on_one_line():
+    # fed numpy's own Cayley stacks of a diagonal family, at t = 0, 1 and
+    # inside the path, the lines' counts add up to _shifted_counts' at both
+    # of index_at's cuts
+    answered = 0
+    for i, (lens, diagonals, durations) in enumerate(maslov_paths(240, seed=5)):
+        fam = maslov.BasedFamily(unitary_path(lens, diagonals, durations))
+        if fam.N < 2:
+            continue
+        for t in (0.0, 1.0, random.Random(i).random()):
+            C = cayley_hermitian(fam.transitions(t))
+            s_hi = max(8.0, 4.0 + float(np.abs(C).sum(axis=-1).max()))
+            cuts = NULL_TOL * np.array([2.0 / maslov.NULL_BRACKET, s_hi * maslov.NULL_BRACKET])
+            want = maslov._shifted_counts(C, cuts)
+            for cut, count in zip(cuts.tolist(), want):
+                lines = [torus.line_count(C[:, j, j].real.tolist(), cut) for j in range(lens.n)]
+                if None not in lines:
+                    answered += 1
+                    assert sum(lines) == count, (i, t, cut)
+    assert answered == 1250  # of 1356 (path, t, cut); the rest carry a direction
+
+
+def test_lattice_reeb_time_falls_back_to_the_reference():
+    # L_2(1,1), T = 2 pi: the second partial product is -I, a singular pivot
+    lens = new_lens(2, [1, 1])
+    assert torus.TorusPath.of(lens, [[TWO_PI] * 2], [1.0]).maslov_index() is None
+    assert maslov.maslov_index(unitary_path(lens, [[TWO_PI] * 2], [1.0])) == 4
+
+
+def test_singular_pivot_is_a_fallback_not_a_division_by_zero():
+    # f s - 4 = 0: the pivot [[2, 2i], [-2i, 2]] has the eigenvalues 0 and 4
+    assert torus.line_count([2.0, 2.0], 0.0) is None
+
+
+def test_dense_rule_near_ties_are_left_to_the_reference():
+    # N = 1: numpy rounds the Cayley values otherwise, so a value at the
+    # dense cut, or a largest |value| at the 1e-14 floor, could count either way
+    c = 2 * math.tan(0.5)
+    assert torus.family_index([[c], [NULL_TOL * c]]) is None
+    assert torus.family_index([[1e-14], [0.0]]) is None
+    assert torus.family_index([[c], [0.5 * NULL_TOL * c]]) == 2
+    assert torus.family_index([[2e-14], [0.0]]) == 2
