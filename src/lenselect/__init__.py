@@ -34,8 +34,8 @@ _PUBLIC = {
                      "inverse_path", "product_path", "conjugate_path", "append_segment",
                      "random_path", "action_spectrum", "translated_points",
                      "is_embedded"), "paths"),
-    **dict.fromkeys(("maslov_index", "maslov_shifted", "evaluate_step", "subdivide"),
-                    "maslov"),
+    **dict.fromkeys(("maslov_index", "maslov_shifted", "subdivide"), "maslov"),
+    "evaluate_step": "torus",
     **dict.fromkeys(("selector", "selector_range", "time_function"), "selectors"),
     **dict.fromkeys(("nu", "nu_star", "norm_report", "greedy_embedded_decomposition",
                      "selector_lower_bounds"), "norms"),

@@ -3,16 +3,16 @@
 Every number of a `norms` report is period-lattice arithmetic on the
 selectors c_+ = c_0 and c_- = c_{-2n+1} (`lattice_norm_report`): an
 explicit path reads them off one evaluation of the step function
-(`torus.norm_report`, from `norms.norm_report` or, on a real-diagonal path,
-`torus.TorusPath`), and every selector c_j, -2n + 1 <= j <= 0, of the
+(`norms.norm_report`, on a `paths.UnitaryPath` or, on a real-diagonal path,
+its `torus.TorusPath`), and every selector c_j, -2n + 1 <= j <= 0, of the
 Reeb path is T (`reeb_norm_report`).  For equal weights the Reeb flow up to
 time T needs exactly r + 1 = floor(kT / 2 pi) + 1 embedded pieces: the
 selector lower bound meets the embedded-decomposition upper bound
 (`geodesic_report`).  This module reads no matrix, so a `geodesic` job and
 a `norms` job on a Reeb path need no numpy; the greedy decomposition and
 the selector chain on `reeb_path` stay their reference, in
-`verify --suite geodesic` and in the tests.  The real-diagonal route lives
-in `torus`, not here, so a `geodesic` job compiles none of it.
+`verify --suite geodesic` and in the tests.  The explicit-path route lives
+in `norms` and `torus`, not here, so a `geodesic` job compiles none of it.
 """
 
 from collections import namedtuple

@@ -14,33 +14,35 @@ tolerances; the task's values (CLI flags over the job file's) and the caps
 that read only them and the lens (`spectrum` k n, `maslov` k', `geodesic`
 snap window); that the task has a path; the path (its segment count,
 MAX_SEGMENTS, before its data); the path's price (det-lift roundoff,
-`maslov` form dimension, `norms` decomposition pieces).  The lens and the
-path are validated once, by the types that own them: `new_lens` (k an
-integer from 2 to 2**53, the weights) and `UnitaryPath` (shape,
-finiteness, Hermitian and deck-commuting generators, positive durations,
-finite phase travel; a Reeb path T I is valid for every finite T, and a
-real-diagonal path is kept as a `torus.TorusPath` only where UnitaryPath
-would accept it).  Their
-errors say which input is at fault, and `parse_job` prefixes the JSON
-path, so every input error leaves the CLI as exit 2 naming the field.
-`run_job` only computes; it refuses only a job without a task.
+`maslov` form dimension, `norms` decomposition pieces).  Each JSON object's
+keys are checked before its values, and an unknown key (a misspelt
+"segments", say) exits 2 on its field.  The lens and the path are validated
+once, by the types that own them: `new_lens` (k an integer from 2 to 2**53,
+the weights) and `UnitaryPath` (shape, finiteness, Hermitian and
+deck-commuting generators, positive durations, finite phase travel; a Reeb
+path T I is valid for every finite T, and a real-diagonal path is kept as a
+`torus.TorusPath` only where UnitaryPath would accept it).  Their errors say
+which input is at fault, and `parse_job` prefixes the JSON path, so every
+input error leaves the CLI as exit 2 naming the field.  `run_job` only
+computes; it refuses only a job without a task.
 
-numpy and `paths` load only where a UnitaryPath is built or read.
-Generator entries are decoded in pure Python, each a finite JSON number.  A
-Reeb path `{"reeb": T}` is kept as its time T, and a `piecewise_hermitian`
-path whose every generator is real diagonal (every off-diagonal entry and
-imaginary part exactly 0) as its `torus.TorusPath`: each is priced in
-arithmetic (`Job.spans`, which also gives a `maslov` job's subdivision) and
-its UnitaryPath built on the first read of `Job.path`.  A `norms` job reads
-only T (lattice arithmetic, in `geodesic`) or the TorusPath (float
-arithmetic on the diagonals, in `torus`).  A `maslov` job on either path
-counts its based family line by line on the TorusPath (T I for a Reeb
-path), and reads `Job.path` only where that count leaves a family to the
-reference.  So a `geodesic` job without a path, a `norms` or `maslov` job
-on a Reeb or real-diagonal path (but for that fallback), and every input
-error found before a UnitaryPath is built run without numpy;
-`task.verify.suite` is checked against VERIFY_SUITES, so a `task.verify.*`
-error does not run `verify`.
+numpy and `paths` load only where a UnitaryPath is built or read.  Generator
+entries are decoded in pure Python, each a finite JSON number.  A Reeb path
+`{"reeb": T}` is kept as its time T, and a `piecewise_hermitian` path whose
+every generator is real diagonal (every off-diagonal entry and imaginary
+part exactly 0) as its `torus.TorusPath`: each is priced in arithmetic
+(`Job.spans`, which also gives a `maslov` job's subdivision) and its
+UnitaryPath built on the first read of `Job.path`.  A `norms` job reads only
+T (lattice arithmetic, in `geodesic`) or the TorusPath's record (float
+arithmetic on the diagonals), and a `selectors` or `norms` job on any other
+path the UnitaryPath's, so neither runs `maslov` or `quadratic`.  A `maslov`
+job on a Reeb or real-diagonal path counts its based family line by line on
+the TorusPath (T I for a Reeb path), and reads `Job.path` only where that
+count leaves a family to the reference.  So a `geodesic` job without a
+path, a `norms` or `maslov` job on a Reeb or real-diagonal path (but for
+that fallback), and every input error found before a UnitaryPath is built
+run without numpy; `task.verify.suite` is checked against VERIFY_SUITES, so
+a `task.verify.*` error does not run `verify`.
 """
 
 import json
@@ -149,6 +151,13 @@ class Job:
 def _require(cond, field, message):
     if not cond:
         raise JobError(field, message)
+
+
+def _known_keys(obj, field, owner, reads):
+    """Refuse the first key of obj (at field) not in reads, if obj is a dict."""
+    for key in obj if isinstance(obj, dict) else ():
+        _require(key in reads, f"{field}.{key}" if field else str(key),
+                 f"unknown key; {owner} reads {', '.join(reads)}")
 
 
 def _lens_value(read):
@@ -262,6 +271,7 @@ def _parse_path(lens, path_spec):
         T = float(spec)
         return {"reeb": T, "build": lambda: paths.reeb_path(lens, T)}
     if kind == "piecewise_hermitian":
+        _known_keys(spec, "path.piecewise_hermitian", "piecewise_hermitian", ("segments",))
         segs = spec.get("segments") if isinstance(spec, dict) else None
         _require(isinstance(segs, list) and 1 <= len(segs) <= MAX_SEGMENTS,
                  "path.piecewise_hermitian.segments",
@@ -270,6 +280,7 @@ def _parse_path(lens, path_spec):
         for i, seg in enumerate(segs):
             fld = f"path.piecewise_hermitian.segments[{i}]"
             _require(isinstance(seg, dict), fld, "expected an object")
+            _known_keys(seg, fld, "a segment", ("generator", "duration"))
             A = _parse_complex_matrix(seg.get("generator"), fld + ".generator")
             d = seg.get("duration", 1.0)
             _require(_is_number(d), fld + ".duration",
@@ -282,6 +293,7 @@ def _parse_path(lens, path_spec):
                 return {"torus": path, "build": lambda: _unitary_path(lens, segments)}
         return {"path": _unitary_path(lens, segments)}
     _require(isinstance(spec, dict), "path.random", "expected an object")
+    _known_keys(spec, "path.random", "random", ("seed", "segments", "norm_bound"))
     seed = spec.get("seed", 0)
     _require(_is_int(seed) and 0 <= seed < 2**64,
              "path.random.seed", "seed must be a 64-bit integer")
@@ -406,9 +418,11 @@ def parse_job(document, task=None, flags=None):
         except (ValueError, RecursionError) as e:
             raise JobError("$", f"malformed JSON: {e}") from None
     _require(isinstance(document, dict), "$", "job must be a JSON object")
+    _known_keys(document, None, "a job", ("lens", "path", "task", "tolerances"))
 
     lens_spec = document.get("lens")
     _require(isinstance(lens_spec, dict), "lens", "missing lens object")
+    _known_keys(lens_spec, "lens", "lens", ("k", "weights"))
     lens = _lens_value(lambda: new_lens(lens_spec.get("k"), lens_spec.get("weights")))
 
     task_spec = document.get("task")
@@ -523,14 +537,12 @@ def run_job(job):
             "over deck powers m of eigenphases of g^-m U_1"
         )
     elif task == "norms":
-        # a Reeb path in lattice arithmetic, a torus path from its diagonals:
-        # neither builds a UnitaryPath
+        # a Reeb path in lattice arithmetic; any other from its record, a
+        # torus path from its diagonals: neither builds a UnitaryPath
         if job.reeb is not None:
             rep = geodesic.reeb_norm_report(lens, job.reeb, **args)
-        elif job.torus is not None:
-            rep = job.torus.norm_report(**args)
         else:
-            rep = norms.norm_report(job.path, **args)
+            rep = norms.norm_report(job.torus or job.path, **args)
         res.update(rep.as_dict())
         report["provenance"].append(
             "nu = max(ceil(c_+), -floor(c_-)) in exact T_w-lattice arithmetic; "

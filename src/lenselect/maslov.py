@@ -45,19 +45,22 @@ away from the spectrum
     W(T) = (L - nT - sum_j phi_j(T)) / 2 pi,  phi_j(T) = (theta_j - T) mod 2 pi
                                               taken in (0, 2 pi],
 
-with W an integer because e^{iL} = det U_1.  `evaluate_step` uses this for
-every gap; `maslov_index` on the generating-function family stays the
-reference, and the verify suite `maslov_props` (check `step-shape`) compares
-the two on seeded random paths at runtime.
+with W an integer because e^{iL} = det U_1.  `torus.evaluate_step` (also
+read as `maslov.evaluate_step`) uses this for every gap, on the path
+record's `phases` and `lift`, so `selectors` and `norms` run none of this
+module.  `maslov_index` on the generating-function family stays the
+reference, and the verify suite `maslov_props` (check `step-shape`)
+compares the two on seeded random paths at runtime.
 """
 
 import functools
 
 import numpy as np
 
-from .paths import reeb_shift, _eigenphases, _restrict_pieces, _speed
+from .paths import reeb_shift, _restrict_pieces, _speed
 from .quadratic import NULL_TOL, cayley_gf, cayley_hermitian, index, sharp
-from .torus import ELIM_PIVOT, MAX_TRAVEL, NULL_BRACKET, segment_parts, step_function
+# evaluate_step, the closed form below, stays readable from maslov
+from .torus import ELIM_PIVOT, MAX_TRAVEL, NULL_BRACKET, evaluate_step, segment_parts
 
 # MAX_TRAVEL, ELIM_PIVOT and NULL_BRACKET, and the derivations of their
 # values, are in `torus`, which prices a path without numpy.
@@ -236,7 +239,7 @@ def subdivide(path):
     """
     pts = [0.0]
     for i, (travel, _) in enumerate(path.spans):
-        a, b = path._starts[i], path._starts[i + 1]
+        a, b = path.starts[i], path.starts[i + 1]
         parts = segment_parts(travel)
         for j in range(1, parts + 1):
             pts.append(a + (b - a) * j / parts)
@@ -265,16 +268,3 @@ def maslov_index(path, breakpoints=None):
 def maslov_shifted(path, T):
     """mu of the Reeb-shifted class r_{-T} . path."""
     return maslov_index(reeb_shift(path, T))
-
-
-def evaluate_step(path, window_base=0.0):
-    """Evaluate the Maslov step function on one window of the sphere spectrum.
-
-    The drift is exactly -2n per +2 pi, so gap values in a single window
-    determine the function (and every selector) on all of R.  Each gap value
-    is the det-lift closed form of the module docstring at the gap midpoint:
-    `torus.step_function` of the endpoint eigenphases and the det lift.
-    """
-    raw = _eigenphases(path.endpoint, path.lens.weight_classes())
-    lift = sum(float(np.trace(A).real) * d for A, d in path.segments)
-    return step_function(path.lens, raw.tolist(), lift, window_base)

@@ -9,22 +9,19 @@ search happens on integers.
 Word-norm machinery is exposed through two certified bounds only: greedy
 embedded decompositions (upper bounds) and the selector chain (lower bounds).
 Every `norms` report is lattice arithmetic on (c_+, c_-) from one evaluation
-of the step function, in the numpy-free `torus.norm_report` and
-`geodesic.lattice_norm_report`; `nu`, `nu_star`, `selector_lower_bounds`
-and `is_identity_class` read their fields off `norm_report`.  This module
-is the numpy route: it feeds the numpy-free rules of `torus` (the step
-function, the greedy's cuts and certificates) the endpoint eigenphases and
-`paths._joint_eigendata`'s slopes.  A `norms` job builds no path on a Reeb
-path, where c_+ = c_- = T (`geodesic.reeb_norm_report`), nor on a
-real-diagonal path, which `torus.TorusPath` answers from its diagonals;
-`norm_report` on the built path stays the reference of both.
+of the step function (`torus.evaluate_step`, `geodesic.lattice_norm_report`);
+`nu`, `nu_star`, `selector_lower_bounds` and `is_identity_class` read their
+fields off `norm_report`.  A path is read only through the record that
+`paths.UnitaryPath` and `torus.TorusPath` share, so this module loads no
+numpy: the TorusPath of a real-diagonal path answers from its diagonals.
+A `norms` job on a Reeb path builds no path, as c_+ = c_- = T there
+(`geodesic.reeb_norm_report`); `norm_report` on the built path stays the
+reference of both.
 """
 
-from .paths import _envelope_slopes, _joint_eigendata, _restrict_pieces, is_embedded
-from .maslov import evaluate_step
-# numpy-free, in `geodesic`; geodesic_report stays readable from norms
-from .geodesic import geodesic_report
-from . import torus
+# geodesic_report stays readable from norms
+from .geodesic import IDENTITY_CLASS_TOL, geodesic_report, lattice_norm_report
+from .torus import evaluate_step
 
 
 def is_identity_class(path):
@@ -52,45 +49,17 @@ def nu_star(path):
 # --- embedded decompositions ---
 
 
-def _spectra(path):
-    """Each segment's eigenvalues, the spectra the `torus` rules read."""
-    return [lam for lam, _ in path._eig]
-
-
-def _next_cut(path, pieces, slopes, commuting, t):
-    """`torus.next_cut` on the path's `_restrict_pieces` with these slopes
-    (each piece's joint eigenline slopes on a commuting path, else its
-    envelope slope), certified by one is_embedded call."""
-    return torus.next_cut(path._starts, _spectra(path), pieces, slopes, path.lens.k, t,
-                          lambda a, b: is_embedded(path, a, b).embedded, commuting)
-
-
 def greedy_embedded_decomposition(path):
-    """Upper bound for the discriminant length via maximal embedded prefixes.
-
-    Each cut comes in closed form from `torus.next_cut` and carries one
-    is_embedded certificate: on a commuting path it is the exact end of the
-    maximal embedded prefix (`torus.exact_prefix`), and on a non-commuting
-    path the later of rule (a) (exact within one segment) and rule (b) (the
-    envelope bound on sign-definite stretches).  Constant stretches form
-    their own (identity-factor) segments.  The loop (`torus.decompose`)
-    ends only when [t, 1] is itself a segment, so a closed piece whose phase
-    travel reaches 2 pi / k is never counted as one: a Reeb flow for time T
-    gets floor(kT / 2 pi) + 1 segments, lattice T included.  The first cut
-    that cannot be certified (no embedded prefix past t, or a certificate
-    that does not come back embedded) ends the decomposition: an
-    uncertified decomposition is a certified prefix [0, t] plus the one
-    uncertified rest [t, 1], with a note saying where.  The count also
-    bounds the oscillation length when every segment is sign-definite.
-    """
-    pieces = _restrict_pieces(path, 0.0, 1.0)
-    data = _joint_eigendata(pieces, path.lens)
-    commuting = data is not None
-    slopes = (data[0] if commuting else _envelope_slopes(pieces)[:, None]).tolist()
-    spectra = _spectra(path)
-    return torus.decompose(
-        lambda t: _next_cut(path, pieces, slopes, commuting, t),
-        lambda a, b: torus.sign_definite(path._starts, spectra, a, b))
+    """Upper bound for the discriminant length via maximal embedded
+    prefixes: `path.decomposition()`, which walks `torus.decompose` over the
+    closed-form cuts of `torus.next_cut` (the exact prefix on a commuting
+    path, rules (a) and (b) on any other), each with one embeddedness
+    certificate.  A closed piece whose phase travel reaches 2 pi / k is
+    never one piece, so a Reeb flow for time T gets floor(kT / 2 pi) + 1,
+    lattice T included.  The first cut that cannot be certified ends the
+    decomposition, with a note saying where.  The count also bounds the
+    oscillation length when every piece is sign-definite."""
+    return path.decomposition()
 
 
 def selector_lower_bounds(path):
@@ -104,11 +73,22 @@ def selector_lower_bounds(path):
 
 
 def norm_report(path, decompose=False):
-    """The `norms` report: lattice arithmetic on (c_+, c_-) from one
-    evaluation of the step function (`torus.norm_report`).  With
-    `decompose`, the greedy's count bounds the discriminant length when
-    every cut is certified, and also the oscillation length when every
-    segment is sign-definite."""
+    """The `norms` report of a path record (`paths.UnitaryPath` or
+    `torus.TorusPath`): lattice arithmetic on (c_+, c_-) = (c_0, c_{-2n+1})
+    of one step function (geodesic.lattice_norm_report).  With `decompose`,
+    the greedy's count bounds the discriminant length when every cut is
+    certified, and also the oscillation length when every piece is
+    sign-definite."""
     ev = evaluate_step(path)
-    return torus.norm_report(ev, path.is_identity_endpoint,
-                             greedy_embedded_decomposition(path) if decompose else None)
+    lens = path.lens
+    cp, cm = ev.selector(0), ev.selector(-2 * lens.n + 1)
+    identity = (abs(cp) <= IDENTITY_CLASS_TOL and abs(cm) <= IDENTITY_CLASS_TOL
+                and path.is_identity_endpoint())
+    dis_upper = osc_upper = None
+    if decompose:
+        dec = greedy_embedded_decomposition(path)
+        if dec.certified:
+            dis_upper = dec.count
+            if dec.sign_definite:
+                osc_upper = dec.count
+    return lattice_norm_report(lens, cp, cm, identity, dis_upper, osc_upper)

@@ -12,6 +12,11 @@ Exact operations: inverse (conjugated generators), Reeb shift (generator
 minus T*I), segment append.  The pointwise product of two paths is re-fitted
 piecewise via principal matrix logarithms on a merged grid with sub-segment
 arcs below pi/2, which preserves the homotopy class with fixed endpoints.
+
+Both path records, this one and `torus.TorusPath`, offer `starts`,
+`phases` (of the endpoint), `lift` (the det lift sum_i tr(A_i) d_i),
+`is_identity_endpoint()` and `decomposition()`: all that
+`torus.evaluate_step` and `norms.norm_report` read.
 """
 
 import math
@@ -21,8 +26,8 @@ from itertools import accumulate
 import numpy as np
 
 from .lens import TWO_PI
-from .torus import clip, cluster_phases, line_crossing, segment_of
-from .torus import speed as _speed, stationary as _stationary
+from .torus import clip, cluster_phases, decompose, line_crossing, next_cut, segment_of
+from .torus import sign_definite, speed as _speed, stationary as _stationary
 
 HERMITIAN_TOL = 1e-10
 COMMUTATION_TOL = 1e-10
@@ -56,8 +61,8 @@ class UnitaryPath:
         # so the traced path of unitaries (and the endpoint) is unchanged
         with np.errstate(over="ignore"):  # an overflow is rejected just below
             self.segments = [(A * total, float(d) / total) for A, d in self.segments]
-        self._starts = [0.0, *accumulate(d for _, d in self.segments)]
-        self._starts[-1] = 1.0
+        self.starts = [0.0, *accumulate(d for _, d in self.segments)]
+        self.starts[-1] = 1.0
         self._eig = [self._finite_eigh(i, A, total) for i, (A, _) in enumerate(self.segments)]
         # prefix[i] = U(tau_i); prefix[N] = endpoint
         self._prefix = [np.eye(lens.n, dtype=complex)]
@@ -113,18 +118,36 @@ class UnitaryPath:
                     for (A, d), (lam, _) in zip(self.segments, self._eig)]
 
     @property
-    def breakpoints(self):
-        return self._starts
+    def phases(self):
+        """The endpoint eigenphases, block by block (`_eigenphases`)."""
+        return _eigenphases(self.endpoint, self.lens.weight_classes()).tolist()
+
+    @property
+    def lift(self):
+        """The det lift L = sum_i tr(A_i) d_i."""
+        return sum(float(np.trace(A).real) * d for A, d in self.segments)
+
+    def decomposition(self):
+        """`norms.greedy_embedded_decomposition`: `torus.decompose` on the
+        joint eigenline slopes, or on a non-commuting path each piece's
+        envelope slope, one `is_embedded` certificate per cut."""
+        pieces = _restrict_pieces(self, 0.0, 1.0)
+        data = _joint_eigendata(pieces, self.lens)
+        commuting = data is not None
+        slopes = (data[0] if commuting else _envelope_slopes(pieces)[:, None]).tolist()
+        spectra = [lam for lam, _ in self._eig]
+        return decompose(lambda t: _next_cut(self, pieces, slopes, commuting, t),
+                         lambda a, b: sign_definite(self.starts, spectra, a, b))
 
     def segment_of(self, t):
-        return segment_of(self._starts, t)
+        return segment_of(self.starts, t)
 
     def value(self, t):
         """U(t) for t in [0, 1]."""
         t = min(max(t, 0.0), 1.0)
         i = self.segment_of(t)
         lam, V = self._eig[i]
-        s = t - self._starts[i]
+        s = t - self.starts[i]
         return (V * np.exp(1j * lam * s)) @ V.conj().T @ self._prefix[i]
 
     def is_identity_endpoint(self):
@@ -201,7 +224,7 @@ def product_path(p, q):
         raise PathError("lens mismatch in product")
     lens = p.lens
     classes = lens.weight_classes()
-    knots = sorted(set(np.concatenate([p.breakpoints, q.breakpoints]).tolist()))
+    knots = sorted(set(np.concatenate([p.starts, q.starts]).tolist()))
     nodes = [0.0]
     for a, b in zip(knots[:-1], knots[1:]):
         if b - a <= 1e-15:
@@ -312,7 +335,7 @@ def _restrict_pieces(p, t0, t1):
     them, with each segment's generator A and A's eigenvalues lam from
     `UnitaryPath._eig`: lam is the only record of a generator's spectrum
     that stretch decisions read."""
-    return [(p.segments[i][0], p._eig[i][0], a, b) for i, a, b in clip(p._starts, t0, t1)]
+    return [(p.segments[i][0], p._eig[i][0], a, b) for i, a, b in clip(p.starts, t0, t1)]
 
 
 def _joint_eigendata(pieces, lens):
@@ -457,6 +480,12 @@ def is_embedded(p, t0, t1):
         if travel < step - 1e-12:
             return EmbeddednessReport(True, "embedded", None, step - travel, "definite")
     return EmbeddednessReport(None, "indeterminate", None, 0.0, "definite")
+
+
+def _next_cut(p, pieces, slopes, commuting, t):
+    """`torus.next_cut` from t on p, certified by one is_embedded call."""
+    return next_cut(p.starts, [lam for lam, _ in p._eig], pieces, slopes, p.lens.k, t,
+                    lambda a, b: is_embedded(p, a, b).embedded, commuting)
 
 
 # --- random inputs (all randomness through a caller-provided Generator) ---

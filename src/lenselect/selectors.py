@@ -6,18 +6,19 @@ mu(r_{-(T + 2 pi)} . path) = mu(r_{-T} . path) - 2n, and the returned value is
 bit-identical to the eigenphase representative it selects (spectrality is a
 theorem, so snapping to the spectrum is the correct rounding).
 
-The step function comes from `maslov.evaluate_step`, which needs only the
-endpoint eigenphases and the lift of arg det: a path class in the universal
-cover of U(n) is fixed by its endpoint plus that lift, so each gap value has
-the exact closed form mu = 2(n + W) given in the `maslov` docstring.  No
-generating function is built here; the generating-function index
+The step function comes from `torus.evaluate_step`, which reads only the
+path's endpoint eigenphases and the lift of arg det (`phases` and `lift`):
+a path class in the universal cover of U(n) is fixed by its endpoint plus
+that lift, so each gap value has the exact closed form mu = 2(n + W) given
+in the `maslov` docstring.  No generating function is built here, and
+neither `maslov` nor `quadratic` runs; the generating-function index
 `maslov.maslov_shifted` is the reference it is checked against (verify suite
 `maslov_props`, check `step-shape`, and tests/test_maslov.py).
 """
 
 from collections import namedtuple
 
-from .maslov import evaluate_step
+from .torus import evaluate_step
 
 
 def selector(path, j, window_base=0.0):

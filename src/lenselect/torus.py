@@ -7,24 +7,29 @@ are exactly the real diagonal matrices: every path over such a lens
 (L_5(1,2,3), L_4(1,3), L_7(1,2,3,4), ...) lies in the torus of diagonal
 unitaries.  Its eigenlines are the coordinates, line j turns at the speed
 (A_i)_jj on segment i, and no eigenproblem is needed.  A `TorusPath` holds
-such a path as those numbers and answers the `norms` task from them,
-without numpy, and the `maslov` task wherever its line-by-line count
-decides.  `jobs` keeps every `piecewise_hermitian` path whose generators
-are real diagonal (every off-diagonal entry and imaginary part exactly 0)
-as a TorusPath, on any lens; on a lens with pairwise distinct weights mod
-k, that is every exactly deck-commuting explicit path.  A Reeb path T I is
-one too, for its `maslov` job.
+such a path as those numbers and answers the `norms` task from them
+(`norms.norm_report` reads its record), without numpy, and the `maslov`
+task wherever its line-by-line count decides.  `jobs` keeps every
+`piecewise_hermitian` path whose generators are real diagonal (every
+off-diagonal entry and imaginary part exactly 0) as a TorusPath, on any
+lens; on a lens with pairwise distinct weights mod k, that is every exactly
+deck-commuting explicit path.  A Reeb path T I is one too, for its `maslov`
+job.
 
-The rules below are functions of plain floats, and the numpy route calls
-the same ones: `maslov.evaluate_step` feeds `step_function` the endpoint
-eigenphases and the det lift, `paths` clips a stretch with `clip` and
-tests each common eigenline with `line_crossing`, and
-`norms.greedy_embedded_decomposition` runs `decompose` on
-`paths._joint_eigendata`'s slopes and the segments' spectra.  A TorusPath
-feeds them its lifted line phases and its diagonals.  Each rule makes the
-float operations of the numpy code it replaced, in the same order (`np.mod`
-is `%` on floats, `np.searchsorted(side="right")` is `bisect_right`), so
-selectors, spectra and verify reports are unchanged.
+The rules below are functions of plain floats, and both path records feed
+them through one interface: a `paths.UnitaryPath` and a `TorusPath` each
+have `lens`, `starts`, `phases` (of the endpoint), `lift` (the det lift),
+`is_identity_endpoint()` and `decomposition()`.  `evaluate_step` reads
+`phases` and `lift` and is the only call into `step_function`, and
+`norms.norm_report` reads the rest, for either record.  A UnitaryPath's
+phases are its endpoint eigenphases, and its `decomposition()` runs
+`decompose` on `paths._joint_eigendata`'s slopes and the segments' spectra;
+`paths` also clips a stretch with `clip` and tests each common eigenline
+with `line_crossing`.  A TorusPath feeds the same rules its lifted line
+phases and its diagonals.  Each rule makes the float operations of the
+numpy code it replaced, in the same order (`np.mod` is `%` on floats,
+`np.searchsorted(side="right")` is `bisect_right`), so selectors, spectra
+and verify reports are unchanged.
 
 On a path of diagonal unitaries every block of the based family F_t of
 `maslov` is diagonal, so F_t is the direct sum of n one-line chains and its
@@ -148,6 +153,12 @@ def step_function(lens, phases, lift, window_base=0.0):
     if any(d < 0 for d in ev.drops()):
         raise AssertionError("Maslov step function failed to be non-increasing")
     return ev
+
+
+def evaluate_step(path, window_base=0.0):
+    """`step_function` of a path record (`paths.UnitaryPath` or
+    `TorusPath`) from window_base: its endpoint phases and det lift."""
+    return step_function(path.lens, path.phases, path.lift, window_base)
 
 
 # --- stretches and embeddedness ---
@@ -306,9 +317,10 @@ def next_cut(starts, spectra, pieces, slopes, k, t, certify, commuting=True):
 def decompose(cut, definite):
     """The greedy decomposition of [0, 1] by cut(t), the end of the
     certified piece from t or None; definite(a, b) says whether a piece is
-    sign-definite, so that it bounds the oscillation length.  The loop ends only when [t, 1] is itself
-    a piece, and the first cut that cannot be certified ends it: the rest
-    [t, 1] is one uncertified piece, with a note saying where."""
+    sign-definite, so that it bounds the oscillation length.  The loop ends
+    only when [t, 1] is itself a piece, and the first cut that cannot be
+    certified ends it: the rest [t, 1] is one uncertified piece, with a note
+    saying where."""
     cuts, notes = [0.0], []
     while cuts[-1] < 1.0:
         t = cuts[-1]
@@ -324,28 +336,6 @@ def decompose(cut, definite):
         sign_definite=all(definite(a, b) for a, b in zip(cuts, cuts[1:])),
         notes=notes,
     )
-
-
-def norm_report(ev, identity_endpoint, decomposition=None):
-    """The `norms` report of a path with step function ev: lattice
-    arithmetic on (c_+, c_-) = (c_0, c_{-2n+1}) of that one evaluation
-    (geodesic.lattice_norm_report).  identity_endpoint() is read only when
-    both selectors are within IDENTITY_CLASS_TOL of 0.  A decomposition's
-    count bounds the discriminant length when every cut is certified, and
-    also the oscillation length when every piece is sign-definite."""
-    # imported here: the numpy route loads this module for its rules alone
-    from .geodesic import IDENTITY_CLASS_TOL, lattice_norm_report
-
-    lens = ev.lens
-    cp, cm = ev.selector(0), ev.selector(-2 * lens.n + 1)
-    identity = (abs(cp) <= IDENTITY_CLASS_TOL and abs(cm) <= IDENTITY_CLASS_TOL
-                and identity_endpoint())
-    dis_upper = osc_upper = None
-    if decomposition is not None and decomposition.certified:
-        dis_upper = decomposition.count
-        if decomposition.sign_definite:
-            osc_upper = decomposition.count
-    return lattice_norm_report(lens, cp, cm, identity, dis_upper, osc_upper)
 
 
 # --- the based family ---
@@ -523,12 +513,6 @@ class TorusPath(namedtuple("TorusPath", "lens durations slopes starts")):
             lambda t: next_cut(self.starts, self.slopes, pieces, slopes, self.lens.k, t,
                                self.embedded),
             lambda a, b: sign_definite(self.starts, self.slopes, a, b))
-
-    def norm_report(self, decompose=False):
-        """`norms.norm_report` of the path, from its diagonals alone."""
-        ev = step_function(self.lens, self.phases, self.lift)
-        return norm_report(ev, self.is_identity_endpoint,
-                           self.decomposition() if decompose else None)
 
     def maslov_index(self):
         """`maslov.maslov_index` of the path, line by line, or None where

@@ -332,6 +332,46 @@ class TestParseJob:
         with pytest.raises(JobError, match="duration"):
             parse_job(doc)
 
+    @pytest.mark.parametrize("doc, field, reads", [
+        ({**reeb_job(3, [1, 1], 1.0), "comment": "x"}, "comment",
+         "a job reads lens, path, task, tolerances"),
+        ({"lens": {"k": 3, "weights": [1, 1], "weigths": [1, 2]}, "path": {"reeb": 1.0}},
+         "lens.weigths", "lens reads k, weights"),
+        ({"lens": {"k": 3, "weights": [1, 1]}, "path": {"random": {"seed": 1, "segmnts": 5}}},
+         "path.random.segmnts", "random reads seed, segments, norm_bound"),
+        ({"lens": {"k": 3, "weights": [1, 1]}, "path": {"piecewise_hermitian": {
+            "segments": [{"generator": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}], "durations": [1]}}},
+         "path.piecewise_hermitian.durations", "piecewise_hermitian reads segments"),
+        ({"lens": {"k": 3, "weights": [1, 1]}, "path": {"piecewise_hermitian": {"segments": [
+            {"generator": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]},
+            {"generator": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]], "durration": 5}]}}},
+         "path.piecewise_hermitian.segments[1].durration", "a segment reads generator, duration"),
+    ], ids=["document", "lens", "random", "piecewise_hermitian", "segment"])
+    def test_unknown_key_exits_two_on_its_field(self, tmp_path, capsys, doc, field, reads):
+        # every input has an effect or exits 2: a misspelt key is not ignored
+        f = tmp_path / "job.json"
+        f.write_text(json.dumps(doc))
+        assert main(["norms", str(f)]) == 2
+        assert capsys.readouterr().err == f"error: {field}: unknown key; {reads}\n"
+
+    def test_unknown_keys_refused_in_order(self):
+        # the document's keys before its lens, a lens's keys before k, and a
+        # segment's keys before its entries, but after the segments before it
+        with pytest.raises(JobError, match=r"^extra:"):
+            parse_job({"lens": {"k": 1}, "extra": 1})
+        with pytest.raises(JobError, match=r"^lens\.K:"):
+            parse_job({"lens": {"k": 1, "K": 3}})
+        doc = diagonal_job()
+        segs = doc["path"]["piecewise_hermitian"]["segments"]
+        segs[1]["durration"] = 5
+        segs[1]["generator"] = "x"
+        field = r"^path\.piecewise_hermitian\.segments"
+        with pytest.raises(JobError, match=field + r"\[1\]\.durration:"):
+            parse_job(doc)
+        segs[0]["generator"] = "x"
+        with pytest.raises(JobError, match=field + r"\[0\]\.generator:"):
+            parse_job(doc)
+
 
 class TestRunJob:
     def test_maslov_reeb(self):
@@ -1002,7 +1042,9 @@ class TestMain:
         assert run.returncode == 0, run.stderr
 
     @pytest.mark.parametrize("command, doc, code, unrun", [
-        ("selectors", reeb_job(3, [1, 1], 1.0), 0, ["geodesic", "norms", "verify"]),
+        # the step function reads the path's record, in torus: no form is built
+        ("selectors", reeb_job(3, [1, 1], 1.0), 0,
+         ["quadratic", "maslov", "geodesic", "norms", "verify"]),
         ("spectrum", reeb_job(3, [1, 1], 1.0), 0,
          ["quadratic", "maslov", "selectors", "geodesic", "norms", "verify"]),
         # a Reeb path's norms are lattice arithmetic, in geodesic
@@ -1013,15 +1055,24 @@ class TestMain:
          ["quadratic", "paths", "maslov", "selectors", "geodesic", "norms", "verify"]),
         ("selectors", {"lens": {"k": 3, "weights": [1, 1]}, "path": {"piecewise_hermitian": {
             "segments": [{"generator": [[[1, 0], [0, 0]], [[0, 0], [2, 0]]]}]}}}, 0,
-         ["geodesic", "norms", "verify"]),
+         ["quadratic", "maslov", "geodesic", "norms", "verify"]),
         ("geodesic", {"lens": {"k": 3, "weights": [1, 1]}, "task": {"geodesic": {"T": 7.0}}}, 0,
          ["quadratic", "torus", "paths", "maslov", "selectors", "norms", "verify"]),
-        # a path in the diagonal torus: its norms are float arithmetic, in torus
+        # a path in the diagonal torus: its norms are float arithmetic on its
+        # record, through norms.norm_report
         ("norms", diagonal_job({"norms": {"decompose": True}}), 0,
-         ["quadratic", "paths", "maslov", "selectors", "norms", "verify"]),
+         ["quadratic", "paths", "maslov", "selectors", "verify"]),
         # and its based family is counted line by line, in torus
         ("maslov", diagonal_job(), 0,
          ["quadratic", "paths", "maslov", "selectors", "norms", "verify"]),
+        # a random path's record: the step function and the greedy build no form
+        ("selectors", {"lens": {"k": 3, "weights": [1, 1]},
+                       "path": {"random": {"seed": 2, "segments": 2}}}, 0,
+         ["quadratic", "maslov", "geodesic", "norms", "verify"]),
+        ("norms", {"lens": {"k": 3, "weights": [1, 1]},
+                   "path": {"random": {"seed": 2, "segments": 2}},
+                   "task": {"norms": {"decompose": True}}}, 0,
+         ["quadratic", "maslov", "selectors", "verify"]),
     ])
     def test_job_runs_only_the_modules_it_calls(self, tmp_path, command, doc, code, unrun):
         # and none of them imports dataclasses (with inspect, ast and dis
@@ -1107,7 +1158,10 @@ class TestMain:
         # geodesic jobs and norms jobs on a Reeb path are lattice arithmetic,
         # norms and maslov jobs on a real-diagonal path float arithmetic (so
         # are maslov jobs on a Reeb path), and these input errors stop
-        # before any matrix is decoded
+        # before any matrix is decoded; only a real-diagonal norms job runs
+        # norms, on its TorusPath
+        on_torus = field is None and argv[0] == "norms" and "piecewise_hermitian" in str(doc)
+        ran = "['norms']" if on_torus else "[]"
         if doc is not None:
             f = tmp_path / "job.json"
             f.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -1118,14 +1172,15 @@ class TestMain:
             "err = io.StringIO()\n"
             "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
             "    code = lenselect.cli.main(json.loads(sys.argv[1]))\n"
-            "print(code, 'numpy' in sys.modules, [name for name in ('paths', 'maslov', 'norms')\n"
+            "print(code, 'numpy' in sys.modules, [name for name in\n"
+            "      ('quadratic', 'paths', 'maslov', 'norms')\n"
             "      if type(sys.modules['lenselect.' + name]) is types.ModuleType])\n"
             "print(err.getvalue(), end='')\n"
         )
         run = run_python(["-c", script, json.dumps(argv)])
         assert run.returncode == 0, run.stderr
         status, _, err = run.stdout.partition("\n")
-        assert status == f"{0 if field is None else 2} False []"
+        assert status == f"{0 if field is None else 2} False {ran}"
         assert err.startswith(f"error: {field}:") if field else err == ""
 
     def test_run_as_module_without_runtime_warning(self):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import lenselect.norms
+import lenselect.paths
 from lenselect.geodesic import lattice_norm_report, reeb_norm_report
 from lenselect.lens import new_lens
 from lenselect.maslov import evaluate_step
@@ -84,8 +85,8 @@ def _bisect_prefix(path, t):
 
 
 def _bisected_cut(path, pieces, slopes, commuting, t):
-    """norms._next_cut with the cut bisected over is_embedded."""
-    run = constant_run_end(path._starts, [lam for lam, _ in path._eig], t)
+    """paths._next_cut with the cut bisected over is_embedded."""
+    run = constant_run_end(path.starts, [lam for lam, _ in path._eig], t)
     if run > t + 1e-12:
         return run
     q = _bisect_prefix(path, t)
@@ -105,7 +106,7 @@ def bisection_reference(path):
     """The greedy decomposition with every cut bisected: the reference for
     the exact cuts."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lenselect.norms, "_next_cut", _bisected_cut)
+        mp.setattr(lenselect.paths, "_next_cut", _bisected_cut)
         return greedy_embedded_decomposition(path)
 
 
@@ -114,7 +115,7 @@ def summary(dec):
 
 
 def count_is_embedded(monkeypatch, verdict=None):
-    """Patch norms.is_embedded with a recorder of its (t0, t1) calls; it
+    """Patch paths.is_embedded with a recorder of its (t0, t1) calls; it
     answers with the real verdict, or with `verdict` when one is given."""
     calls = []
 
@@ -124,7 +125,7 @@ def count_is_embedded(monkeypatch, verdict=None):
             return verdict
         return is_embedded(p, t0, t1, *args, **kwargs)
 
-    monkeypatch.setattr(lenselect.norms, "is_embedded", counting)
+    monkeypatch.setattr(lenselect.paths, "is_embedded", counting)
     return calls
 
 
@@ -277,7 +278,7 @@ class TestGreedy:
             assert dec.certified and not ref.certified
             assert any("cannot certify" in note for note in ref.notes)
             stop = ref.breakpoints[-2]  # start of the uncertified rest
-            assert min(abs(stop - node) for node in p.breakpoints[1:-1]) < 1e-9
+            assert min(abs(stop - node) for node in p.starts[1:-1]) < 1e-9
         assert 0 < slivers < len(paths)
 
     def test_every_piece_embedded(self):
@@ -288,7 +289,7 @@ class TestGreedy:
                 assert is_embedded(p, a, b).embedded is True, (a, b)
 
     def test_sign_change_cut_at_node(self):
-        node = SIGN_CHANGE.breakpoints[1]
+        node = SIGN_CHANGE.starts[1]
         dec = greedy_embedded_decomposition(SIGN_CHANGE)
         assert summary(dec) == (6, True, True)
         assert node in dec.breakpoints
@@ -325,8 +326,8 @@ class TestGreedy:
         # the certificate of a non-commuting path's first cut comes back
         # indeterminate, and that ends the decomposition with no further probe
         p = random_path(L3, np.random.default_rng(2))
-        assert lenselect.norms._joint_eigendata(
-            lenselect.norms._restrict_pieces(p, 0.0, 1.0), L3) is None
+        assert lenselect.paths._joint_eigendata(
+            lenselect.paths._restrict_pieces(p, 0.0, 1.0), L3) is None
         first_cut = greedy_embedded_decomposition(p).breakpoints[1]
         verdict = EmbeddednessReport(None, "indeterminate", None, 0.0, "definite")
         calls = count_is_embedded(monkeypatch, verdict)
@@ -344,8 +345,8 @@ class TestGreedy:
         # rules (a) and (b) cut every piece of a generic non-commuting path,
         # and no count falls below the selector lower bound
         for p in noncommuting_paths(20, seed=3):
-            assert lenselect.norms._joint_eigendata(
-                lenselect.norms._restrict_pieces(p, 0.0, 1.0), p.lens) is None
+            assert lenselect.paths._joint_eigendata(
+                lenselect.paths._restrict_pieces(p, 0.0, 1.0), p.lens) is None
             dec = greedy_embedded_decomposition(p)
             assert dec.certified and not dec.notes
             for a, b in zip(dec.breakpoints, dec.breakpoints[1:]):

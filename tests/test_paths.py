@@ -137,7 +137,7 @@ class TestAlgebra:
         p = random_path(L2, rng, segments=2)
         q = random_path(L2, rng, segments=3)
         r = product_path(p, q)
-        for t in r.breakpoints:
+        for t in r.starts:
             assert np.linalg.norm(r.value(t) - p.value(t) @ q.value(t), 2) < 1e-9
         for t in np.linspace(0, 1, 33):
             assert np.linalg.norm(r.value(t) - p.value(t) @ q.value(t), 2) < 0.5

@@ -55,13 +55,14 @@ def diagonal_docs(count, seed):
 
 
 def test_torus_norms_equal_the_numpy_reference():
-    # the arithmetic route against norms.norm_report on the UnitaryPath of
-    # the same document, with and without the greedy decomposition
+    # norms.norm_report on the TorusPath (float arithmetic) against the same
+    # function on the UnitaryPath of the same document, with and without the
+    # greedy decomposition
     for i, doc in enumerate(diagonal_docs(1000, seed=26)):
         job = parse_job(doc, "norms")
         assert job.torus is not None and job._path is None, i
         for decompose in (False, True):
-            got = json.dumps(job.torus.norm_report(decompose).as_dict(), sort_keys=True)
+            got = json.dumps(norms.norm_report(job.torus, decompose).as_dict(), sort_keys=True)
             want = json.dumps(norms.norm_report(job.path, decompose).as_dict(), sort_keys=True)
             assert got == want, (i, decompose)
 
@@ -80,8 +81,8 @@ def test_torus_step_function_matches_evaluate_step():
     for i, doc in enumerate(diagonal_docs(120, seed=11)):
         job = parse_job(doc, "norms")
         tp = job.torus
-        got = torus.step_function(tp.lens, tp.phases, tp.lift)
-        want = norms.evaluate_step(job.path)
+        got = torus.evaluate_step(tp)
+        want = torus.evaluate_step(job.path)
         assert got.multiplicities == want.multiplicities, i
         assert got.values == want.values, i
         assert got.points == pytest.approx(want.points, rel=0, abs=1e-12), i
